@@ -195,10 +195,18 @@ def _basic_worker(payload: tuple[NetworkModel, StrongPartition]) -> PairResult:
 
 
 def basic_lower_bound(
-    model: NetworkModel, search: SearchConfig | None = None
+    model: NetworkModel,
+    search: SearchConfig | None = None,
+    *,
+    pairs: Sequence[StrongPartition] | None = None,
 ) -> BoundReport:
-    """Max over pairs of single-shot clique entropy over cut size."""
-    pairs = enumerate_pairs(model, search)
+    """Max over pairs of single-shot clique entropy over cut size.
+
+    ``pairs``, when given, is the list ``enumerate_pairs(model, search)``
+    returns; callers computing several bounds enumerate it once.
+    """
+    if pairs is None:
+        pairs = enumerate_pairs(model, search)
     results = _run_pairs(_basic_worker, [(model, p) for p in pairs])
     return _report("basic", results)
 
@@ -518,15 +526,19 @@ def improved_lower_bound(
     model: NetworkModel,
     search: SearchConfig | None = None,
     opt: OptConfig | None = None,
+    *,
+    pairs: Sequence[StrongPartition] | None = None,
 ) -> BoundReport:
     """Basic bound maximized over marginal-preserving full-support distributions.
 
     Reports the best strictly positive distribution found per pair.  The
     supremum may sit on the positivity boundary; when the grid oracle is on
-    it flags pairs where that appears to happen.
+    it flags pairs where that appears to happen.  ``pairs`` is as for
+    :func:`basic_lower_bound`.
     """
     opt = opt or OptConfig()
-    pairs = enumerate_pairs(model, search)
+    if pairs is None:
+        pairs = enumerate_pairs(model, search)
     payloads = [(model, p, i, opt) for i, p in enumerate(pairs)]
     results = _run_pairs(_improved_worker, payloads)
     return _report("improved", results)
@@ -549,9 +561,16 @@ def _fixed_worker(payload: tuple[NetworkModel, StrongPartition]) -> PairResult:
 
 
 def fixed_length_bound(
-    model: NetworkModel, search: SearchConfig | None = None
+    model: NetworkModel,
+    search: SearchConfig | None = None,
+    *,
+    pairs: Sequence[StrongPartition] | None = None,
 ) -> BoundReport:
-    """Max over pairs of log2 distinguishability count over cut size."""
-    pairs = enumerate_pairs(model, search)
+    """Max over pairs of log2 distinguishability count over cut size.
+
+    ``pairs`` is as for :func:`basic_lower_bound`.
+    """
+    if pairs is None:
+        pairs = enumerate_pairs(model, search)
     results = _run_pairs(_fixed_worker, [(model, p) for p in pairs])
     return _report("fixed_length", results)

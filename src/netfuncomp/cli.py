@@ -89,14 +89,30 @@ def _search_config(args) -> bounds.SearchConfig:
             listed = json.load(fh)
         if not isinstance(listed, list):
             raise UsageError("--pairs file must hold a JSON list of {cut, blocks}")
-        pairs = tuple(
-            (
-                tuple(sorted(item["cut"])),
-                tuple(sorted(tuple(sorted(b)) for b in item["blocks"])),
-            )
-            for item in listed
-        )
+        pairs = tuple(_pair_entry(n, item) for n, item in enumerate(listed))
     return bounds.SearchConfig(max_cut_size=args.max_cut_size, pairs=pairs)
+
+
+def _pair_entry(n: int, item) -> bounds.PairKey:
+    """One ``--pairs`` entry as a pair key; malformed entries raise UsageError."""
+
+    def ids(value) -> bool:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+    if not (
+        isinstance(item, dict)
+        and ids(item.get("cut"))
+        and isinstance(item.get("blocks"), list)
+        and all(ids(b) for b in item["blocks"])
+    ):
+        raise UsageError(
+            f"--pairs entry {n} must be an object with a \"cut\" list of edge ids "
+            "and a \"blocks\" list of edge-id lists"
+        )
+    return (
+        tuple(sorted(item["cut"])),
+        tuple(sorted(tuple(sorted(b)) for b in item["blocks"])),
+    )
 
 
 def _opt_config(args, *, grid_default: bool = False) -> bounds.OptConfig:
@@ -109,9 +125,10 @@ def _opt_config(args, *, grid_default: bool = False) -> bounds.OptConfig:
 def _bounds_result(
     model: NetworkModel, search: bounds.SearchConfig, opt: bounds.OptConfig
 ) -> dict:
-    basic = bounds.basic_lower_bound(model, search)
-    improved = bounds.improved_lower_bound(model, search, opt)
-    fixed = bounds.fixed_length_bound(model, search)
+    pairs = bounds.enumerate_pairs(model, search)
+    basic = bounds.basic_lower_bound(model, search, pairs=pairs)
+    improved = bounds.improved_lower_bound(model, search, opt, pairs=pairs)
+    fixed = bounds.fixed_length_bound(model, search, pairs=pairs)
     rows = []
     for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
         rows.append(

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping
 
-import networkx as nx
-
 from . import chargraph
 from .errors import (
     DomainMismatch,
@@ -40,7 +38,7 @@ from .netmodel import (
     Edge,
     NetworkModel,
     StrongPartition,
-    _digraph,
+    _context,
 )
 
 
@@ -167,7 +165,7 @@ class RateReport:
 
 
 def _edges_in_topo_order(model: NetworkModel) -> list[Edge]:
-    order = {n: i for i, n in enumerate(nx.topological_sort(_digraph(model)))}
+    order = {n: i for i, n in enumerate(_context(model).topo)}
     return sorted(model.edges, key=lambda e: (order[e.tail], e.id))
 
 
@@ -371,9 +369,10 @@ def cut_coloring_check(
     """Whether the code's cut words color the k-shot characteristic graph.
 
     The tuple of words carried by the cut edges is computed for every input
-    block and projected onto the graph's vertices (it cannot depend on the
-    other sources, which is asserted); the check passes when every edge of
-    the graph receives two distinct tuples.
+    block and projected onto the graph's vertices; the check passes when
+    every edge of the graph receives two distinct tuples.  Cut words that
+    depend on sources outside the cut's K set mean ``cut`` does not belong
+    to ``model``, which raises UsageError.
     """
     if k != code.k:
         raise UsageError(f"code is for k={code.k}, requested k={k}")
@@ -391,7 +390,11 @@ def cut_coloring_check(
         word = tuple(y[eid] for eid in cut_ids)
         key = tuple(xs[p] for p in order_pos)
         prev = colors.setdefault(key, word)
-        assert prev == word, "cut words leaked dependence on non-cut sources"
+        if prev != word:
+            raise UsageError(
+                f"cut {','.join(cut_ids)} carries words that depend on sources "
+                "outside its K set; the cut analysis does not match the model"
+            )
     label = {asg: lbl for asg, lbl in zip(cg.assignments, cg.graph.vertices)}
     coloring = {label[asg]: colors[asg] for asg in cg.assignments}
     return all(coloring[u] != coloring[v] for u, v in cg.graph.edges())

@@ -6,6 +6,11 @@ of three uniform binary sources.  It exercises every feature of the bound
 machinery (a nontrivial strong partition, side information, and a gap
 between the basic and improved bounds), so it doubles as the CLI's built-in
 example and the reference fixture for the acceptance tests.
+
+The layered sum network puts two layers of two relays between the same
+three sources and the sink.  Its 10 edges give 973 cut sets and 1,134
+(cut set, strong partition) pairs, which makes it the size reference for
+cut and strong-partition enumeration.
 """
 
 from __future__ import annotations
@@ -25,6 +30,37 @@ def diamond_model() -> NetworkModel:
         Edge("e4", "s3", "v2"),
         Edge("e5", "v1", "t"),
         Edge("e6", "v2", "t"),
+    )
+    table = tuple(
+        x1 + x2 + x3 for x1 in range(2) for x2 in range(2) for x3 in range(2)
+    )
+    return validate(
+        NetworkModel(
+            nodes=nodes,
+            edges=edges,
+            sources=("s1", "s2", "s3"),
+            sink="t",
+            alphabet_size=2,
+            function_table=table,
+            distribution=(0.125,) * 8,
+        )
+    )
+
+
+def layered_sum_model() -> NetworkModel:
+    """Three binary sources, relays a1/a2 then b1/b2 fully meshed, sink t, x1 + x2 + x3."""
+    nodes = ("s1", "s2", "s3", "a1", "a2", "b1", "b2", "t")
+    edges = (
+        Edge("e1", "s1", "a1"),
+        Edge("e2", "s2", "a1"),
+        Edge("e3", "s2", "a2"),
+        Edge("e4", "s3", "a2"),
+        Edge("e5", "a1", "b1"),
+        Edge("e6", "a1", "b2"),
+        Edge("e7", "a2", "b1"),
+        Edge("e8", "a2", "b2"),
+        Edge("e9", "b1", "t"),
+        Edge("e10", "b2", "t"),
     )
     table = tuple(
         x1 + x2 + x3 for x1 in range(2) for x2 in range(2) for x3 in range(2)
@@ -67,5 +103,6 @@ def single_edge_model(
 
 BUILTIN_MODELS = {
     "diamond": diamond_model,
+    "layered-sum": layered_sum_model,
     "single-edge": single_edge_model,
 }

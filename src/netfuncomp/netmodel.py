@@ -8,12 +8,30 @@ Symbols observed at the sources are i.i.d. across shots, so a block of k
 observations is a k-row matrix with one column per source.
 
 The cut machinery lives here as well: for an edge set C,
-:func:`analyze_cut` computes which sources can feed C, which sources are
-disconnected from the sink once C is removed, and the side-information
-remainder.  :func:`enumerate_strong_partitions` lists the partitions of a
-cut set whose blocks each disconnect at least one source while staying
-pairwise non-interfering; those partitions are what the bound machinery
+:func:`analyze_cut` computes which sources can feed C (K), which sources
+are disconnected from the sink once C is removed (I), and the
+side-information remainder (J = K - I).  :func:`enumerate_strong_partitions`
+lists the partitions of a cut set whose blocks each disconnect at least one
+source while staying pairwise non-interfering (no block disconnects a source
+that can feed another block); those partitions are what the bound machinery
 iterates over.
+
+Both enumerations work on bitmasks.  A per-model context, built once from a
+topological order, holds each edge's K as a source mask and computes I of an
+edge mask in one O(E) forward pass, cached by mask.  The strong-partition
+search assigns the cut's edges, in sorted id order, to blocks by
+backtracking, which yields restricted-growth-string order.  It prunes a
+branch on three sound grounds:
+
+* block cap: I of a block lies inside its K and is non-empty, and
+  non-interference makes the blocks' I pairwise disjoint subsets of I(C),
+  so there are at most |I(C)| blocks;
+* interference: I and K only grow as edges join a block, so two partial
+  blocks that interfere stay interfering;
+* lookahead: a block can only gain the unassigned edges and the other
+  blocks' K only grows, so if I(block + unassigned edges) lies inside the
+  other blocks' current K, every completion leaves the block with an empty
+  or interfering I.
 """
 
 from __future__ import annotations
@@ -67,6 +85,29 @@ class NetworkModel:
     function_table: tuple[Hashable, ...]
     distribution: tuple[float, ...]
 
+    def __hash__(self) -> int:
+        # Models key every cache in the package; hash the tables only once.
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = hash(
+                (
+                    self.nodes,
+                    self.edges,
+                    self.sources,
+                    self.sink,
+                    self.alphabet_size,
+                    self.function_table,
+                    self.distribution,
+                )
+            )
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    def __getstate__(self) -> dict:
+        # String hashes differ between interpreters; never ship a stored one.
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def num_sources(self) -> int:
         return len(self.sources)
@@ -76,10 +117,10 @@ class NetworkModel:
         return range(self.alphabet_size)
 
     def edge_by_id(self, edge_id: str) -> Edge:
-        try:
-            return _edge_map(self)[edge_id]
-        except KeyError:
-            raise UnknownEdgeId(edge_id) from None
+        for e in self.edges:
+            if e.id == edge_id:
+                return e
+        raise UnknownEdgeId(edge_id)
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.head == node)
@@ -226,24 +267,12 @@ def load_model(path: str) -> NetworkModel:
 # -- validation ---------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def _digraph(model: NetworkModel) -> nx.MultiDiGraph:
     g = nx.MultiDiGraph()
     g.add_nodes_from(model.nodes)
     for e in model.edges:
         g.add_edge(e.tail, e.head, key=e.id)
     return g
-
-
-@lru_cache(maxsize=None)
-def _descendants(model: NetworkModel) -> dict[str, frozenset[str]]:
-    g = _digraph(model)
-    return {n: frozenset(nx.descendants(g, n)) for n in model.nodes}
-
-
-def reaches(model: NetworkModel, u: str, v: str) -> bool:
-    """True when there is a directed path from u to v, length zero included."""
-    return u == v or v in _descendants(model)[u]
 
 
 def validate(model: NetworkModel) -> NetworkModel:
@@ -264,8 +293,9 @@ def validate(model: NetworkModel) -> NetworkModel:
     if not nx.is_directed_acyclic_graph(g):
         cyc = nx.find_cycle(g)
         raise CycleDetected(" -> ".join(str(a) for a, _, _ in cyc))
+    feeds_sink = nx.ancestors(g, model.sink)
     for n in model.nodes:
-        if n != model.sink and not reaches(model, n, model.sink):
+        if n != model.sink and n not in feeds_sink:
             raise UnreachableNode(n)
     total = 0.0
     for p in model.distribution:
@@ -279,36 +309,90 @@ def validate(model: NetworkModel) -> NetworkModel:
     return model
 
 
+# -- per-model bitmask context ----------------------------------------------------
+
+
+class _Context:
+    """Bitmask view of one acyclic model, built once from a topological order.
+
+    Edge ``model.edges[b]`` is bit ``b`` of an edge mask and source
+    ``model.sources[s]`` is bit ``s`` of a source mask.  ``k_edge[b]`` is K
+    of edge ``b`` alone, so K of an edge set is the OR over its edges.
+    """
+
+    def __init__(self, model: NetworkModel):
+        g = _digraph(model)
+        try:
+            self.topo = tuple(nx.topological_sort(g))
+        except nx.NetworkXUnfeasible:
+            raise CycleDetected("the network has a directed cycle") from None
+        pos = {n: i for i, n in enumerate(self.topo)}
+        self.sources = model.sources
+        self.all_sources = (1 << len(model.sources)) - 1
+        self.bit = {e.id: b for b, e in enumerate(model.edges)}
+        # Edges by the topological position of their tails: one pass in this
+        # order sees every node's in-edges before its out-edges.
+        self._flow = sorted(
+            (pos[e.tail], b, pos[e.head]) for b, e in enumerate(model.edges)
+        )
+        self._seed = [0] * len(self.topo)
+        for s, name in enumerate(model.sources):
+            self._seed[pos[name]] = 1 << s
+        self._sink = pos[model.sink]
+        reach = self._reach(0)
+        self.k_edge = tuple(reach[pos[e.tail]] for e in model.edges)
+        self._i_cache: dict[int, int] = {}
+
+    def _reach(self, cut: int) -> list[int]:
+        """Per node (topological index), the sources reaching it around ``cut``."""
+        reach = list(self._seed)
+        for tail, b, head in self._flow:
+            if not cut >> b & 1:
+                reach[head] |= reach[tail]
+        return reach
+
+    def i_mask(self, cut: int) -> int:
+        """I of an edge mask: the sources that no longer reach the sink."""
+        i = self._i_cache.get(cut)
+        if i is None:
+            i = self._i_cache[cut] = self.all_sources & ~self._reach(cut)[self._sink]
+        return i
+
+    def source_set(self, mask: int) -> frozenset[str]:
+        return frozenset(s for b, s in enumerate(self.sources) if mask >> b & 1)
+
+    def analysis(self, ids: tuple[str, ...], k: int, i: int) -> CutAnalysis:
+        k_set = self.source_set(k)
+        i_set = self.source_set(i)
+        return CutAnalysis(
+            cut=ids,
+            k_set=k_set,
+            i_set=i_set,
+            j_set=k_set - i_set,
+            is_global=i == self.all_sources,
+        )
+
+
+@lru_cache(maxsize=32)
+def _context(model: NetworkModel) -> _Context:
+    return _Context(model)
+
+
 # -- cut analysis -------------------------------------------------------------
 
 
 def analyze_cut(model: NetworkModel, cut: Iterable[str]) -> CutAnalysis:
     """Classify the sources relative to the edge set ``cut``."""
     ids = tuple(sorted(set(cut)))
+    ctx = _context(model)
+    mask = k = 0
     for eid in ids:
-        model.edge_by_id(eid)
-    return _analyze(model, ids)
-
-
-@lru_cache(maxsize=None)
-def _analyze(model: NetworkModel, ids: tuple[str, ...]) -> CutAnalysis:
-    edges = [model.edge_by_id(eid) for eid in ids]
-    k_set = frozenset(
-        s for s in model.sources if any(reaches(model, s, e.tail) for e in edges)
-    )
-    pruned = _digraph(model).copy()
-    for e in edges:
-        pruned.remove_edge(e.tail, e.head, key=e.id)
-    i_set = frozenset(
-        s for s in model.sources if not nx.has_path(pruned, s, model.sink)
-    )
-    return CutAnalysis(
-        cut=ids,
-        k_set=k_set,
-        i_set=i_set,
-        j_set=k_set - i_set,
-        is_global=i_set == frozenset(model.sources),
-    )
+        b = ctx.bit.get(eid)
+        if b is None:
+            raise UnknownEdgeId(eid)
+        mask |= 1 << b
+        k |= ctx.k_edge[b]
+    return ctx.analysis(ids, k, ctx.i_mask(mask))
 
 
 def enumerate_cut_sets(
@@ -328,32 +412,28 @@ def enumerate_cut_sets(
         max_size = m
     if not 1 <= max_size <= m:
         raise UsageError(f"max_size must be in 1..{m}")
-    ids = sorted(e.id for e in model.edges)
-    combos: list[tuple[str, ...]] = []
-    for r in range(1, max_size + 1):
-        combos.extend(itertools.combinations(ids, r))
-    combos.sort()
-    out = []
-    for c in combos:
-        analysis = _analyze(model, c)
-        if analysis.is_cut_set:
-            out.append(analysis)
+    ctx = _context(model)
+    ids = sorted(ctx.bit)
+    bits = [1 << ctx.bit[eid] for eid in ids]
+    kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
+    chosen: list[str] = []
+    out: list[CutAnalysis] = []
+
+    # Depth-first over subsets, children in increasing id order: a preorder
+    # walk lists sorted id tuples lexicographically, prefixes first.
+    def extend(start: int, mask: int, k: int) -> None:
+        for j in range(start, m):
+            chosen.append(ids[j])
+            sub, sub_k = mask | bits[j], k | kbits[j]
+            i = ctx.i_mask(sub)
+            if i:
+                out.append(ctx.analysis(tuple(chosen), sub_k, i))
+            if len(chosen) < max_size:
+                extend(j + 1, sub, sub_k)
+            chosen.pop()
+
+    extend(0, 0, 0)
     return out
-
-
-def _restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All restricted growth strings of length n, lexicographically."""
-    rgs = [0] * n
-
-    def rec(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(rgs)
-            return
-        for v in range(top + 2):
-            rgs[i] = v
-            yield from rec(i + 1, max(top, v))
-
-    yield from rec(1, 0) if n > 0 else iter(())
 
 
 def enumerate_strong_partitions(
@@ -363,40 +443,77 @@ def enumerate_strong_partitions(
 
     Partitions are generated in restricted-growth-string order over the
     sorted edge ids, which is a canonical total order; within a partition the
-    blocks are ordered by their least edge id.
+    blocks are ordered by their least edge id.  The search and its pruning
+    are described in the module docstring.
     """
     if not isinstance(cut, CutAnalysis):
         cut = analyze_cut(model, cut)
     if not cut.is_cut_set:
         raise NotACutSet(",".join(cut.cut))
+    ctx = _context(model)
+    i_mask = ctx.i_mask
     ids = cut.cut
+    n = len(ids)
+    bits = [1 << ctx.bit[eid] for eid in ids]
+    kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
+    unassigned = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        unassigned[j] = unassigned[j + 1] | bits[j]
+    cap = len(cut.i_set)
+    masks: list[int] = []  # edge mask of each open block
+    ks: list[int] = []  # K mask of each open block
     out: list[StrongPartition] = []
-    for rgs in _restricted_growth_strings(len(ids)):
-        nblocks = max(rgs) + 1
+
+    def viable(b: int, free: int) -> bool:
+        ib, kb = i_mask(masks[b]), ks[b]
+        for a in range(len(masks)):
+            if a != b and (ib & ks[a] or i_mask(masks[a]) & kb):
+                return False
+        for a in range(len(masks)):
+            others = 0
+            for c in range(len(masks)):
+                if c != a:
+                    others |= ks[c]
+            if not i_mask(masks[a] | free) & ~others:
+                return False
+        return True
+
+    def emit() -> None:
+        i_sets = tuple(ctx.source_set(i_mask(mask)) for mask in masks)
         blocks = tuple(
-            tuple(ids[i] for i in range(len(ids)) if rgs[i] == b) for b in range(nblocks)
+            tuple(eid for eid, bit in zip(ids, bits) if mask & bit) for mask in masks
         )
-        analyses = [_analyze(model, b) for b in blocks]
-        if any(not a.is_cut_set for a in analyses):
-            continue
-        ok = True
-        for a, b in itertools.permutations(analyses, 2):
-            if a.i_set & b.k_set:
-                ok = False
-                break
-        if not ok:
-            continue
-        covered: set[str] = set()
-        for a in analyses:
-            covered |= a.i_set
         out.append(
             StrongPartition(
                 cut=cut,
                 blocks=blocks,
-                i_sets=tuple(a.i_set for a in analyses),
-                l_set=cut.i_set - covered,
+                i_sets=i_sets,
+                l_set=cut.i_set.difference(*i_sets),
             )
         )
+
+    def extend(j: int) -> None:
+        if j == n:
+            emit()
+            return
+        opened = len(masks)
+        for b in range(min(opened + 1, cap)):
+            if b == opened:
+                masks.append(bits[j])
+                ks.append(kbits[j])
+            else:
+                saved = masks[b], ks[b]
+                masks[b] |= bits[j]
+                ks[b] |= kbits[j]
+            if viable(b, unassigned[j + 1]):
+                extend(j + 1)
+            if b == opened:
+                masks.pop()
+                ks.pop()
+            else:
+                masks[b], ks[b] = saved
+
+    extend(0)
     return out
 
 
@@ -428,20 +545,9 @@ def restrict_sources(model: NetworkModel, subset: Iterable[str]) -> tuple[str, .
     return tuple(s for s in model.sources if s in subset)
 
 
-def assemble(
-    parts: Mapping[str, tuple[int, ...]], order: Sequence[str]
-) -> Assignment:
-    """Pick the columns named by ``order`` out of a source-keyed mapping."""
-    return tuple(parts[s] for s in order)
-
-
 def format_assignment(assignment: Assignment, q: int) -> str:
     """Canonical string form of a block: flattened symbols, source-major."""
     if q <= 10:
         return "".join(str(sym) for col in assignment for sym in col)
     return ",".join(str(sym) for col in assignment for sym in col)
 
-
-@lru_cache(maxsize=None)
-def _edge_map(model: NetworkModel) -> dict[str, Edge]:
-    return {e.id: e for e in model.edges}

@@ -2,7 +2,8 @@
 
 Everything here recomputes results straight from first principles, without
 touching the package's fast paths: cut classification by hand-rolled BFS,
-the strong-partition filter over all set partitions, the characteristic
+the strong-partition filter over all set partitions (as a set, and in
+restricted-growth-string order with the index sets), the characteristic
 graph's edge predicate by explicit quantification over completions, maximum
 cliques and independent sets by subset enumeration, and minimum-entropy
 colorings by partition enumeration.  Tests compare the library against
@@ -15,7 +16,7 @@ import itertools
 import math
 import random
 
-from netfuncomp.netmodel import Edge, NetworkModel, validate
+from netfuncomp.netmodel import CutAnalysis, Edge, NetworkModel, StrongPartition, validate
 from netfuncomp.pgraph import ProbGraph
 
 
@@ -136,6 +137,75 @@ def brute_strong_partitions(model: NetworkModel, cut_ids) -> set[frozenset[froze
                     clash = True
         if not clash:
             out.add(frozenset(frozenset(b) for b in blocks))
+    return out
+
+
+def restricted_growth_strings(n: int):
+    """All restricted growth strings of length n, lexicographically."""
+    if n == 0:
+        return
+    rgs = [0] * n
+    top = [0] * n  # top[i] = max(rgs[: i + 1])
+    while True:
+        yield tuple(rgs)
+        i = n - 1
+        while i > 0 and rgs[i] > top[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        top[i] = max(top[i - 1], rgs[i])
+        for j in range(i + 1, n):
+            rgs[j] = 0
+            top[j] = top[i]
+
+
+def _strong(sets: list[tuple[frozenset[str], frozenset[str]]]) -> bool:
+    """Every block separates a source; no block separates one feeding another."""
+    for a, (_, i) in enumerate(sets):
+        if not i:
+            return False
+        for b, (k, _) in enumerate(sets):
+            if a != b and i & k:
+                return False
+    return True
+
+
+def rgs_strong_partitions(model: NetworkModel, analysis: CutAnalysis) -> list[StrongPartition]:
+    """The strong partitions of a cut set, in restricted-growth-string order.
+
+    Every set partition of the sorted edge ids is generated as a restricted
+    growth string, its blocks ordered by least edge id, and kept when every
+    block separates a source and no block separates a source that feeds
+    another block.  Block sets come from ``brute_cut_sets``; blocks are
+    keyed by bitmasks over the cut's positions only to keep this fast.
+    """
+    ids = analysis.cut
+    memo: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
+    out = []
+    for rgs in restricted_growth_strings(len(ids)):
+        masks = [0] * (max(rgs) + 1)
+        for pos, b in enumerate(rgs):
+            masks[b] |= 1 << pos
+        sets = []
+        for mask in masks:
+            if mask not in memo:
+                k, i, _ = brute_cut_sets(model, [e for p, e in enumerate(ids) if mask >> p & 1])
+                memo[mask] = (frozenset(k), frozenset(i))
+            sets.append(memo[mask])
+        if not _strong(sets):
+            continue
+        i_sets = tuple(i for _, i in sets)
+        out.append(
+            StrongPartition(
+                cut=analysis,
+                blocks=tuple(
+                    tuple(e for p, e in enumerate(ids) if mask >> p & 1) for mask in masks
+                ),
+                i_sets=i_sets,
+                l_set=analysis.i_set - frozenset().union(*i_sets),
+            )
+        )
     return out
 
 

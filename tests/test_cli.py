@@ -213,11 +213,13 @@ def test_simulate_requires_a_code_source(capsys, paths):
 
 
 def test_example_without_bounds(capsys):
-    rc, out, _ = run(capsys, "example", "single-edge")
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["result"]["model"]["alphabet"] == 2
-    assert "bounds" not in doc["result"]
+    for name, edges in [("single-edge", 1), ("layered-sum", 10)]:
+        rc, out, _ = run(capsys, "example", name)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["result"]["model"]["alphabet"] == 2
+        assert len(doc["result"]["model"]["edges"]) == edges
+        assert "bounds" not in doc["result"]
 
 
 def test_unknown_example_exits_2(capsys):
@@ -246,3 +248,22 @@ def test_pairs_file_restricts_search(capsys, paths):
     result = json.loads(out)["result"]
     assert len(result["pairs"]) == 1
     assert result["improved"] == pytest.approx(0.5 * math.log2(5), abs=1e-4)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [{"cut": ["e5", "e6"]}],
+        [{"blocks": [["e5"], ["e6"]]}],
+        [{"cut": "e5,e6", "blocks": [["e5"], ["e6"]]}],
+        [{"cut": ["e5", "e6"], "blocks": ["e5", "e6"]}],
+        ["e5"],
+    ],
+)
+def test_malformed_pairs_entry_exits_2(capsys, paths, entries):
+    pairs_path = paths["base"] / "bad_pairs.json"
+    pairs_path.write_text(json.dumps(entries))
+    rc, out, err = run(capsys, "bounds", paths["diamond"], "--pairs", str(pairs_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: --pairs entry 0")
+    assert err.count("\n") == 1

@@ -78,6 +78,22 @@ def test_cut_words_color_the_characteristic_graph(diamond, diamond_code):
         codesim.cut_coloring_check(diamond, diamond_code, cut, part, 1)
 
 
+def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
+    # e5 carries s2's symbols through v1, so a K set of {s1} alone is wrong.
+    forged = netmodel.CutAnalysis(
+        cut=("e5",),
+        k_set=frozenset({"s1"}),
+        i_set=frozenset({"s1"}),
+        j_set=frozenset(),
+        is_global=False,
+    )
+    part = netmodel.StrongPartition(
+        cut=forged, blocks=(("e5",),), i_sets=(frozenset({"s1"}),), l_set=frozenset()
+    )
+    with pytest.raises(errors.UsageError, match="does not match the model"):
+        codesim.cut_coloring_check(diamond, diamond_code, forged, part, 2)
+
+
 def test_corrupt_decoder_entry_breaks_admissibility(diamond, diamond_code):
     decoder = dict(diamond_code.decoder)
     key = next(iter(decoder))

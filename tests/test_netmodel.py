@@ -6,14 +6,16 @@ conditions.  Random DAGs are then checked against the brute-force oracles
 in conftest.
 """
 
+import dataclasses
 import itertools
+import pickle
 import random
 
 import pytest
 
-from conftest import brute_cut_sets, brute_strong_partitions, random_model
-from netfuncomp import errors, netmodel
-from netfuncomp.examples import diamond_model
+from conftest import brute_cut_sets, brute_strong_partitions, random_model, rgs_strong_partitions
+from netfuncomp import bounds, errors, netmodel
+from netfuncomp.examples import diamond_model, layered_sum_model
 from netfuncomp.netmodel import Edge, NetworkModel
 
 
@@ -199,12 +201,19 @@ def test_not_a_cut_set_raises():
         netmodel.enumerate_strong_partitions(diamond_model(), ["e2"])
 
 
-def test_strong_partitions_match_oracle_on_random_dags():
+def _random_dags():
+    """(model, max cut size) for the random DAGs checked against the oracles."""
     rng = random.Random(21)
-    checked = 0
+    out = []
     for _ in range(25):
         model = random_model(rng)
-        cap = min(4, len(model.edges))
+        out.append((model, min(4, len(model.edges))))
+    return out
+
+
+def test_strong_partitions_match_oracle_on_random_dags():
+    checked = 0
+    for model, cap in _random_dags():
         for analysis in netmodel.enumerate_cut_sets(model, max_size=cap):
             got = {
                 frozenset(frozenset(b) for b in p.blocks)
@@ -213,6 +222,64 @@ def test_strong_partitions_match_oracle_on_random_dags():
             assert got == brute_strong_partitions(model, analysis.cut)
             checked += 1
     assert checked > 50
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: [(diamond_model(), None)], id="diamond"),
+        pytest.param(lambda: [(layered_sum_model(), None)], id="layered-sum"),
+        pytest.param(_random_dags, id="random-dags"),
+    ],
+)
+def test_strong_partitions_match_rgs_oracle_in_order(cases):
+    checked = 0
+    for model, cap in cases():
+        for analysis in netmodel.enumerate_cut_sets(model, max_size=cap):
+            got = netmodel.enumerate_strong_partitions(model, analysis)
+            assert got == rgs_strong_partitions(model, analysis)
+            assert all(p.m <= len(analysis.i_set) for p in got)
+            checked += 1
+    assert checked > 0
+
+
+def _layered_12_edge_model():
+    """The layered sum network plus cross edges s1 -> a2 and s3 -> a1."""
+    model = layered_sum_model()
+    extra = (Edge("e11", "s1", "a2"), Edge("e12", "s3", "a1"))
+    return netmodel.validate(dataclasses.replace(model, edges=model.edges + extra))
+
+
+@pytest.mark.parametrize(
+    "make, cuts, pairs",
+    [(layered_sum_model, 973, 1134), (_layered_12_edge_model, 3461, 3486)],
+    ids=["layered-sum", "layered-12-edge"],
+)
+def test_layered_cut_and_pair_counts(make, cuts, pairs):
+    model = make()
+    assert len(netmodel.enumerate_cut_sets(model)) == cuts
+    assert len(bounds.enumerate_pairs(model)) == pairs
+
+
+def test_model_hash_is_stable_and_not_pickled():
+    model = diamond_model()
+    twin = netmodel.model_from_dict(netmodel.model_to_dict(model))
+    assert hash(model) == hash(model) == hash(twin)
+    clone = pickle.loads(pickle.dumps(model))
+    assert "_hash" not in clone.__dict__
+    assert clone == model and hash(clone) == hash(model)
+
+
+def test_model_context_cache_stays_bounded():
+    bound = netmodel._context.cache_info().maxsize
+    assert bound is not None
+    rng = random.Random(5)
+    seen = set()
+    while len(seen) <= bound + 5:
+        model = random_model(rng)
+        seen.add(model)
+        netmodel.enumerate_cut_sets(model)
+    assert netmodel._context.cache_info().currsize <= bound
 
 
 # -- assignment helpers ------------------------------------------------------------
