@@ -11,27 +11,30 @@ partition) pairs:
 * fixed length: log2 of the pair's distinguishability count divided by the
   cut size (a converse for fixed-length codes).
 
-The improved bound's feasible set is an affine slice of the simplex.  Its
-tangent space is computed by singular value decomposition of the marginal
-constraint matrix; the objective is re-evaluated through the cached
-decomposition tree of the characteristic graph, whose shape depends only on
-adjacency, so candidate distributions never rebuild the graph.  Coordinate
-ascent with a scanned golden-section line search runs from the base
-distribution plus a batch of seeded random starts; an optional grid oracle
-cross-checks low-dimensional slices and flags suprema that appear to sit on
-the positivity boundary.
+The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
+many pairs share one.  A run builds each distinct graph once; every pair
+with its key reuses the graph, its clique entropy and, for the improved
+bound, its marginal constraints and objective.
 
-Pair evaluations are independent; set NETFUNC_THREADS to evaluate them in a
-process pool.  Results are deterministic either way: random starts are
-seeded per (pair, start) and reports keep enumeration order.
+A single-shot graph nests four layers per vertex: side-information fiber F,
+class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
+fiber fully joined, leftover blocks in a class unjoined, and brackets in a
+leftover block fully joined with no edges inside (see
+:func:`chargraph.layer_report`), so the clique entropy is
+H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form.  Its
+feasible set is an affine slice of the simplex whose tangent space is
+computed by singular value decomposition of the marginal constraint matrix.
+Coordinate ascent with a scanned golden-section line search runs from the
+base distribution plus a batch of random starts seeded per (pair, start);
+an optional grid oracle cross-checks low-dimensional slices and flags
+suprema that appear to sit on the positivity boundary.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -147,18 +150,6 @@ def enumerate_pairs(
     return pairs
 
 
-def _run_pairs(worker: Callable, payloads: list) -> list[PairResult]:
-    threads = os.environ.get("NETFUNC_THREADS", "")
-    try:
-        nworkers = int(threads) if threads else 1
-    except ValueError:
-        raise UsageError(f"NETFUNC_THREADS must be an integer, got {threads!r}")
-    if nworkers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            return list(pool.map(worker, payloads))
-    return [worker(p) for p in payloads]
-
-
 def _report(kind: str, results: list[PairResult]) -> BoundReport:
     if not results:
         raise UsageError("no cut/partition pairs to evaluate")
@@ -173,19 +164,87 @@ def _report(kind: str, results: list[PairResult]) -> BoundReport:
     )
 
 
+class _Graph:
+    """One distinct single-shot characteristic graph of a run.
+
+    Every pair with the same (I, J, L, I_1..I_m) shares it; what a bound
+    needs beyond the graph is derived on first use.
+    """
+
+    def __init__(self, model: NetworkModel, partition: StrongPartition):
+        self.model = model
+        self.cg = chargraph.build(model, partition.cut, partition, 1)
+
+    @cached_property
+    def clique(self) -> entropy.EntropyResult:
+        return entropy.clique_entropy(self.cg.graph)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return _constraint_rows(self.model, self.cg)
+
+    @cached_property
+    def null(self) -> np.ndarray:
+        return _null_space(self.rows)
+
+    @cached_property
+    def objective(self) -> Callable[[np.ndarray], np.ndarray]:
+        return _layer_objective(self.cg)
+
+
+def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
+    """A lookup that builds each distinct characteristic graph once."""
+    built: dict[tuple, _Graph] = {}
+
+    def graph_of(pair: StrongPartition) -> _Graph:
+        # i_sets stays ordered: brackets and constraint rows follow it.
+        key = (pair.cut.i_set, pair.cut.j_set, pair.l_set, pair.i_sets)
+        if key not in built:
+            built[key] = _Graph(model, pair)
+        return built[key]
+
+    return graph_of
+
+
+def lower_bounds(
+    model: NetworkModel,
+    search: SearchConfig | None = None,
+    opt: OptConfig | None = None,
+    *,
+    pairs: Sequence[StrongPartition] | None = None,
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """The basic, improved and fixed-length reports from one pass over the pairs.
+
+    Each report equals the one its own function returns; ``pairs`` is as
+    for :func:`basic_lower_bound`.
+    """
+    opt = opt or OptConfig()
+    if pairs is None:
+        pairs = enumerate_pairs(model, search)
+    graph_of = _graphs(model)
+    basic, improved, fixed = [], [], []
+    for index, pair in enumerate(pairs):
+        graph = graph_of(pair)
+        basic.append(_basic(pair, graph))
+        improved.append(_improved(pair, index, graph, opt))
+        fixed.append(_fixed(model, pair))
+    return (
+        _report("basic", basic),
+        _report("improved", improved),
+        _report("fixed_length", fixed),
+    )
+
+
 # -- basic bound --------------------------------------------------------------
 
 
-def _basic_worker(payload: tuple[NetworkModel, StrongPartition]) -> PairResult:
-    model, partition = payload
-    cg = chargraph.build(model, partition.cut, partition, 1)
-    res = entropy.clique_entropy(cg.graph)
-    value = res.value / len(partition.cut.cut)
+def _basic(pair: StrongPartition, graph: _Graph) -> PairResult:
+    res = graph.clique
     tree = res.certificate
     return PairResult(
-        cut=partition.cut.cut,
-        blocks=partition.blocks,
-        value=value,
+        cut=pair.cut.cut,
+        blocks=pair.blocks,
+        value=res.value / len(pair.cut.cut),
         method=res.method,
         details={
             "clique_entropy": res.value,
@@ -207,65 +266,41 @@ def basic_lower_bound(
     """
     if pairs is None:
         pairs = enumerate_pairs(model, search)
-    results = _run_pairs(_basic_worker, [(model, p) for p in pairs])
-    return _report("basic", results)
+    graph_of = _graphs(model)
+    return _report("basic", [_basic(p, graph_of(p)) for p in pairs])
 
 
 # -- improved bound -----------------------------------------------------------
 
 
-def _compile_tree(
-    tree: entropy.DecompositionTree, n: int
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Flatten a decomposition tree into a closed-form mass functional.
+def _layer_objective(cg: chargraph.CharGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """Clique entropy of a single-shot graph as a function of vertex masses.
 
-    Telescoping the recursion turns the value into a signed sum of
-    ``m log2 m`` terms over fixed vertex subsets (complete leaves,
-    completely-connected nodes and their blocks) minus the same terms over
-    the complete leaves' individual vertices, all divided by the total mass.
-    The returned callable scores a whole batch of candidate rows at once;
-    one matrix product replaces one tree walk per candidate.
+    H(C|F) + H(B|F,C,L) times the total mass is the sum of ``m log2 m`` over
+    the fiber groups, minus it over the (fiber, class) groups, plus it over
+    the (fiber, class, leftover) groups, minus it over the full-coordinate
+    groups.  A vertex set that is a group on two adjacent levels cancels and
+    is dropped.  The returned callable scores a whole batch of candidate
+    rows with one matrix product.
     """
-    rows: list[np.ndarray] = []
-    coefs: list[float] = []
-    leaf_vertices: list[int] = []
-
-    def indicator(ids: Sequence[int]) -> np.ndarray:
-        row = np.zeros(n)
-        row[list(ids)] = 1.0
-        return row
-
-    def walk(node: entropy.DecompositionTree) -> None:
-        if node.kind == "CompleteLeaf":
-            rows.append(indicator(node.vertex_ids))
-            coefs.append(1.0)
-            leaf_vertices.extend(node.vertex_ids)
-        elif node.kind == "CCSplit":
-            rows.append(indicator(node.vertex_ids))
-            coefs.append(1.0)
-            for child in node.children:
-                rows.append(indicator(child.vertex_ids))
-                coefs.append(-1.0)
-                walk(child)
-        elif node.kind == "IsolatedSplit":
-            for child in node.children:
-                walk(child)
-        elif node.kind == "Opaque":
-            raise OptimizerFailed("cannot compile an opaque decomposition")
-
-    walk(tree)
-    subset_t = (np.array(rows) if rows else np.zeros((0, n))).T
-    sign = np.array(coefs)
-    root = indicator(tree.vertex_ids)
-    sel = np.array(sorted(leaf_vertices), dtype=int)
+    signs: dict[tuple[int, ...], int] = {}
+    for depth, sign in enumerate((1, -1, 1, -1), start=1):
+        groups: dict[tuple, list[int]] = {}
+        for vid, coord in enumerate(cg.layers):
+            groups.setdefault(coord[:depth], []).append(vid)
+        for members in groups.values():
+            key = tuple(members)
+            signs[key] = signs.get(key, 0) + sign
+    kept = [(ids, c) for ids, c in signs.items() if c]
+    subset_t = np.zeros((len(cg.layers), len(kept)))
+    for col, (ids, _) in enumerate(kept):
+        subset_t[list(ids), col] = 1.0
+    coef = np.array([c for _, c in kept], dtype=float)
 
     def evaluate(p: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(p)
         m = batch @ subset_t
-        acc = (m * np.log2(np.maximum(m, 1e-300))) @ sign
-        pv = batch[:, sel]
-        acc -= np.sum(pv * np.log2(np.maximum(pv, 1e-300)), axis=1)
-        out = acc / (batch @ root)
+        out = (m * np.log2(np.maximum(m, 1e-300))) @ coef / batch.sum(axis=1)
         return out[0] if p.ndim == 1 else out
 
     return evaluate
@@ -400,44 +435,35 @@ def _ascend_batch(
     return t, vals
 
 
-def _improved_worker(
-    payload: tuple[NetworkModel, StrongPartition, int, OptConfig],
+def _improved(
+    pair: StrongPartition, index: int, graph: _Graph, opt: OptConfig
 ) -> PairResult:
-    model, partition, pair_index, opt = payload
-    cut = partition.cut
-    cg = chargraph.build(model, cut, partition, 1)
-    res = entropy.clique_entropy(cg.graph)
-    tree = res.certificate
-    if tree is None or tree.has_opaque():
-        raise OptimizerFailed("characteristic graph did not decompose exactly")
-    base = np.array([float(x) for x in cg.graph.dist])
-    n = base.size
-    size = len(cut.cut)
+    base = np.array([float(x) for x in graph.cg.graph.dist])
+    size = len(pair.cut.cut)
     if np.min(base) < opt.min_mass:
         raise InfeasibleSpec(
             "base distribution has an atom below the optimizer's minimum mass"
         )
-    evaluator = _compile_tree(tree, n)
+    objective = graph.objective
 
     def score(p: np.ndarray) -> np.ndarray:
-        return evaluator(np.maximum(p, opt.min_mass))
+        return objective(np.maximum(p, opt.min_mass))
 
     base_value = float(score(base))
     details: dict = {"base_value": base_value / size}
 
-    m = _constraint_rows(model, cg)
-    null = _null_space(m)
+    null = graph.null
     dim = null.shape[1]
     details["feasible_dimension"] = int(dim)
     if dim == 0:
         details["opt_dist"] = [float(x) for x in base]
         return PairResult(
-            cut.cut, partition.blocks, base_value / size, "FixedPoint", details
+            pair.cut.cut, pair.blocks, base_value / size, "FixedPoint", details
         )
 
     t0 = np.zeros((opt.starts + 1, dim))
     for start in range(opt.starts):
-        rng = np.random.default_rng([opt.seed, pair_index, start])
+        rng = np.random.default_rng([opt.seed, index, start])
         t = rng.uniform(-1.0, 1.0, dim)
         for _ in range(60):
             if np.min(base + null @ t) >= opt.min_mass:
@@ -460,7 +486,8 @@ def _improved_worker(
             if grid_val > best_val:
                 best_val, best_t = grid_val, grid_t
     p_best = np.maximum(base + null @ best_t, opt.min_mass)
-    residual = float(np.max(np.abs(m @ p_best - m @ base)))
+    rows = graph.rows
+    residual = float(np.max(np.abs(rows @ p_best - rows @ base)))
     if residual > 1e-10 or abs(float(p_best.sum()) - 1.0) > 1e-12 or np.any(p_best <= 0):
         raise OptimizerFailed(
             f"optimum violates feasibility (marginal residual {residual:.3g})"
@@ -469,7 +496,7 @@ def _improved_worker(
     details["starts"] = opt.starts
     details["marginal_residual"] = residual
     return PairResult(
-        cut.cut, partition.blocks, best_val / size, "CoordinateAscent", details
+        pair.cut.cut, pair.blocks, best_val / size, "CoordinateAscent", details
     )
 
 
@@ -539,21 +566,21 @@ def improved_lower_bound(
     opt = opt or OptConfig()
     if pairs is None:
         pairs = enumerate_pairs(model, search)
-    payloads = [(model, p, i, opt) for i, p in enumerate(pairs)]
-    results = _run_pairs(_improved_worker, payloads)
-    return _report("improved", results)
+    graph_of = _graphs(model)
+    return _report(
+        "improved", [_improved(p, i, graph_of(p), opt) for i, p in enumerate(pairs)]
+    )
 
 
 # -- fixed-length bound -------------------------------------------------------
 
 
-def _fixed_worker(payload: tuple[NetworkModel, StrongPartition]) -> PairResult:
-    model, partition = payload
-    count = equiv.n_C(model, partition)
-    value = math.log2(count) / len(partition.cut.cut)
+def _fixed(model: NetworkModel, pair: StrongPartition) -> PairResult:
+    count = equiv.n_C(model, pair)
+    value = math.log2(count) / len(pair.cut.cut)
     return PairResult(
-        cut=partition.cut.cut,
-        blocks=partition.blocks,
+        cut=pair.cut.cut,
+        blocks=pair.blocks,
         value=value,
         method="Counting",
         details={"count": count},
@@ -572,5 +599,4 @@ def fixed_length_bound(
     """
     if pairs is None:
         pairs = enumerate_pairs(model, search)
-    results = _run_pairs(_fixed_worker, [(model, p) for p in pairs])
-    return _report("fixed_length", results)
+    return _report("fixed_length", [_fixed(model, p) for p in pairs])

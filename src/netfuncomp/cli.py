@@ -125,10 +125,7 @@ def _opt_config(args, *, grid_default: bool = False) -> bounds.OptConfig:
 def _bounds_result(
     model: NetworkModel, search: bounds.SearchConfig, opt: bounds.OptConfig
 ) -> dict:
-    pairs = bounds.enumerate_pairs(model, search)
-    basic = bounds.basic_lower_bound(model, search, pairs=pairs)
-    improved = bounds.improved_lower_bound(model, search, opt, pairs=pairs)
-    fixed = bounds.fixed_length_bound(model, search, pairs=pairs)
+    basic, improved, fixed = bounds.lower_bounds(model, search, opt)
     rows = []
     for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
         rows.append(
@@ -182,14 +179,6 @@ def _bounds_csv(result: dict) -> str:
             ]
         )
     return out.getvalue()
-
-
-def _threads() -> int:
-    raw = os.environ.get("NETFUNC_THREADS", "")
-    try:
-        return int(raw) if raw else 1
-    except ValueError:
-        raise UsageError(f"NETFUNC_THREADS must be an integer, got {raw!r}")
 
 
 def _cmd_validate(args) -> None:
@@ -368,7 +357,6 @@ def _cmd_bounds(args) -> None:
             "starts": opt.starts,
             "tol": opt.gain_tol,
             "grid_oracle": opt.grid_oracle,
-            "threads": _threads(),
         },
         result,
     )
@@ -425,7 +413,6 @@ def _cmd_example(args) -> None:
             "starts": args.starts,
             "tol": args.tol,
             "grid_oracle": bool(args.grid_oracle),
-            "threads": _threads(),
         },
         result,
     )

@@ -39,6 +39,7 @@ from .netmodel import (
     NetworkModel,
     StrongPartition,
     _context,
+    format_assignment,
 )
 
 
@@ -404,12 +405,16 @@ def cut_coloring_check(
 
 
 def code_to_dict(model: NetworkModel, code: UDCode) -> dict:
+    """JSON form of a code; source-edge keys are written like ``format_assignment``."""
+    q = model.alphabet_size
     source_names = set(model.sources)
     enc_doc: dict[str, dict] = {}
     for e in model.edges:
         table = code.encoders[e.id]
         if e.tail in source_names:
-            enc_doc[e.id] = {"".join(map(str, key)): w for key, w in sorted(table.items())}
+            enc_doc[e.id] = {
+                format_assignment((key,), q): w for key, w in sorted(table.items())
+            }
         else:
             enc_doc[e.id] = {",".join(key): w for key, w in sorted(table.items())}
     dec_doc = {",".join(key): list(out) for key, out in sorted(code.decoder.items())}
@@ -423,6 +428,7 @@ def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
         dec_doc = doc["decoder"]
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed code document: {exc}") from exc
+    q = model.alphabet_size
     source_names = set(model.sources)
     encoders: dict[str, dict] = {}
     for e in model.edges:
@@ -431,7 +437,13 @@ def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
         table = {}
         for key, w in enc_doc[e.id].items():
             if e.tail in source_names:
-                table[tuple(int(c) for c in key)] = str(w)
+                symbols = key if q <= 10 else key.split(",")
+                try:
+                    table[tuple(int(c) for c in symbols)] = str(w)
+                except ValueError:
+                    raise UsageError(
+                        f"edge {e.id}: source key {key!r} is not a block of symbols"
+                    ) from None
             else:
                 table[tuple(key.split(","))] = str(w)
         encoders[e.id] = table

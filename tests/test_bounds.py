@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from netfuncomp import bounds, errors, netmodel
+from netfuncomp import bounds, chargraph, entropy, errors, netmodel, pgraph
 from netfuncomp.bounds import OptConfig, SearchConfig
 from netfuncomp.examples import diamond_model, single_edge_model
 
@@ -188,18 +188,66 @@ def test_report_serialization(basic_report):
     assert doc["pairs"][0].keys() >= {"cut", "blocks", "value", "method"}
 
 
-def test_compiled_tree_matches_recursive_evaluation(diamond):
-    from netfuncomp import chargraph, entropy
+def _pair_graphs(model):
+    for pair in bounds.enumerate_pairs(model):
+        yield chargraph.build(model, pair.cut, pair, 1)
 
-    cut = netmodel.analyze_cut(diamond, WITNESS_CUT)
-    part = netmodel.enumerate_strong_partitions(diamond, cut)[1]
-    cg = chargraph.build(diamond, cut, part, 1)
-    tree = entropy.clique_entropy(cg.graph).certificate
-    compiled = bounds._compile_tree(tree, 8)
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        masses = rng.uniform(0.05, 1.0, 8)
-        masses /= masses.sum()
-        assert compiled(masses) == pytest.approx(
-            entropy.evaluate_tree(tree, masses), abs=1e-12
+
+def test_layer_objective_matches_clique_entropy(diamond):
+    rng = random.Random(83)
+    models = [diamond] + [random_model(rng) for _ in range(6)]
+    masses_rng = np.random.default_rng(7)
+    checked = 0
+    for model in models:
+        for cg in _pair_graphs(model):
+            g = cg.graph
+            objective = bounds._layer_objective(cg)
+            base = np.array([float(p) for p in g.dist])
+            assert objective(base) == pytest.approx(entropy.clique_entropy(g).value, abs=1e-12)
+            batch = masses_rng.uniform(0.05, 1.0, (3, g.n))
+            batch /= batch.sum(axis=1, keepdims=True)
+            for masses, value in zip(batch, objective(batch)):
+                reweighted = pgraph.ProbGraph(g.vertices, g.edges(), masses.tolist())
+                assert value == pytest.approx(
+                    entropy.clique_entropy(reweighted).value, abs=1e-12
+                )
+            checked += 1
+    assert checked > 118
+
+
+def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
+    calls = {"build": 0, "clique_entropy": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(chargraph, "build", counted("build", chargraph.build))
+    monkeypatch.setattr(
+        entropy, "clique_entropy", counted("clique_entropy", entropy.clique_entropy)
+    )
+    basic, _, _ = bounds.lower_bounds(diamond)
+    assert len(basic.pairs) == 118
+    assert calls == {"build": 21, "clique_entropy": 21}
+
+
+def test_lower_bounds_matches_separate_bounds(
+    diamond, basic_report, improved_report, fixed_report
+):
+    joint = bounds.lower_bounds(diamond)
+    assert [r.to_dict() for r in joint] == [
+        basic_report.to_dict(), improved_report.to_dict(), fixed_report.to_dict()
+    ]
+    rng = random.Random(89)
+    for _ in range(3):
+        model = random_model(rng)
+        separate = (
+            bounds.basic_lower_bound(model),
+            bounds.improved_lower_bound(model),
+            bounds.fixed_length_bound(model),
         )
+        joint = bounds.lower_bounds(model)
+        assert [r.to_dict() for r in joint] == [r.to_dict() for r in separate]

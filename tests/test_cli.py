@@ -167,18 +167,6 @@ def test_bounds_reports_are_byte_identical(capsys, paths):
     assert len(doc["result"]["pairs"]) == 118
 
 
-def test_threads_env_matches_serial(capsys, paths, monkeypatch):
-    rc1, out1, _ = run(capsys, "bounds", paths["single"])
-    monkeypatch.setenv("NETFUNC_THREADS", "2")
-    rc2, out2, _ = run(capsys, "bounds", paths["single"])
-    assert rc1 == rc2 == 0
-    assert json.loads(out1)["result"] == json.loads(out2)["result"]
-    monkeypatch.setenv("NETFUNC_THREADS", "soon")
-    rc3, _, err = run(capsys, "bounds", paths["single"])
-    assert rc3 == 2
-    assert err.startswith("netfuncomp: UsageError:")
-
-
 def test_simulate_builtin_scheme(capsys):
     rc, out, _ = run(capsys, "simulate", "--builtin", "diamond", "--k", "2")
     assert rc == 0
@@ -204,6 +192,20 @@ def test_simulate_code_file(capsys, paths):
     rc, out, _ = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
     assert rc == 0
     assert json.loads(out)["result"]["admissible"] is True
+
+
+def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):
+    from netfuncomp import codesim
+
+    model = diamond_model()
+    doc = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    doc["encoders"]["e1"]["a"] = "0"
+    code_path = paths["base"] / "bad_code.json"
+    code_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: edge e1")
+    assert err.count("\n") == 1
 
 
 def test_simulate_requires_a_code_source(capsys, paths):

@@ -154,3 +154,18 @@ def test_code_from_dict_rejects_missing_edge(diamond, diamond_code):
         codesim.code_from_dict(diamond, doc)
     with pytest.raises(errors.UsageError):
         codesim.code_from_dict(diamond, {"k": 2})
+
+
+def test_code_over_large_alphabet_round_trips_through_json():
+    model = single_edge_model(q=12)
+    words = {i: format(i, "04b") for i in range(12)}
+    code = UDCode(
+        k=1,
+        encoders={"e1": {(i,): w for i, w in words.items()}},
+        decoder={(w,): (i,) for i, w in words.items()},
+    )
+    doc = json.loads(json.dumps(codesim.code_to_dict(model, code)))
+    assert "10" in doc["encoders"]["e1"]
+    report = codesim.evaluate(model, codesim.code_from_dict(model, doc))
+    assert report.admissible
+    assert report.max_rate == 4.0

@@ -22,7 +22,6 @@ from netfuncomp.entropy import (
     METHOD_NUMERIC,
     chromatic_entropy,
     clique_entropy,
-    evaluate_tree,
     graph_entropy,
     shannon_entropy,
 )
@@ -158,7 +157,7 @@ def test_and_product_additivity():
         assert abs(report["delta"]) < 1e-5
 
 
-def test_tree_reevaluation_matches_fresh_computation():
+def test_cographs_decompose_exactly():
     rng = random.Random(53)
 
     def cograph_edges(verts):
@@ -175,23 +174,9 @@ def test_tree_reevaluation_matches_fresh_computation():
         n = rng.randint(2, 8)
         verts = [f"z{i}" for i in range(n)]
         edges = cograph_edges(verts)
-        dist1 = [rng.uniform(0.1, 1.0) for _ in range(n)]
-        dist1 = [d / sum(dist1) for d in dist1]
-        res = clique_entropy(ProbGraph(verts, edges, dist1))
-        assert res.method == METHOD_EXACT
-
-        dist2 = [rng.uniform(0.1, 1.0) for _ in range(n)]
-        dist2 = [d / sum(dist2) for d in dist2]
-        fresh = clique_entropy(ProbGraph(verts, edges, dist2))
-        assert evaluate_tree(res.certificate, dist2) == pytest.approx(
-            fresh.value, abs=1e-12
-        )
-
-
-def test_opaque_leaves_are_not_reevaluable():
-    res = clique_entropy(_cycle(5))
-    with pytest.raises(errors.TooLarge):
-        evaluate_tree(res.certificate, [0.2] * 5)
+        dist = [rng.uniform(0.1, 1.0) for _ in range(n)]
+        dist = [d / sum(dist) for d in dist]
+        assert clique_entropy(ProbGraph(verts, edges, dist)).method == METHOD_EXACT
 
 
 def test_size_caps():

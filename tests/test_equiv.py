@@ -142,3 +142,19 @@ def test_overlapping_sets_rejected(diamond):
 def test_malformed_side_information_rejected(diamond):
     with pytest.raises(errors.UsageError):
         equiv.i_aj_classes(diamond, ("s1",), ("s2",), ((0, 1),))
+
+
+def test_package_caches_are_bounded():
+    import importlib
+    import pkgutil
+
+    import netfuncomp
+
+    cached = []
+    for info in pkgutil.iter_modules(netfuncomp.__path__):
+        module = importlib.import_module(f"netfuncomp.{info.name}")
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_parameters", None)):
+                cached.append(name)
+                assert obj.cache_parameters()["maxsize"] is not None, name
+    assert {"_i_aj_cached", "_il_cached"} <= set(cached)
