@@ -14,20 +14,28 @@ partition) pairs:
 The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
 many pairs share one.  A run builds each distinct graph once; every pair
 with its key reuses the graph, its clique entropy and, for the improved
-bound, its marginal constraints and objective.
+bound, its marginal constraints, objective and optimum.  A pair reports its
+graph's value divided by its cut size.
 
 A single-shot graph nests four layers per vertex: side-information fiber F,
 class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
 fiber fully joined, leftover blocks in a class unjoined, and brackets in a
 leftover block fully joined with no edges inside (see
 :func:`chargraph.layer_report`), so the clique entropy is
-H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form.  Its
-feasible set is an affine slice of the simplex whose tangent space is
-computed by singular value decomposition of the marginal constraint matrix.
-Coordinate ascent with a scanned golden-section line search runs from the
-base distribution plus a batch of random starts seeded per (pair, start);
-an optional grid oracle cross-checks low-dimensional slices and flags
-suprema that appear to sit on the positivity boundary.
+H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form f over
+the distributions p that keep every block's marginal and put at least
+``MIN_MASS`` on every vertex: a polytope ``base + N t``, where N is an
+orthonormal basis of the null space of the marginal constraint matrix.
+Conditional entropy is concave in the joint distribution (Cover and Thomas,
+ch. 2) and both joints are linear in p, so f is concave.  One deterministic
+damped Newton solve on the log-barrier problem (Boyd and Vandenberghe,
+sec. 11.3) follows the barrier path in t, with gradient and Hessian in
+closed form.  For any lam >= 0, concavity and ||q - p|| <= sqrt(2) between
+distributions bound max f - f(p) by lam.(p - MIN_MASS) +
+sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
+``MAX_GAP`` raises OptimizerFailed.  An optional grid oracle cross-checks
+low-dimensional slices against value + gap and flags suprema that appear
+to sit on the positivity boundary.
 """
 
 from __future__ import annotations
@@ -69,18 +77,27 @@ class SearchConfig:
     pairs: tuple[PairKey, ...] | None = None
 
 
+MIN_MASS = 1e-9
+"""Floor on every atom of an improved-bound distribution."""
+
+MAX_GAP = 1e-9
+"""Largest optimality certificate an improved-bound optimum may carry."""
+
+GRID_POINTS = 81
+GRID_MAX_DIM = 3
+
+_BARRIER_PATH = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+_MAX_NEWTON = 50
+_FULL_STEP = 1e-8
+_NEAR_FLOOR = 1e-6
+_CURVATURE_RTOL = 1e-13
+
+
 @dataclass(frozen=True)
 class OptConfig:
-    """Settings for the improved-bound distribution search."""
+    """Settings for the improved-bound optimization."""
 
-    starts: int = 32
-    seed: int = 0
-    gain_tol: float = 1e-9
-    min_mass: float = 1e-9
-    max_sweeps: int = 200
     grid_oracle: bool = False
-    grid_points: int = 81
-    grid_max_dim: int = 3
 
 
 @dataclass(frozen=True)
@@ -174,6 +191,7 @@ class _Graph:
     def __init__(self, model: NetworkModel, partition: StrongPartition):
         self.model = model
         self.cg = chargraph.build(model, partition.cut, partition, 1)
+        self.base = np.array([float(x) for x in self.cg.graph.dist])
 
     @cached_property
     def clique(self) -> entropy.EntropyResult:
@@ -188,8 +206,16 @@ class _Graph:
         return _null_space(self.rows)
 
     @cached_property
-    def objective(self) -> Callable[[np.ndarray], np.ndarray]:
-        return _layer_objective(self.cg)
+    def objective(self) -> _LayerObjective:
+        return _LayerObjective(self.cg)
+
+    @cached_property
+    def optimum(self) -> _Optimum:
+        return _solve(self)
+
+    @cached_property
+    def grid(self) -> tuple[float, bool] | None:
+        return _grid_scan(self)
 
 
 def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
@@ -223,10 +249,10 @@ def lower_bounds(
         pairs = enumerate_pairs(model, search)
     graph_of = _graphs(model)
     basic, improved, fixed = [], [], []
-    for index, pair in enumerate(pairs):
+    for pair in pairs:
         graph = graph_of(pair)
         basic.append(_basic(pair, graph))
-        improved.append(_improved(pair, index, graph, opt))
+        improved.append(_improved(pair, graph, opt))
         fixed.append(_fixed(model, pair))
     return (
         _report("basic", basic),
@@ -273,37 +299,45 @@ def basic_lower_bound(
 # -- improved bound -----------------------------------------------------------
 
 
-def _layer_objective(cg: chargraph.CharGraph) -> Callable[[np.ndarray], np.ndarray]:
+class _LayerObjective:
     """Clique entropy of a single-shot graph as a function of vertex masses.
 
     H(C|F) + H(B|F,C,L) times the total mass is the sum of ``m log2 m`` over
     the fiber groups, minus it over the (fiber, class) groups, plus it over
     the (fiber, class, leftover) groups, minus it over the full-coordinate
     groups.  A vertex set that is a group on two adjacent levels cancels and
-    is dropped.  The returned callable scores a whole batch of candidate
-    rows with one matrix product.
+    is dropped.  With ``groups`` the vertex-by-group indicator matrix and
+    ``coef`` the signs, the group masses are ``m = p @ groups``.  Calling the
+    objective scores a whole batch of candidate rows with one matrix product.
     """
-    signs: dict[tuple[int, ...], int] = {}
-    for depth, sign in enumerate((1, -1, 1, -1), start=1):
-        groups: dict[tuple, list[int]] = {}
-        for vid, coord in enumerate(cg.layers):
-            groups.setdefault(coord[:depth], []).append(vid)
-        for members in groups.values():
-            key = tuple(members)
-            signs[key] = signs.get(key, 0) + sign
-    kept = [(ids, c) for ids, c in signs.items() if c]
-    subset_t = np.zeros((len(cg.layers), len(kept)))
-    for col, (ids, _) in enumerate(kept):
-        subset_t[list(ids), col] = 1.0
-    coef = np.array([c for _, c in kept], dtype=float)
 
-    def evaluate(p: np.ndarray) -> np.ndarray:
+    def __init__(self, cg: chargraph.CharGraph):
+        signs: dict[tuple[int, ...], int] = {}
+        for depth, sign in enumerate((1, -1, 1, -1), start=1):
+            groups: dict[tuple, list[int]] = {}
+            for vid, coord in enumerate(cg.layers):
+                groups.setdefault(coord[:depth], []).append(vid)
+            for members in groups.values():
+                key = tuple(members)
+                signs[key] = signs.get(key, 0) + sign
+        kept = [(ids, c) for ids, c in signs.items() if c]
+        self.groups = np.zeros((len(cg.layers), len(kept)))
+        for col, (ids, _) in enumerate(kept):
+            self.groups[list(ids), col] = 1.0
+        self.coef = np.array([c for _, c in kept], dtype=float)
+
+    def __call__(self, p: np.ndarray) -> np.ndarray:
         batch = np.atleast_2d(p)
-        m = batch @ subset_t
-        out = (m * np.log2(np.maximum(m, 1e-300))) @ coef / batch.sum(axis=1)
+        m = batch @ self.groups
+        out = (m * np.log2(np.maximum(m, 1e-300))) @ self.coef / batch.sum(axis=1)
         return out[0] if p.ndim == 1 else out
 
-    return evaluate
+    def derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of ``sum(coef * m log2 m)`` at a positive ``p``."""
+        m = p @ self.groups
+        grad = self.groups @ (self.coef * (np.log2(m) + 1 / math.log(2)))
+        hess = (self.groups * (self.coef / (m * math.log(2)))) @ self.groups.T
+        return grad, hess
 
 
 def _constraint_rows(
@@ -367,151 +401,129 @@ def _null_space(m: np.ndarray) -> np.ndarray:
     return vh[rank:].T.copy()
 
 
-_SCAN_POINTS = 17
-_SCAN_ROUNDS = 8
+@dataclass(frozen=True)
+class _Optimum:
+    """A maximizer ``p``: the maximum is at most ``value + gap``."""
+
+    value: float
+    p: np.ndarray
+    gap: float
+    residual: float
 
 
-def _ascend_batch(
-    base: np.ndarray,
-    null: np.ndarray,
-    t0: np.ndarray,
-    score: Callable[[np.ndarray], np.ndarray],
-    opt: OptConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinate ascent on every start at once, in lockstep sweeps.
+def _maximize(objective: _LayerObjective, base: np.ndarray, null: np.ndarray) -> np.ndarray:
+    """Maximize ``f + mu * sum(log(p - MIN_MASS))`` for each mu of ``_BARRIER_PATH``.
 
-    Starts are independent trajectories; batching only amortizes the
-    evaluator calls.  Each coordinate line search scans a shrinking bracket:
-    the feasible interval is sampled, the bracket around the best point is
-    resampled, and after a fixed number of rounds the interval is below
-    1e-8 of its original width.  Rows of ``t0`` are start points; returns
-    the final points and their objective values.
+    Steps keep 1% of every slack and backtrack to a quarter of the predicted
+    gain, except below a Newton decrement of ``_FULL_STEP``, where gains are
+    below the resolution of objective values near 1.  Directions with
+    curvature under ``_CURVATURE_RTOL`` of the largest are frozen: near the
+    floor, rounding in the 1/mu barrier curvature swamps a flat face's mu.
     """
-    t = t0.copy()
-    n_starts, dim = t.shape
-    lin = np.linspace(0.0, 1.0, _SCAN_POINTS)
-    rows = np.arange(n_starts)
-    vals = score(base[None, :] + t @ null.T)
-    for _ in range(opt.max_sweeps):
-        sweep_start = vals.copy()
-        for i in range(dim):
-            col = null[:, i]
-            p = base[None, :] + t @ null.T
-            lo = np.full(n_starts, -np.inf)
-            hi = np.full(n_starts, np.inf)
-            pos = col > 1e-15
-            neg = col < -1e-15
-            if pos.any():
-                lo = ((opt.min_mass - p[:, pos]) / col[pos]).max(axis=1)
-            if neg.any():
-                hi = ((opt.min_mass - p[:, neg]) / col[neg]).min(axis=1)
-            valid = (lo < hi) & np.isfinite(lo) & np.isfinite(hi)
-            if not valid.any():
-                continue
-            a = np.where(valid, lo, 0.0)
-            b = np.where(valid, hi, 0.0)
-            x_best = np.zeros(n_starts)
-            v_best = vals.copy()
-            for _round in range(_SCAN_ROUNDS):
-                xs = a[:, None] + (b - a)[:, None] * lin[None, :]
-                cand = p[:, None, :] + xs[:, :, None] * col[None, None, :]
-                v = score(
-                    np.maximum(cand.reshape(-1, base.size), opt.min_mass)
-                ).reshape(n_starts, _SCAN_POINTS)
-                j = v.argmax(axis=1)
-                xj = xs[rows, j]
-                vj = v[rows, j]
-                better = vj > v_best
-                x_best = np.where(better, xj, x_best)
-                v_best = np.where(better, vj, v_best)
-                a = xs[rows, np.maximum(j - 1, 0)]
-                b = xs[rows, np.minimum(j + 1, _SCAN_POINTS - 1)]
-            take = valid & (v_best > vals)
-            if take.any():
-                t[take, i] += x_best[take]
-                vals = np.where(take, v_best, vals)
-        if float((vals - sweep_start).max()) < opt.gain_tol:
-            break
-    return t, vals
+    def barrier(q: np.ndarray, mu: float) -> float:
+        return float(objective(q)) + mu * float(np.sum(np.log(q - MIN_MASS)))
+
+    p = base.copy()
+    for mu in _BARRIER_PATH:
+        for _ in range(_MAX_NEWTON):
+            slack = p - MIN_MASS
+            grad, hess = objective.derivatives(p)
+            g = null.T @ (grad + mu / slack)
+            curv, vecs = np.linalg.eigh((null.T * (mu / slack**2)) @ null - null.T @ hess @ null)
+            keep = curv > _CURVATURE_RTOL * curv[-1]
+            coef = (vecs[:, keep].T @ g) / curv[keep]
+            step = vecs[:, keep] @ coef
+            decrement = float(coef @ (curv[keep] * coef))
+            d = null @ step
+            toward = d < 0
+            alpha = 1.0
+            if toward.any():
+                alpha = min(1.0, 0.99 * float(np.min(slack[toward] / -d[toward])))
+            if decrement <= _FULL_STEP**2:
+                p = p + alpha * d
+                break
+            start = barrier(p, mu)
+            while alpha > 1e-12 and barrier(p + alpha * d, mu) < start + 0.25 * alpha * decrement:
+                alpha *= 0.5
+            p = p + alpha * d
+    return p
 
 
-def _improved(
-    pair: StrongPartition, index: int, graph: _Graph, opt: OptConfig
-) -> PairResult:
-    base = np.array([float(x) for x in graph.cg.graph.dist])
-    size = len(pair.cut.cut)
-    if np.min(base) < opt.min_mass:
+def _certificate(objective: _LayerObjective, p: np.ndarray, null: np.ndarray) -> float:
+    """The module docstring's bound on max f - f(p), for the better of two lam.
+
+    One is the last barrier weight over the slack; the other is least
+    squares on the atoms within ``_NEAR_FLOOR`` of the floor, clipped at 0.
+    """
+    slack = p - MIN_MASS
+    grad, _ = objective.derivatives(p)
+
+    def bound(lam: np.ndarray) -> float:
+        return float(lam @ slack) + math.sqrt(2) * float(np.linalg.norm(null.T @ (grad + lam)))
+
+    lam = np.zeros_like(p)
+    near = slack <= _NEAR_FLOOR
+    if near.any():
+        fit = np.linalg.lstsq(null.T[:, near], -(null.T @ grad), rcond=None)[0]
+        lam[near] = np.maximum(fit, 0.0)
+    return min(bound(_BARRIER_PATH[-1] / slack), bound(lam))
+
+
+def _solve(graph: _Graph) -> _Optimum:
+    base = graph.base
+    if np.min(base) <= MIN_MASS:
         raise InfeasibleSpec(
-            "base distribution has an atom below the optimizer's minimum mass"
+            "base distribution has an atom at or below the optimizer's minimum mass"
         )
     objective = graph.objective
-
-    def score(p: np.ndarray) -> np.ndarray:
-        return objective(np.maximum(p, opt.min_mass))
-
-    base_value = float(score(base))
-    details: dict = {"base_value": base_value / size}
-
     null = graph.null
-    dim = null.shape[1]
-    details["feasible_dimension"] = int(dim)
-    if dim == 0:
-        details["opt_dist"] = [float(x) for x in base]
-        return PairResult(
-            pair.cut.cut, pair.blocks, base_value / size, "FixedPoint", details
-        )
-
-    t0 = np.zeros((opt.starts + 1, dim))
-    for start in range(opt.starts):
-        rng = np.random.default_rng([opt.seed, index, start])
-        t = rng.uniform(-1.0, 1.0, dim)
-        for _ in range(60):
-            if np.min(base + null @ t) >= opt.min_mass:
-                break
-            t *= 0.5
-        else:
-            t = np.zeros(dim)
-        t0[start + 1] = t
-    t_final, vals = _ascend_batch(base, null, t0, score, opt)
-    top = int(np.argmax(vals))
-    best_val = float(vals[top])
-    best_t = t_final[top]
-    details["ascent_value"] = best_val / size
-
-    if opt.grid_oracle and dim <= opt.grid_max_dim:
-        grid_val, grid_t, boundary = _grid_scan(base, null, opt, score)
-        if grid_val is not None:
-            details["grid_value"] = grid_val / size
-            details["boundary_suspect"] = boundary
-            if grid_val > best_val:
-                best_val, best_t = grid_val, grid_t
-    p_best = np.maximum(base + null @ best_t, opt.min_mass)
+    if null.shape[1] == 0:
+        return _Optimum(float(objective(base)), base, 0.0, 0.0)
+    p = _maximize(objective, base, null)
     rows = graph.rows
-    residual = float(np.max(np.abs(rows @ p_best - rows @ base)))
-    if residual > 1e-10 or abs(float(p_best.sum()) - 1.0) > 1e-12 or np.any(p_best <= 0):
+    residual = float(np.max(np.abs(rows @ p - rows @ base)))
+    if residual > 1e-10 or abs(float(p.sum()) - 1.0) > 1e-12 or np.any(p <= MIN_MASS):
         raise OptimizerFailed(
             f"optimum violates feasibility (marginal residual {residual:.3g})"
         )
-    details["opt_dist"] = [float(x) for x in p_best]
-    details["starts"] = opt.starts
-    details["marginal_residual"] = residual
-    return PairResult(
-        pair.cut.cut, pair.blocks, best_val / size, "CoordinateAscent", details
-    )
+    gap = _certificate(objective, p, null)
+    if gap > MAX_GAP:
+        raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
+    return _Optimum(float(objective(p)), p, gap, residual)
 
 
-def _grid_scan(
-    base: np.ndarray,
-    null: np.ndarray,
-    opt: OptConfig,
-    score: Callable[[np.ndarray], np.ndarray],
-) -> tuple[float | None, np.ndarray | None, bool]:
-    """Exhaustive scan of the feasible box at grid resolution."""
+def _improved(pair: StrongPartition, graph: _Graph, opt: OptConfig) -> PairResult:
+    size = len(pair.cut.cut)
+    best = graph.optimum
+    dim = graph.null.shape[1]
+    details: dict = {
+        "base_value": float(graph.objective(graph.base)) / size,
+        "feasible_dimension": int(dim),
+        "opt_dist": [float(x) for x in best.p],
+    }
+    if dim == 0:
+        return PairResult(pair.cut.cut, pair.blocks, best.value / size, "FixedPoint", details)
+    if opt.grid_oracle and dim <= GRID_MAX_DIM and graph.grid is not None:
+        details["grid_value"] = graph.grid[0] / size
+        details["boundary_suspect"] = graph.grid[1]
+    details["gap"] = best.gap / size
+    details["marginal_residual"] = best.residual
+    return PairResult(pair.cut.cut, pair.blocks, best.value / size, "BarrierNewton", details)
+
+
+def _grid_scan(graph: _Graph) -> tuple[float, bool] | None:
+    """Exhaustive scan of the feasible box at grid resolution.
+
+    Returns the best grid value and whether it sits on the box edge or near
+    the floor, or None when the box cannot be bounded.  Raises
+    OptimizerFailed when a grid point beats the certified optimum.
+    """
     from scipy.optimize import linprog
 
+    base, null, objective = graph.base, graph.null, graph.objective
     dim = null.shape[1]
     a_ub = -null
-    b_ub = base - opt.min_mass
+    b_ub = base - MIN_MASS
     boxes = []
     for i in range(dim):
         c = np.zeros(dim)
@@ -519,9 +531,9 @@ def _grid_scan(
         lo = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
         hi = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
         if not (lo.success and hi.success):
-            return None, None, False
+            return None
         boxes.append((float(lo.fun), float(-hi.fun)))
-    axes = [np.linspace(lo, hi, opt.grid_points) for lo, hi in boxes]
+    axes = [np.linspace(lo, hi, GRID_POINTS) for lo, hi in boxes]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
     edge = np.zeros(points.shape[0], dtype=bool)
@@ -534,19 +546,24 @@ def _grid_scan(
     for off in range(0, points.shape[0], chunk):
         ts = points[off : off + chunk]
         p = base[None, :] + ts @ null.T
-        ok = p.min(axis=1) >= opt.min_mass - 1e-15
+        ok = p.min(axis=1) >= MIN_MASS - 1e-15
         if not ok.any():
             continue
-        vals = np.where(ok, score(np.maximum(p, opt.min_mass)), -np.inf)
+        vals = np.where(ok, objective(np.maximum(p, MIN_MASS)), -np.inf)
         j = int(np.argmax(vals))
         if float(vals[j]) > best_val:
             best_val = float(vals[j])
             best_t = ts[j].copy()
             best_on_edge = bool(edge[off + j])
     if best_t is None:
-        return None, None, False
-    near_floor = bool(np.min(base + null @ best_t) <= 10 * opt.min_mass)
-    return best_val, best_t, best_on_edge or near_floor
+        return None
+    best = graph.optimum
+    if best_val > best.value + best.gap + 1e-12:
+        raise OptimizerFailed(
+            f"grid value {best_val!r} exceeds the certified optimum {best.value!r} + {best.gap:.3g}"
+        )
+    near_floor = bool(np.min(base + null @ best_t) <= 10 * MIN_MASS)
+    return best_val, best_on_edge or near_floor
 
 
 def improved_lower_bound(
@@ -558,18 +575,17 @@ def improved_lower_bound(
 ) -> BoundReport:
     """Basic bound maximized over marginal-preserving full-support distributions.
 
-    Reports the best strictly positive distribution found per pair.  The
-    supremum may sit on the positivity boundary; when the grid oracle is on
-    it flags pairs where that appears to happen.  ``pairs`` is as for
+    Reports per pair the certified optimum over distributions whose atoms
+    are all at least ``MIN_MASS``, with its optimality gap.  The supremum
+    may sit on the positivity boundary; when the grid oracle is on it flags
+    pairs where that appears to happen.  ``pairs`` is as for
     :func:`basic_lower_bound`.
     """
     opt = opt or OptConfig()
     if pairs is None:
         pairs = enumerate_pairs(model, search)
     graph_of = _graphs(model)
-    return _report(
-        "improved", [_improved(p, i, graph_of(p), opt) for i, p in enumerate(pairs)]
-    )
+    return _report("improved", [_improved(p, graph_of(p), opt) for p in pairs])
 
 
 # -- fixed-length bound -------------------------------------------------------

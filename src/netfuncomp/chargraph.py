@@ -71,10 +71,6 @@ class CharGraph:
     assignments: tuple[Assignment, ...]
     layers: tuple[LayerCoord, ...]
 
-    def vertex_label(self, assignment: Assignment) -> str:
-        idx = self.assignments.index(assignment)
-        return self.graph.vertices[idx]
-
 
 def build(
     model: NetworkModel,

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
 import sys
 
 from . import __version__, bounds, chargraph, codesim, entropy, equiv, examples, netmodel, pgraph
-from .errors import NetfuncompError, UsageError
+from .errors import NetfuncompError, TooLarge, UsageError
 from .netmodel import NetworkModel
 
 
@@ -112,13 +113,6 @@ def _pair_entry(n: int, item) -> bounds.PairKey:
     return (
         tuple(sorted(item["cut"])),
         tuple(sorted(tuple(sorted(b)) for b in item["blocks"])),
-    )
-
-
-def _opt_config(args, *, grid_default: bool = False) -> bounds.OptConfig:
-    grid = grid_default if args.grid_oracle is None else args.grid_oracle
-    return bounds.OptConfig(
-        starts=args.starts, seed=args.seed, gain_tol=args.tol, grid_oracle=grid
     )
 
 
@@ -318,22 +312,37 @@ def _cmd_entropy(args) -> None:
         )
     except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed graph document: {exc}") from exc
-    chrom = entropy.chromatic_entropy(g)
-    kappa = entropy.graph_entropy(g)
-    omega = entropy.clique_entropy(g)
-    tree = omega.certificate
+    # Each quantity has its own size cap; a capped one is reported as such
+    # and the run fails only when none can be computed.
+    found: dict[str, entropy.EntropyResult | None] = {}
+    status: dict[str, str] = {}
+    for name, compute in (
+        ("chromatic", entropy.chromatic_entropy),
+        ("graph", entropy.graph_entropy),
+        ("clique", entropy.clique_entropy),
+    ):
+        try:
+            found[name] = compute(g)
+            status[name] = "ok"
+        except TooLarge as exc:
+            found[name] = None
+            status[name] = f"capped: {exc}"
+    if not any(found.values()):
+        raise TooLarge("; ".join(f"{name} entropy {s}" for name, s in status.items()))
+    tree = found["clique"].certificate if found["clique"] is not None else None
     _emit(
         "entropy",
         {"graph": args.graph},
         {
-            "chromatic_entropy": chrom.value,
-            "graph_entropy": kappa.value,
-            "clique_entropy": omega.value,
-            "methods": {
-                "chromatic": chrom.method,
-                "graph": kappa.method,
-                "clique": omega.method,
+            **{
+                f"{name}_entropy": res.value if res is not None else None
+                for name, res in found.items()
             },
+            "methods": {
+                name: res.method if res is not None else None
+                for name, res in found.items()
+            },
+            "status": status,
             "certificate": tree.to_dict(list(g.vertices)) if tree is not None else None,
         },
     )
@@ -342,7 +351,7 @@ def _cmd_entropy(args) -> None:
 def _cmd_bounds(args) -> None:
     model = _load(args.model)
     search = _search_config(args)
-    opt = _opt_config(args)
+    opt = bounds.OptConfig(grid_oracle=args.grid_oracle)
     result = _bounds_result(model, search, opt)
     if args.csv:
         sys.stdout.write(_bounds_csv(result))
@@ -353,10 +362,7 @@ def _cmd_bounds(args) -> None:
             "model": args.model,
             "max_cut_size": args.max_cut_size,
             "pairs": args.pairs,
-            "seed": opt.seed,
-            "starts": opt.starts,
-            "tol": opt.gain_tol,
-            "grid_oracle": opt.grid_oracle,
+            **dataclasses.asdict(opt),
         },
         result,
     )
@@ -399,9 +405,9 @@ def _cmd_example(args) -> None:
         raise UsageError(f"unknown example {args.name!r}")
     model = examples.BUILTIN_MODELS[args.name]()
     result: dict = {"model": netmodel.model_to_dict(model)}
+    opt = bounds.OptConfig(grid_oracle=args.grid_oracle)
     if args.bounds:
         search = bounds.SearchConfig(max_cut_size=args.max_cut_size)
-        opt = _opt_config(args)
         result["bounds"] = _bounds_result(model, search, opt)
     _emit(
         "example",
@@ -409,27 +415,16 @@ def _cmd_example(args) -> None:
             "name": args.name,
             "bounds": args.bounds,
             "max_cut_size": args.max_cut_size,
-            "seed": args.seed,
-            "starts": args.starts,
-            "tol": args.tol,
-            "grid_oracle": bool(args.grid_oracle),
+            **dataclasses.asdict(opt),
         },
         result,
     )
 
 
 def _add_opt_flags(sp) -> None:
-    sp.add_argument("--seed", type=int, default=0, help="optimizer seed")
-    sp.add_argument("--starts", type=int, default=32, help="random optimizer starts")
-    sp.add_argument("--tol", type=float, default=1e-9, help="ascent convergence gain")
-    grid = sp.add_mutually_exclusive_group()
-    grid.add_argument(
-        "--grid-oracle", dest="grid_oracle", action="store_true", default=None,
+    sp.add_argument(
+        "--grid-oracle", action="store_true",
         help="cross-check low-dimensional pairs on a grid",
-    )
-    grid.add_argument(
-        "--no-grid-oracle", dest="grid_oracle", action="store_false",
-        help="disable the grid cross-check",
     )
 
 

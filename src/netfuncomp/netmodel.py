@@ -125,9 +125,6 @@ class NetworkModel:
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.head == node)
 
-    def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.tail == node)
-
     def arg_index(self, xs: Sequence[int]) -> int:
         """Row index of a full source tuple, first source most significant."""
         idx = 0
@@ -135,19 +132,12 @@ class NetworkModel:
             idx = idx * self.alphabet_size + x
         return idx
 
-    def f_of(self, by_source: Mapping[str, int]) -> Hashable:
-        """Target value for one shot, arguments keyed by source id."""
-        return self.function_table[self.arg_index([by_source[s] for s in self.sources])]
-
     def f_rows(self, columns: Mapping[str, tuple[int, ...]], k: int) -> tuple[Hashable, ...]:
         """Row-wise target values for a k-shot block keyed by source id."""
         cols = [columns[s] for s in self.sources]
         return tuple(
             self.function_table[self.arg_index([c[r] for c in cols])] for r in range(k)
         )
-
-    def prob_of(self, xs: Sequence[int]) -> float:
-        return self.distribution[self.arg_index(xs)]
 
     def distribution_fractions(self) -> tuple[Fraction, ...]:
         """The joint distribution lifted to exact rationals."""

@@ -98,7 +98,7 @@ def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions
     )
     atoms = top.details["opt_dist"]
     atom_err = max(abs(a - b) for a, b in zip(atoms, OPT_ATOMS))
-    grid_gap = abs(top.details["grid_value"] - top.details["ascent_value"])
+    grid_gap = abs(top.details["grid_value"] - top.value)
     cut, parts = diamond_partitions
     checks = [
         ("value within 1e-4", abs(report.value - IMPROVED) <= 1e-4),

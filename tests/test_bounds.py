@@ -8,7 +8,10 @@ basic <= improved <= fixed length must hold on every pair.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -72,7 +75,7 @@ def test_improved_bound_frozen(improved_report):
     top = next(
         p for p in improved_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS)
     )
-    assert top.method == "CoordinateAscent"
+    assert top.method == "BarrierNewton"
     assert top.details["feasible_dimension"] == 2
     got = top.details["opt_dist"]
     assert max(abs(a - b) for a, b in zip(got, OPT_ATOMS)) < 1e-3
@@ -94,11 +97,9 @@ def test_improved_optimum_is_admissible(diamond, improved_report):
 
 def test_grid_oracle_agrees_on_witness_pair(diamond):
     search = SearchConfig(pairs=((WITNESS_CUT, WITNESS_BLOCKS),))
-    report = bounds.improved_lower_bound(
-        diamond, search, OptConfig(grid_oracle=True, grid_points=81)
-    )
+    report = bounds.improved_lower_bound(diamond, search, OptConfig(grid_oracle=True))
     pair = report.pairs[0]
-    assert abs(pair.details["grid_value"] - pair.details["ascent_value"]) < 1e-3
+    assert abs(pair.details["grid_value"] - pair.value) < 1e-3
     assert report.value == pytest.approx(IMPROVED, abs=1e-4)
 
 
@@ -161,11 +162,74 @@ def test_improved_is_deterministic(diamond):
     assert a.pairs[0].details["opt_dist"] == b.pairs[0].details["opt_dist"]
 
 
-def test_seed_changes_starts_not_optimum(diamond):
-    search = SearchConfig(pairs=((WITNESS_CUT, WITNESS_BLOCKS),))
-    a = bounds.improved_lower_bound(diamond, search, OptConfig(seed=0))
-    b = bounds.improved_lower_bound(diamond, search, OptConfig(seed=99))
-    assert a.value == pytest.approx(b.value, abs=1e-6)
+def _distinct_graphs(model):
+    graph_of = bounds._graphs(model)
+    graphs = {}
+    for pair in bounds.enumerate_pairs(model):
+        graph = graph_of(pair)
+        graphs[id(graph)] = graph
+    return list(graphs.values())
+
+
+def _feasible_points(graph, centre, draws, count):
+    """Points ``centre + s d`` along random feasible directions, every atom >= MIN_MASS.
+
+    The step ``s`` runs log-uniformly from 1e-9 of the room to the floor up
+    to all of it, so the points probe both the neighbourhood of ``centre``
+    and the far side of the slice.
+    """
+    d = draws.normal(size=(count, graph.null.shape[1])) @ graph.null.T
+    room = centre - bounds.MIN_MASS
+    reach = np.where(d < 0, room / np.where(d < 0, -d, 1.0), np.inf).min(axis=1)
+    scale = reach * 10.0 ** draws.uniform(-9, 0, count) * 0.999
+    return centre + scale[:, None] * d
+
+
+def test_improved_optimum_is_certified(diamond):
+    rng = random.Random(97)
+    models = [diamond] + [random_model(rng) for _ in range(4)]
+    # The 26th draw of seed 601 has a graph whose optimum puts an atom on
+    # the floor, where the barrier leaves its largest error.
+    rng = random.Random(601)
+    models.append([random_model(rng) for _ in range(26)][-1])
+    draws = np.random.default_rng(13)
+    solved = gridded = at_floor = 0
+    for model in models:
+        for graph in _distinct_graphs(model):
+            if graph.null.shape[1] == 0:
+                continue
+            best = graph.optimum
+            assert best.gap <= 1e-9
+            at_floor += bool(best.p.min() < 2 * bounds.MIN_MASS)
+            ceiling = best.value + best.gap + 1e-12
+            for centre in (graph.base, best.p):
+                points = _feasible_points(graph, centre, draws, 150)
+                assert points.min() >= bounds.MIN_MASS
+                assert np.abs(graph.rows @ points.T - (graph.rows @ graph.base)[:, None]).max() < 1e-12
+                assert graph.objective(points).max() <= ceiling
+            solved += 1
+            if graph.null.shape[1] <= bounds.GRID_MAX_DIM:
+                grid_value, _ = bounds._grid_scan(graph)
+                assert grid_value <= ceiling
+                gridded += 1
+    assert solved > 21 and gridded > 10 and at_floor >= 1
+
+
+def test_improved_bound_does_not_import_scipy_optimize():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
+    code = (
+        "import contextlib, io, sys\n"
+        "from netfuncomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['example', 'diamond', '--bounds'])\n"
+        "print(rc, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
 
 
 def test_ordering_on_random_models():
@@ -201,7 +265,7 @@ def test_layer_objective_matches_clique_entropy(diamond):
     for model in models:
         for cg in _pair_graphs(model):
             g = cg.graph
-            objective = bounds._layer_objective(cg)
+            objective = bounds._LayerObjective(cg)
             base = np.array([float(p) for p in g.dist])
             assert objective(base) == pytest.approx(entropy.clique_entropy(g).value, abs=1e-12)
             batch = masses_rng.uniform(0.05, 1.0, (3, g.n))
@@ -216,7 +280,7 @@ def test_layer_objective_matches_clique_entropy(diamond):
 
 
 def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
-    calls = {"build": 0, "clique_entropy": 0}
+    calls = {"build": 0, "clique_entropy": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -229,9 +293,10 @@ def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
     monkeypatch.setattr(
         entropy, "clique_entropy", counted("clique_entropy", entropy.clique_entropy)
     )
-    basic, _, _ = bounds.lower_bounds(diamond)
-    assert len(basic.pairs) == 118
-    assert calls == {"build": 21, "clique_entropy": 21}
+    monkeypatch.setattr(bounds, "_solve", counted("solve", bounds._solve))
+    basic, improved, _ = bounds.lower_bounds(diamond)
+    assert len(basic.pairs) == len(improved.pairs) == 118
+    assert calls == {"build": 21, "clique_entropy": 21, "solve": 21}
 
 
 def test_lower_bounds_matches_separate_bounds(

@@ -12,7 +12,7 @@ import os
 
 import pytest
 
-from netfuncomp import cli, netmodel
+from netfuncomp import cli, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, single_edge_model
 
 
@@ -146,6 +146,40 @@ def test_entropy_on_pentagon(capsys, paths):
         1.0 + math.log2(2.5) - 0.8, abs=1e-9
     )
     assert result["certificate"]["kind"] == "Opaque"
+
+
+def _graph_file(base, name, vertices, edges):
+    dist = [1 / len(vertices)] * len(vertices)
+    path = base / f"{name}.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges, "dist": dist}))
+    return str(path), pgraph.ProbGraph(vertices, edges, dist)
+
+
+def test_entropy_reports_capped_chromatic_entropy(capsys, paths):
+    left, right = [f"a{i}" for i in range(6)], [f"b{i}" for i in range(7)]
+    path, g = _graph_file(
+        paths["base"], "k6_7", left + right, [[u, v] for u in left for v in right]
+    )
+    rc, out, _ = run(capsys, "entropy", path)
+    assert rc == 0
+    result = json.loads(out)["result"]
+    assert result["chromatic_entropy"] is None
+    assert result["methods"]["chromatic"] is None
+    assert result["status"]["chromatic"].startswith("capped: 13 positive-mass vertices")
+    assert result["status"]["graph"] == result["status"]["clique"] == "ok"
+    assert result["clique_entropy"] == pytest.approx(entropy.clique_entropy(g).value, abs=1e-12)
+    assert result["graph_entropy"] == pytest.approx(entropy.graph_entropy(g).value, abs=1e-12)
+
+
+def test_entropy_with_every_quantity_capped_exits_3(capsys, paths):
+    cycle = [f"v{i}" for i in range(21)]
+    path, _ = _graph_file(
+        paths["base"], "cycle21", cycle, [[cycle[i - 1], cycle[i]] for i in range(21)]
+    )
+    rc, out, err = run(capsys, "entropy", path)
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("netfuncomp: TooLarge:")
 
 
 def test_bounds_csv_on_single_edge(capsys, paths):
