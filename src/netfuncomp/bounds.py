@@ -9,13 +9,16 @@ partition) pairs:
   distribution with the original marginals on each block's scope (the
   separated set of the block, the leftover set, and the side information);
 * fixed length: log2 of the pair's distinguishability count divided by the
-  cut size (a converse for fixed-length codes).
+  cut size (a converse for fixed-length codes).  The count is the clique
+  number of the single-shot graph, read off its layer nesting once per
+  distinct graph; :func:`equiv.n_C` counts it from the class definitions
+  and serves as the reference.
 
 The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
 many pairs share one.  A run builds each distinct graph once; every pair
-with its key reuses the graph, its clique entropy and, for the improved
-bound, its marginal constraints, objective and optimum.  A pair reports its
-graph's value divided by its cut size.
+with its key reuses the graph, its clique entropy and clique number and,
+for the improved bound, its marginal constraints, objective and optimum.
+A pair reports its graph's value divided by its cut size.
 
 A single-shot graph nests four layers per vertex: side-information fiber F,
 class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
@@ -23,15 +26,16 @@ fiber fully joined, leftover blocks in a class unjoined, and brackets in a
 leftover block fully joined with no edges inside (see
 :func:`chargraph.layer_report`), so the clique entropy is
 H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form f over
-the distributions p that keep every block's marginal and put at least
-``MIN_MASS`` on every vertex: a polytope ``base + N t``, where N is an
+the distributions p that keep every block's marginal and put at least a
+floor on every vertex, ``MIN_MASS`` or, when the base distribution has a
+smaller atom, half that atom: a polytope ``base + N t``, where N is an
 orthonormal basis of the null space of the marginal constraint matrix.
 Conditional entropy is concave in the joint distribution (Cover and Thomas,
 ch. 2) and both joints are linear in p, so f is concave.  One deterministic
 damped Newton solve on the log-barrier problem (Boyd and Vandenberghe,
 sec. 11.3) follows the barrier path in t, with gradient and Hessian in
 closed form.  For any lam >= 0, concavity and ||q - p|| <= sqrt(2) between
-distributions bound max f - f(p) by lam.(p - MIN_MASS) +
+distributions bound max f - f(p) by lam.(p - floor) +
 sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
 ``MAX_GAP`` raises OptimizerFailed.  An optional grid oracle cross-checks
 low-dimensional slices against value + gap and flags suprema that appear
@@ -47,10 +51,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import chargraph, entropy, equiv
+from . import chargraph, entropy
 from .errors import (
     BadDist,
-    InfeasibleSpec,
     OptimizerFailed,
     SearchSpaceExceeded,
     UsageError,
@@ -78,7 +81,8 @@ class SearchConfig:
 
 
 MIN_MASS = 1e-9
-"""Floor on every atom of an improved-bound distribution."""
+"""Floor on every atom of an improved-bound distribution, unless the base
+distribution of the graph has a smaller atom: then the floor is half that atom."""
 
 MAX_GAP = 1e-9
 """Largest optimality certificate an improved-bound optimum may carry."""
@@ -88,6 +92,7 @@ GRID_MAX_DIM = 3
 
 _BARRIER_PATH = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 _MAX_NEWTON = 50
+_RESTARTS = 3
 _FULL_STEP = 1e-8
 _NEAR_FLOOR = 1e-6
 _CURVATURE_RTOL = 1e-13
@@ -192,10 +197,15 @@ class _Graph:
         self.model = model
         self.cg = chargraph.build(model, partition.cut, partition, 1)
         self.base = np.array([float(x) for x in self.cg.graph.dist])
+        self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
     @cached_property
     def clique(self) -> entropy.EntropyResult:
         return entropy.clique_entropy(self.cg.graph)
+
+    @cached_property
+    def count(self) -> int:
+        return chargraph.clique_number_via_decomposition(self.cg)
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -253,7 +263,7 @@ def lower_bounds(
         graph = graph_of(pair)
         basic.append(_basic(pair, graph))
         improved.append(_improved(pair, graph, opt))
-        fixed.append(_fixed(model, pair))
+        fixed.append(_fixed(pair, graph))
     return (
         _report("basic", basic),
         _report("improved", improved),
@@ -411,8 +421,14 @@ class _Optimum:
     residual: float
 
 
-def _maximize(objective: _LayerObjective, base: np.ndarray, null: np.ndarray) -> np.ndarray:
-    """Maximize ``f + mu * sum(log(p - MIN_MASS))`` for each mu of ``_BARRIER_PATH``.
+def _maximize(
+    objective: _LayerObjective,
+    start: np.ndarray,
+    null: np.ndarray,
+    floor: float,
+    path: Sequence[float] = _BARRIER_PATH,
+) -> np.ndarray:
+    """Maximize ``f + mu * sum(log(p - floor))`` from ``start``, for each mu of ``path``.
 
     Steps keep 1% of every slack and backtrack to a quarter of the predicted
     gain, except below a Newton decrement of ``_FULL_STEP``, where gains are
@@ -421,12 +437,12 @@ def _maximize(objective: _LayerObjective, base: np.ndarray, null: np.ndarray) ->
     floor, rounding in the 1/mu barrier curvature swamps a flat face's mu.
     """
     def barrier(q: np.ndarray, mu: float) -> float:
-        return float(objective(q)) + mu * float(np.sum(np.log(q - MIN_MASS)))
+        return float(objective(q)) + mu * float(np.sum(np.log(q - floor)))
 
-    p = base.copy()
-    for mu in _BARRIER_PATH:
+    p = start.copy()
+    for mu in path:
         for _ in range(_MAX_NEWTON):
-            slack = p - MIN_MASS
+            slack = p - floor
             grad, hess = objective.derivatives(p)
             g = null.T @ (grad + mu / slack)
             curv, vecs = np.linalg.eigh((null.T * (mu / slack**2)) @ null - null.T @ hess @ null)
@@ -449,13 +465,15 @@ def _maximize(objective: _LayerObjective, base: np.ndarray, null: np.ndarray) ->
     return p
 
 
-def _certificate(objective: _LayerObjective, p: np.ndarray, null: np.ndarray) -> float:
+def _certificate(
+    objective: _LayerObjective, p: np.ndarray, null: np.ndarray, floor: float
+) -> float:
     """The module docstring's bound on max f - f(p), for the better of two lam.
 
     One is the last barrier weight over the slack; the other is least
     squares on the atoms within ``_NEAR_FLOOR`` of the floor, clipped at 0.
     """
-    slack = p - MIN_MASS
+    slack = p - floor
     grad, _ = objective.derivatives(p)
 
     def bound(lam: np.ndarray) -> float:
@@ -470,26 +488,33 @@ def _certificate(objective: _LayerObjective, p: np.ndarray, null: np.ndarray) ->
 
 
 def _solve(graph: _Graph) -> _Optimum:
-    base = graph.base
-    if np.min(base) <= MIN_MASS:
-        raise InfeasibleSpec(
-            "base distribution has an atom at or below the optimizer's minimum mass"
-        )
+    """The certified optimum, restarting Newton at the last weight if needed.
+
+    Near the floor the barrier's curvature can make the decrement test pass
+    while the reduced gradient is still far from zero, which leaves the
+    certificate above ``MAX_GAP``.  Up to ``_RESTARTS`` more passes at the
+    last barrier weight, each from the previous point, resume the progress;
+    every pass's point is checked for feasibility before it is certified.
+    """
+    base, floor = graph.base, graph.floor
     objective = graph.objective
     null = graph.null
     if null.shape[1] == 0:
         return _Optimum(float(objective(base)), base, 0.0, 0.0)
-    p = _maximize(objective, base, null)
     rows = graph.rows
-    residual = float(np.max(np.abs(rows @ p - rows @ base)))
-    if residual > 1e-10 or abs(float(p.sum()) - 1.0) > 1e-12 or np.any(p <= MIN_MASS):
-        raise OptimizerFailed(
-            f"optimum violates feasibility (marginal residual {residual:.3g})"
-        )
-    gap = _certificate(objective, p, null)
-    if gap > MAX_GAP:
-        raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
-    return _Optimum(float(objective(p)), p, gap, residual)
+    p = _maximize(objective, base, null, floor)
+    for restart in range(_RESTARTS + 1):
+        if restart:
+            p = _maximize(objective, p, null, floor, _BARRIER_PATH[-1:])
+        residual = float(np.max(np.abs(rows @ p - rows @ base)))
+        if residual > 1e-10 or abs(float(p.sum()) - 1.0) > 1e-12 or np.any(p <= floor):
+            raise OptimizerFailed(
+                f"optimum violates feasibility (marginal residual {residual:.3g})"
+            )
+        gap = _certificate(objective, p, null, floor)
+        if gap <= MAX_GAP:
+            return _Optimum(float(objective(p)), p, gap, residual)
+    raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
 
 
 def _improved(pair: StrongPartition, graph: _Graph, opt: OptConfig) -> PairResult:
@@ -520,10 +545,10 @@ def _grid_scan(graph: _Graph) -> tuple[float, bool] | None:
     """
     from scipy.optimize import linprog
 
-    base, null, objective = graph.base, graph.null, graph.objective
+    base, null, objective, floor = graph.base, graph.null, graph.objective, graph.floor
     dim = null.shape[1]
     a_ub = -null
-    b_ub = base - MIN_MASS
+    b_ub = base - floor
     boxes = []
     for i in range(dim):
         c = np.zeros(dim)
@@ -546,10 +571,10 @@ def _grid_scan(graph: _Graph) -> tuple[float, bool] | None:
     for off in range(0, points.shape[0], chunk):
         ts = points[off : off + chunk]
         p = base[None, :] + ts @ null.T
-        ok = p.min(axis=1) >= MIN_MASS - 1e-15
+        ok = p.min(axis=1) >= floor - 1e-15
         if not ok.any():
             continue
-        vals = np.where(ok, objective(np.maximum(p, MIN_MASS)), -np.inf)
+        vals = np.where(ok, objective(np.maximum(p, floor)), -np.inf)
         j = int(np.argmax(vals))
         if float(vals[j]) > best_val:
             best_val = float(vals[j])
@@ -562,7 +587,7 @@ def _grid_scan(graph: _Graph) -> tuple[float, bool] | None:
         raise OptimizerFailed(
             f"grid value {best_val!r} exceeds the certified optimum {best.value!r} + {best.gap:.3g}"
         )
-    near_floor = bool(np.min(base + null @ best_t) <= 10 * MIN_MASS)
+    near_floor = bool(np.min(base + null @ best_t) <= 10 * floor)
     return best_val, best_on_edge or near_floor
 
 
@@ -576,7 +601,8 @@ def improved_lower_bound(
     """Basic bound maximized over marginal-preserving full-support distributions.
 
     Reports per pair the certified optimum over distributions whose atoms
-    are all at least ``MIN_MASS``, with its optimality gap.  The supremum
+    are all at least the graph's floor (``MIN_MASS``, or half the smallest
+    base atom if that is smaller), with its optimality gap.  The supremum
     may sit on the positivity boundary; when the grid oracle is on it flags
     pairs where that appears to happen.  ``pairs`` is as for
     :func:`basic_lower_bound`.
@@ -591,8 +617,8 @@ def improved_lower_bound(
 # -- fixed-length bound -------------------------------------------------------
 
 
-def _fixed(model: NetworkModel, pair: StrongPartition) -> PairResult:
-    count = equiv.n_C(model, pair)
+def _fixed(pair: StrongPartition, graph: _Graph) -> PairResult:
+    count = graph.count
     value = math.log2(count) / len(pair.cut.cut)
     return PairResult(
         cut=pair.cut.cut,
@@ -615,4 +641,5 @@ def fixed_length_bound(
     """
     if pairs is None:
         pairs = enumerate_pairs(model, search)
-    return _report("fixed_length", [_fixed(model, p) for p in pairs])
+    graph_of = _graphs(model)
+    return _report("fixed_length", [_fixed(p, graph_of(p)) for p in pairs])

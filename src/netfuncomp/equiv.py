@@ -18,8 +18,9 @@ The counting layer stacks these partitions: for a class Cl of the global
 relation and a pinned L-block, it counts the tuples of per-block classes
 whose combined blocks all land inside Cl.  Maximized over the pinned block,
 summed over Cl, and maximized over side information, that count is the
-clique number of the single-shot characteristic graph, and its logarithm
-drives the fixed-length converse bound.
+clique number of the single-shot characteristic graph.  The bound layer
+reads that clique number off the graph's layer nesting; :func:`n_C` is the
+reference it is tested against.
 """
 
 from __future__ import annotations

@@ -105,10 +105,6 @@ class OptimizerFailed(NetfuncompError):
     pass
 
 
-class InfeasibleSpec(NetfuncompError):
-    """Requested optimization has an empty feasible set."""
-
-
 # code simulation
 
 class EmptyWord(NetfuncompError):

@@ -16,12 +16,14 @@ source while staying pairwise non-interfering (no block disconnects a source
 that can feed another block); those partitions are what the bound machinery
 iterates over.
 
-Both enumerations work on bitmasks.  A per-model context, built once from a
-topological order, holds each edge's K as a source mask and computes I of an
-edge mask in one O(E) forward pass, cached by mask.  The strong-partition
-search assigns the cut's edges, in sorted id order, to blocks by
-backtracking, which yields restricted-growth-string order.  It prunes a
-branch on three sound grounds:
+Both enumerations work on bitmasks.  A per-model context, built once from
+one topological order (Kahn's algorithm) and cached, answers every
+directed-graph question: building it is the acyclicity check, one backward
+pass finds the nodes that feed the sink, and it holds each edge's K as a
+source mask and computes I of an edge mask in one O(E) forward pass, cached
+by mask.  The strong-partition search assigns the cut's edges, in sorted id
+order, to blocks by backtracking, which yields restricted-growth-string
+order.  It prunes a branch on three sound grounds:
 
 * block cap: I of a block lies inside its K and is non-empty, and
   non-interference makes the blocks' I pairwise disjoint subsets of I(C),
@@ -42,8 +44,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
-
-import networkx as nx
 
 from .errors import (
     BadDistribution,
@@ -257,19 +257,13 @@ def load_model(path: str) -> NetworkModel:
 # -- validation ---------------------------------------------------------------
 
 
-def _digraph(model: NetworkModel) -> nx.MultiDiGraph:
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(model.nodes)
-    for e in model.edges:
-        g.add_edge(e.tail, e.head, key=e.id)
-    return g
-
-
 def validate(model: NetworkModel) -> NetworkModel:
     """Check the structural and probabilistic invariants; return the model.
 
     Check order matters for documented diagnostics: sink out-edges are
-    reported before source in-edges, cycles, and reachability.
+    reported before source in-edges, cycles, and reachability.  The cycle
+    and reachability checks come from the model's bitmask context, so a
+    valid model leaves it cached for the cut machinery.
     """
     if model.sink in model.sources:
         raise UsageError("the sink cannot be a source")
@@ -279,13 +273,9 @@ def validate(model: NetworkModel) -> NetworkModel:
     for e in model.edges:
         if e.head in model.sources:
             raise SourceHasInEdge(f"{e.id} enters source {e.head}")
-    g = _digraph(model)
-    if not nx.is_directed_acyclic_graph(g):
-        cyc = nx.find_cycle(g)
-        raise CycleDetected(" -> ".join(str(a) for a, _, _ in cyc))
-    feeds_sink = nx.ancestors(g, model.sink)
+    feeds_sink = _context(model).feeds_sink()
     for n in model.nodes:
-        if n != model.sink and n not in feeds_sink:
+        if n not in feeds_sink:
             raise UnreachableNode(n)
     total = 0.0
     for p in model.distribution:
@@ -302,20 +292,53 @@ def validate(model: NetworkModel) -> NetworkModel:
 # -- per-model bitmask context ----------------------------------------------------
 
 
-class _Context:
-    """Bitmask view of one acyclic model, built once from a topological order.
+def _topological_order(model: NetworkModel) -> tuple[str, ...]:
+    """Kahn's algorithm; raise CycleDetected naming one cycle if there is one.
 
-    Edge ``model.edges[b]`` is bit ``b`` of an edge mask and source
-    ``model.sources[s]`` is bit ``s`` of a source mask.  ``k_edge[b]`` is K
-    of edge ``b`` alone, so K of an edge set is the OR over its edges.
+    Ready nodes are taken first in, first out, starting in ``model.nodes``
+    order, and each node's successors in the order of their first edge, so
+    the order depends on the model alone.
+    """
+    indegree = dict.fromkeys(model.nodes, 0)
+    successors: dict[str, dict[str, int]] = {n: {} for n in model.nodes}
+    for e in model.edges:
+        indegree[e.head] += 1
+        out = successors[e.tail]
+        out[e.head] = out.get(e.head, 0) + 1
+    order = [n for n in model.nodes if not indegree[n]]
+    for n in order:  # grows while it is walked
+        for head, count in successors[n].items():
+            indegree[head] -= count
+            if not indegree[head]:
+                order.append(head)
+    if len(order) == len(model.nodes):
+        return tuple(order)
+    # Every left-over node keeps an in-edge from another left-over node, so
+    # walking such in-edges backwards must revisit a node: that closes a cycle.
+    left = {n for n, d in indegree.items() if d}
+    back: dict[str, str] = {}
+    for e in model.edges:
+        if e.tail in left:
+            back.setdefault(e.head, e.tail)
+    walk = [next(n for n in model.nodes if n in left)]
+    while walk[-1] not in walk[:-1]:
+        walk.append(back[walk[-1]])
+    cycle = walk[walk.index(walk[-1]) + 1 :][::-1]
+    first = cycle.index(min(cycle, key=model.nodes.index))
+    raise CycleDetected(" -> ".join(cycle[first:] + cycle[:first]))
+
+
+class _Context:
+    """Bitmask view of one model, built once from a topological order.
+
+    Building it is the package's acyclicity check.  Edge ``model.edges[b]``
+    is bit ``b`` of an edge mask and source ``model.sources[s]`` is bit
+    ``s`` of a source mask.  ``k_edge[b]`` is K of edge ``b`` alone, so K of
+    an edge set is the OR over its edges.
     """
 
     def __init__(self, model: NetworkModel):
-        g = _digraph(model)
-        try:
-            self.topo = tuple(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible:
-            raise CycleDetected("the network has a directed cycle") from None
+        self.topo = _topological_order(model)
         pos = {n: i for i, n in enumerate(self.topo)}
         self.sources = model.sources
         self.all_sources = (1 << len(model.sources)) - 1
@@ -340,6 +363,15 @@ class _Context:
             if not cut >> b & 1:
                 reach[head] |= reach[tail]
         return reach
+
+    def feeds_sink(self) -> frozenset[str]:
+        """The nodes with a directed path, possibly of length zero, to the sink."""
+        feeds = [False] * len(self.topo)
+        feeds[self._sink] = True
+        # Backwards, every edge out of a node comes before the node's in-edges.
+        for tail, _, head in reversed(self._flow):
+            feeds[tail] |= feeds[head]
+        return frozenset(n for n, f in zip(self.topo, feeds) if f)
 
     def i_mask(self, cut: int) -> int:
         """I of an edge mask: the sources that no longer reach the sink."""

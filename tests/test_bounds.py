@@ -7,6 +7,8 @@ fixed length = (1 + log2(3))/2 from the count 6.  The ordering
 basic <= improved <= fixed length must hold on every pair.
 """
 
+import dataclasses
+import itertools
 import math
 import os
 import random
@@ -17,9 +19,9 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from netfuncomp import bounds, chargraph, entropy, errors, netmodel, pgraph
+from netfuncomp import bounds, chargraph, entropy, equiv, errors, netmodel, pgraph
 from netfuncomp.bounds import OptConfig, SearchConfig
-from netfuncomp.examples import diamond_model, single_edge_model
+from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 
 BASIC = 7 / 4 - (3 / 8) * math.log2(3)
 IMPROVED = 0.5 * math.log2(5)
@@ -316,3 +318,74 @@ def test_lower_bounds_matches_separate_bounds(
         )
         joint = bounds.lower_bounds(model)
         assert [r.to_dict() for r in joint] == [r.to_dict() for r in separate]
+
+
+def test_layer_count_matches_class_count_on_every_pair(diamond):
+    rng = random.Random(101)
+    models = [diamond, layered_sum_model()] + [random_model(rng) for _ in range(4)]
+    checked = 0
+    for model in models:
+        graph_of = bounds._graphs(model)
+        for pair in bounds.enumerate_pairs(model):
+            assert graph_of(pair).count == equiv.n_C(model, pair)
+            checked += 1
+    assert checked > 118 + 1134
+
+
+def test_lower_bounds_never_counts_classes(diamond, monkeypatch):
+    calls = []
+    n_c = equiv.n_C
+
+    def counted(*args):
+        calls.append(args)
+        return n_c(*args)
+
+    monkeypatch.setattr(equiv, "n_C", counted)
+    *_, fixed = bounds.lower_bounds(diamond)
+    assert fixed.value == pytest.approx(FIXED, abs=1e-12)
+    assert calls == []
+
+
+def _sum_diamond(q):
+    """The diamond topology computing x1 + x2 + x3 over alphabet q, uniform law."""
+    rows = list(itertools.product(range(q), repeat=3))
+    return netmodel.validate(dataclasses.replace(
+        diamond_model(),
+        alphabet_size=q,
+        function_table=tuple(map(sum, rows)),
+        distribution=(1 / len(rows),) * len(rows),
+    ))
+
+
+def _tiny_mass_diamond(eps):
+    """The diamond with its first two source tuples at masses 1/4 - eps and eps."""
+    model = diamond_model()
+    return netmodel.validate(dataclasses.replace(
+        model, distribution=(0.25 - eps, eps) + model.distribution[2:]
+    ))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_sum_diamond(4), _tiny_mass_diamond(1e-12), _tiny_mass_diamond(1e-15)],
+    ids=["sum-q4", "tiny-mass-1e-12", "tiny-mass-1e-15"],
+)
+def test_hard_models_get_certified_bounds(model):
+    basic, improved, fixed = bounds.lower_bounds(model)
+    for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
+        assert i.details.get("gap", 0.0) <= 1e-9
+        assert b.value <= i.value + 1e-9
+        assert i.value <= f.value + 1e-9
+
+
+def test_tiny_mass_lowers_only_its_graphs_floor():
+    model = _tiny_mass_diamond(1e-12)
+    floors = set()
+    for graph in _distinct_graphs(model):
+        assert graph.optimum.p.min() > graph.floor
+        floors.add(graph.floor)
+    assert floors == {bounds.MIN_MASS, 1e-12 / 2}
+    basic, improved, fixed = bounds.lower_bounds(model)
+    assert basic.value == pytest.approx(1.07781953113394, abs=1e-12)
+    assert improved.value == pytest.approx(1.19919318798019, abs=1e-12)
+    assert fixed.value == pytest.approx(FIXED, abs=1e-12)

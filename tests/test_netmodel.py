@@ -8,8 +8,13 @@ in conftest.
 
 import dataclasses
 import itertools
+import os
 import pickle
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -41,9 +46,20 @@ def test_diamond_validates():
 
 
 def test_cycle_detected():
-    m = _model([("e1", "s1", "a"), ("e2", "a", "b"), ("e3", "b", "a"), ("e4", "b", "t")], ["s1"])
-    with pytest.raises(errors.CycleDetected):
-        netmodel.validate(m)
+    shapes = [
+        ([("e1", "s1", "a"), ("e2", "a", "b"), ("e3", "b", "a"), ("e4", "b", "t")], "a -> b"),
+        # Node a lies behind the cycle, so the search meets it first.
+        (
+            [("e1", "s1", "b"), ("e2", "b", "c"), ("e3", "c", "d"), ("e4", "d", "b"),
+             ("e5", "d", "a"), ("e6", "a", "t")],
+            "b -> c -> d",
+        ),
+        ([("e1", "s1", "a"), ("e2", "a", "a"), ("e3", "a", "t")], "a"),
+    ]
+    for edges, cycle in shapes:
+        with pytest.raises(errors.CycleDetected) as exc:
+            netmodel.validate(_model(edges, ["s1"]))
+        assert str(exc.value) == cycle
 
 
 def test_source_in_edge_rejected():
@@ -63,6 +79,16 @@ def test_unreachable_node_rejected():
     m = _model([("e1", "s1", "t"), ("e2", "s1", "a")], ["s1"])
     with pytest.raises(errors.UnreachableNode):
         netmodel.validate(m)
+
+
+def test_context_order_is_topological():
+    rng = random.Random(29)
+    models = [diamond_model(), layered_sum_model()] + [random_model(rng) for _ in range(25)]
+    for model in models:
+        topo = netmodel._context(model).topo
+        assert sorted(topo) == sorted(model.nodes)
+        pos = {n: i for i, n in enumerate(topo)}
+        assert all(pos[e.tail] < pos[e.head] for e in model.edges)
 
 
 def test_distribution_must_be_positive_and_normalized():
@@ -280,6 +306,27 @@ def test_model_context_cache_stays_bounded():
         seen.add(model)
         netmodel.enumerate_cut_sets(model)
     assert netmodel._context.cache_info().currsize <= bound
+
+
+# -- dependencies ------------------------------------------------------------------
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    src = Path(netmodel.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, netfuncomp.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
+def test_declared_dependencies_are_numpy_and_scipy():
+    tomllib = pytest.importorskip("tomllib")
+    doc = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in doc["project"]["dependencies"]]
+    assert sorted(names) == ["numpy", "scipy"]
 
 
 # -- assignment helpers ------------------------------------------------------------
