@@ -387,7 +387,11 @@ def _cmd_simulate(args) -> None:
         if isinstance(doc, dict) and "builtin" in doc:
             if doc["builtin"] != "diamond":
                 raise UsageError(f"unknown builtin scheme {doc['builtin']!r}")
-            scheme = codesim.diamond_scheme(int(doc.get("k", args.k)))
+            try:
+                k = int(doc.get("k", args.k))
+            except (TypeError, ValueError):
+                raise UsageError(f"builtin code reference: bad k {doc.get('k')!r}") from None
+            scheme = codesim.diamond_scheme(k)
             code = codesim.huffman_transform(model, scheme)
         else:
             code = codesim.code_from_dict(model, doc)

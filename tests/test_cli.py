@@ -9,6 +9,8 @@ stderr, and size-cap violations must exit 3.
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -240,6 +242,68 @@ def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):
     assert rc == 2 and out == ""
     assert err.startswith("netfuncomp: UsageError: edge e1")
     assert err.count("\n") == 1
+
+
+def _bad_decoder_list(doc):
+    doc["decoder"] = list(doc["decoder"].items())
+
+
+def _bad_decoder_entry(doc):
+    doc["decoder"][next(iter(doc["decoder"]))] = 3
+
+
+def _bad_encoder_table(doc):
+    doc["encoders"]["e5"] = list(doc["encoders"]["e5"].values())
+
+
+def _bad_k(doc):
+    doc["k"] = 0
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_bad_decoder_list, _bad_decoder_entry, _bad_encoder_table, _bad_k]
+)
+def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
+    from netfuncomp import codesim
+
+    model = diamond_model()
+    doc = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    corrupt(doc)
+    code_path = paths["base"] / f"{corrupt.__name__}.json"
+    code_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_builtin_reference_with_bad_k_exits_2(capsys, paths):
+    ref_path = paths["base"] / "bad_k_ref.json"
+    ref_path.write_text(json.dumps({"builtin": "diamond", "k": "two"}))
+    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: ")
+    assert err.count("\n") == 1
+
+
+def test_simulate_over_the_block_cap_exits_3(capsys):
+    rc, out, err = run(capsys, "simulate", "--builtin", "diamond", "--k", "10")
+    assert rc == 3 and out == ""
+    assert err.startswith("netfuncomp: DomainTooLarge: ")
+    assert err.count("\n") == 1
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    argv = ["simulate", "--builtin", "diamond", "--k", "2"]
+    done = subprocess.run(
+        [sys.executable, "-m", "netfuncomp", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and done.stdout == out
 
 
 def test_simulate_requires_a_code_source(capsys, paths):
