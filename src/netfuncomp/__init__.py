@@ -10,7 +10,6 @@ the same models.
 
 from .bounds import (
     BoundReport,
-    OptConfig,
     SearchConfig,
     basic_lower_bound,
     fixed_length_bound,
@@ -64,7 +63,6 @@ __all__ = [
     "FixedScheme",
     "NetworkModel",
     "NetfuncompError",
-    "OptConfig",
     "ProbGraph",
     "RateReport",
     "SearchConfig",

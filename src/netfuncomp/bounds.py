@@ -37,9 +37,8 @@ sec. 11.3) follows the barrier path in t, with gradient and Hessian in
 closed form.  For any lam >= 0, concavity and ||q - p|| <= sqrt(2) between
 distributions bound max f - f(p) by lam.(p - floor) +
 sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
-``MAX_GAP`` raises OptimizerFailed.  An optional grid oracle cross-checks
-low-dimensional slices against value + gap and flags suprema that appear
-to sit on the positivity boundary.
+``MAX_GAP`` raises OptimizerFailed, so every reported optimum carries its
+own certificate.
 """
 
 from __future__ import annotations
@@ -75,9 +74,11 @@ class SearchConfig:
     """Limits for the pair enumeration."""
 
     max_cut_size: int | None = None
-    edge_cap: int = 20
-    pair_cap: int = 20_000
     pairs: tuple[PairKey, ...] | None = None
+
+
+PAIR_CAP = 20_000
+"""Most cut/partition pairs a run enumerates before it is refused."""
 
 
 MIN_MASS = 1e-9
@@ -87,22 +88,12 @@ distribution of the graph has a smaller atom: then the floor is half that atom."
 MAX_GAP = 1e-9
 """Largest optimality certificate an improved-bound optimum may carry."""
 
-GRID_POINTS = 81
-GRID_MAX_DIM = 3
-
 _BARRIER_PATH = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
 _MAX_NEWTON = 50
 _RESTARTS = 3
 _FULL_STEP = 1e-8
 _NEAR_FLOOR = 1e-6
 _CURVATURE_RTOL = 1e-13
-
-
-@dataclass(frozen=True)
-class OptConfig:
-    """Settings for the improved-bound optimization."""
-
-    grid_oracle: bool = False
 
 
 @dataclass(frozen=True)
@@ -155,13 +146,12 @@ def enumerate_pairs(
 ) -> list[StrongPartition]:
     """All (cut set, strong partition) pairs under the search limits."""
     search = search or SearchConfig()
-    cuts = enumerate_cut_sets(model, search.max_cut_size, edge_cap=search.edge_cap)
     pairs: list[StrongPartition] = []
-    for cut in cuts:
+    for cut in enumerate_cut_sets(model, search.max_cut_size):
         pairs.extend(enumerate_strong_partitions(model, cut))
-        if len(pairs) > search.pair_cap:
+        if len(pairs) > PAIR_CAP:
             raise SearchSpaceExceeded(
-                f"more than {search.pair_cap} cut/partition pairs; restrict max_cut_size"
+                f"more than {PAIR_CAP} cut/partition pairs; restrict max_cut_size"
             )
     if search.pairs is not None:
         wanted = set(search.pairs)
@@ -193,9 +183,9 @@ class _Graph:
     needs beyond the graph is derived on first use.
     """
 
-    def __init__(self, model: NetworkModel, partition: StrongPartition):
+    def __init__(self, model: NetworkModel, cut: CutAnalysis, partition: StrongPartition):
         self.model = model
-        self.cg = chargraph.build(model, partition.cut, partition, 1)
+        self.cg = chargraph.build(model, cut, partition, 1)
         self.base = np.array([float(x) for x in self.cg.graph.dist])
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
@@ -223,10 +213,6 @@ class _Graph:
     def optimum(self) -> _Optimum:
         return _solve(self)
 
-    @cached_property
-    def grid(self) -> tuple[float, bool] | None:
-        return _grid_scan(self)
-
 
 def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
     """A lookup that builds each distinct characteristic graph once."""
@@ -236,7 +222,7 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
         # i_sets stays ordered: brackets and constraint rows follow it.
         key = (pair.cut.i_set, pair.cut.j_set, pair.l_set, pair.i_sets)
         if key not in built:
-            built[key] = _Graph(model, pair)
+            built[key] = _Graph(model, pair.cut, pair)
         return built[key]
 
     return graph_of
@@ -245,7 +231,6 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
 def lower_bounds(
     model: NetworkModel,
     search: SearchConfig | None = None,
-    opt: OptConfig | None = None,
     *,
     pairs: Sequence[StrongPartition] | None = None,
 ) -> tuple[BoundReport, BoundReport, BoundReport]:
@@ -254,7 +239,6 @@ def lower_bounds(
     Each report equals the one its own function returns; ``pairs`` is as
     for :func:`basic_lower_bound`.
     """
-    opt = opt or OptConfig()
     if pairs is None:
         pairs = enumerate_pairs(model, search)
     graph_of = _graphs(model)
@@ -262,7 +246,7 @@ def lower_bounds(
     for pair in pairs:
         graph = graph_of(pair)
         basic.append(_basic(pair, graph))
-        improved.append(_improved(pair, graph, opt))
+        improved.append(_improved(pair, graph))
         fixed.append(_fixed(pair, graph))
     return (
         _report("basic", basic),
@@ -389,17 +373,16 @@ def is_pc_equivalent(
     positive distribution matching the source distribution's marginal on
     every block scope.
     """
-    cg = chargraph.build(model, cut, partition, 1)
+    graph = _Graph(model, cut, partition)
     p = np.asarray(phat, dtype=float)
-    if p.shape != (len(cg.assignments),):
-        raise BadDist(f"expected {len(cg.assignments)} masses, got {p.shape}")
+    if p.shape != graph.base.shape:
+        raise BadDist(f"expected {graph.base.size} masses, got {p.shape}")
     if np.any(np.isnan(p)) or abs(float(p.sum()) - 1.0) > tol or np.any(p < -tol):
         raise BadDist("not a probability vector")
     if np.any(p <= 0):
         return False
-    base = np.array([float(x) for x in cg.graph.dist])
-    m = _constraint_rows(model, cg)
-    return bool(np.max(np.abs(m @ p - m @ base)) <= tol)
+    m = graph.rows
+    return bool(np.max(np.abs(m @ p - m @ graph.base)) <= tol)
 
 
 def _null_space(m: np.ndarray) -> np.ndarray:
@@ -517,7 +500,7 @@ def _solve(graph: _Graph) -> _Optimum:
     raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
 
 
-def _improved(pair: StrongPartition, graph: _Graph, opt: OptConfig) -> PairResult:
+def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
     size = len(pair.cut.cut)
     best = graph.optimum
     dim = graph.null.shape[1]
@@ -528,73 +511,14 @@ def _improved(pair: StrongPartition, graph: _Graph, opt: OptConfig) -> PairResul
     }
     if dim == 0:
         return PairResult(pair.cut.cut, pair.blocks, best.value / size, "FixedPoint", details)
-    if opt.grid_oracle and dim <= GRID_MAX_DIM and graph.grid is not None:
-        details["grid_value"] = graph.grid[0] / size
-        details["boundary_suspect"] = graph.grid[1]
     details["gap"] = best.gap / size
     details["marginal_residual"] = best.residual
     return PairResult(pair.cut.cut, pair.blocks, best.value / size, "BarrierNewton", details)
 
 
-def _grid_scan(graph: _Graph) -> tuple[float, bool] | None:
-    """Exhaustive scan of the feasible box at grid resolution.
-
-    Returns the best grid value and whether it sits on the box edge or near
-    the floor, or None when the box cannot be bounded.  Raises
-    OptimizerFailed when a grid point beats the certified optimum.
-    """
-    from scipy.optimize import linprog
-
-    base, null, objective, floor = graph.base, graph.null, graph.objective, graph.floor
-    dim = null.shape[1]
-    a_ub = -null
-    b_ub = base - floor
-    boxes = []
-    for i in range(dim):
-        c = np.zeros(dim)
-        c[i] = 1.0
-        lo = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
-        hi = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
-        if not (lo.success and hi.success):
-            return None
-        boxes.append((float(lo.fun), float(-hi.fun)))
-    axes = [np.linspace(lo, hi, GRID_POINTS) for lo, hi in boxes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)
-    edge = np.zeros(points.shape[0], dtype=bool)
-    for i, (lo, hi) in enumerate(boxes):
-        edge |= (points[:, i] == lo) | (points[:, i] == hi)
-    best_val = -math.inf
-    best_t: np.ndarray | None = None
-    best_on_edge = False
-    chunk = 32768
-    for off in range(0, points.shape[0], chunk):
-        ts = points[off : off + chunk]
-        p = base[None, :] + ts @ null.T
-        ok = p.min(axis=1) >= floor - 1e-15
-        if not ok.any():
-            continue
-        vals = np.where(ok, objective(np.maximum(p, floor)), -np.inf)
-        j = int(np.argmax(vals))
-        if float(vals[j]) > best_val:
-            best_val = float(vals[j])
-            best_t = ts[j].copy()
-            best_on_edge = bool(edge[off + j])
-    if best_t is None:
-        return None
-    best = graph.optimum
-    if best_val > best.value + best.gap + 1e-12:
-        raise OptimizerFailed(
-            f"grid value {best_val!r} exceeds the certified optimum {best.value!r} + {best.gap:.3g}"
-        )
-    near_floor = bool(np.min(base + null @ best_t) <= 10 * floor)
-    return best_val, best_on_edge or near_floor
-
-
 def improved_lower_bound(
     model: NetworkModel,
     search: SearchConfig | None = None,
-    opt: OptConfig | None = None,
     *,
     pairs: Sequence[StrongPartition] | None = None,
 ) -> BoundReport:
@@ -602,16 +526,13 @@ def improved_lower_bound(
 
     Reports per pair the certified optimum over distributions whose atoms
     are all at least the graph's floor (``MIN_MASS``, or half the smallest
-    base atom if that is smaller), with its optimality gap.  The supremum
-    may sit on the positivity boundary; when the grid oracle is on it flags
-    pairs where that appears to happen.  ``pairs`` is as for
-    :func:`basic_lower_bound`.
+    base atom if that is smaller), with its optimality gap.  ``pairs`` is as
+    for :func:`basic_lower_bound`.
     """
-    opt = opt or OptConfig()
     if pairs is None:
         pairs = enumerate_pairs(model, search)
     graph_of = _graphs(model)
-    return _report("improved", [_improved(p, graph_of(p), opt) for p in pairs])
+    return _report("improved", [_improved(p, graph_of(p)) for p in pairs])
 
 
 # -- fixed-length bound -------------------------------------------------------

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from . import equiv, pgraph
 from .errors import TooLarge, UsageError
@@ -215,7 +215,7 @@ def layer_report(cg: CharGraph) -> LayerReport:
     brackets_ok = True
     interiors_ok = True
     for u in range(n):
-        for v in _neighbor_ids(adj, u):
+        for v in pgraph._bits(adj[u]):
             if v <= u:
                 continue
             if lay[u].fiber != lay[v].fiber:
@@ -237,14 +237,6 @@ def layer_report(cg: CharGraph) -> LayerReport:
                 if not joined:
                     brackets_ok = False
     return LayerReport(fibers_ok, classes_ok, leftover_ok, brackets_ok, interiors_ok)
-
-
-def _neighbor_ids(adj, u: int) -> Iterator[int]:
-    m = adj[u]
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
 
 
 def clique_number_via_decomposition(cg: CharGraph) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -77,7 +76,10 @@ def _parse_partition(
 
 
 def _parse_assignment(text: str, q: int, n_sources: int, k: int) -> netmodel.Assignment:
-    symbols = [int(c) for c in text] if q <= 10 else [int(x) for x in text.split(",")]
+    try:
+        symbols = [int(c) for c in text] if q <= 10 else [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"assignment {text!r} is not a block of symbols") from None
     if len(symbols) != n_sources * k or any(not 0 <= v < q for v in symbols):
         raise UsageError(f"assignment {text!r} does not fit {n_sources} sources at k={k}")
     return tuple(tuple(symbols[i * k : (i + 1) * k]) for i in range(n_sources))
@@ -116,10 +118,8 @@ def _pair_entry(n: int, item) -> bounds.PairKey:
     )
 
 
-def _bounds_result(
-    model: NetworkModel, search: bounds.SearchConfig, opt: bounds.OptConfig
-) -> dict:
-    basic, improved, fixed = bounds.lower_bounds(model, search, opt)
+def _bounds_result(model: NetworkModel, search: bounds.SearchConfig) -> dict:
+    basic, improved, fixed = bounds.lower_bounds(model, search)
     rows = []
     for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
         rows.append(
@@ -310,7 +310,7 @@ def _cmd_entropy(args) -> None:
             ],
             doc["dist"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed graph document: {exc}") from exc
     # Each quantity has its own size cap; a capped one is reported as such
     # and the run fails only when none can be computed.
@@ -350,9 +350,7 @@ def _cmd_entropy(args) -> None:
 
 def _cmd_bounds(args) -> None:
     model = _load(args.model)
-    search = _search_config(args)
-    opt = bounds.OptConfig(grid_oracle=args.grid_oracle)
-    result = _bounds_result(model, search, opt)
+    result = _bounds_result(model, _search_config(args))
     if args.csv:
         sys.stdout.write(_bounds_csv(result))
         return
@@ -362,7 +360,6 @@ def _cmd_bounds(args) -> None:
             "model": args.model,
             "max_cut_size": args.max_cut_size,
             "pairs": args.pairs,
-            **dataclasses.asdict(opt),
         },
         result,
     )
@@ -387,10 +384,7 @@ def _cmd_simulate(args) -> None:
         if isinstance(doc, dict) and "builtin" in doc:
             if doc["builtin"] != "diamond":
                 raise UsageError(f"unknown builtin scheme {doc['builtin']!r}")
-            try:
-                k = int(doc.get("k", args.k))
-            except (TypeError, ValueError):
-                raise UsageError(f"builtin code reference: bad k {doc.get('k')!r}") from None
+            k = netmodel.json_int(doc.get("k", args.k), "builtin code reference: k")
             scheme = codesim.diamond_scheme(k)
             code = codesim.huffman_transform(model, scheme)
         else:
@@ -409,26 +403,17 @@ def _cmd_example(args) -> None:
         raise UsageError(f"unknown example {args.name!r}")
     model = examples.BUILTIN_MODELS[args.name]()
     result: dict = {"model": netmodel.model_to_dict(model)}
-    opt = bounds.OptConfig(grid_oracle=args.grid_oracle)
     if args.bounds:
         search = bounds.SearchConfig(max_cut_size=args.max_cut_size)
-        result["bounds"] = _bounds_result(model, search, opt)
+        result["bounds"] = _bounds_result(model, search)
     _emit(
         "example",
         {
             "name": args.name,
             "bounds": args.bounds,
             "max_cut_size": args.max_cut_size,
-            **dataclasses.asdict(opt),
         },
         result,
-    )
-
-
-def _add_opt_flags(sp) -> None:
-    sp.add_argument(
-        "--grid-oracle", action="store_true",
-        help="cross-check low-dimensional pairs on a grid",
     )
 
 
@@ -474,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-cut-size", type=int, default=None)
     sp.add_argument("--pairs", default=None, help="JSON file restricting the pair search")
     sp.add_argument("--csv", action="store_true", help="flatten the per-pair table to CSV")
-    _add_opt_flags(sp)
     sp.set_defaults(func=_cmd_bounds)
 
     sp = sub.add_parser("simulate", help="simulate a concrete code")
@@ -488,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("name")
     sp.add_argument("--bounds", action="store_true", help="also compute all bounds")
     sp.add_argument("--max-cut-size", type=int, default=None)
-    _add_opt_flags(sp)
     sp.set_defaults(func=_cmd_example)
 
     return parser

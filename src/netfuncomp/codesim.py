@@ -39,7 +39,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import chargraph
+from . import chargraph, pgraph
 from .errors import (
     DomainMismatch,
     DomainTooLarge,
@@ -54,6 +54,7 @@ from .netmodel import (
     StrongPartition,
     _context,
     format_assignment,
+    json_int,
 )
 
 # Largest sweep, in blocks, that any simulation accepts.
@@ -726,8 +727,7 @@ def cut_coloring_check(
             )
         if missing is not None:
             enc.raise_missing(chunk, ids, missing)
-    coloring = dict(zip(cg.graph.vertices, first.first.tolist()))
-    return all(coloring[u] != coloring[v] for u, v in cg.graph.edges())
+    return pgraph.is_coloring(cg.graph, dict(zip(cg.graph.vertices, first.first.tolist())))
 
 
 # -- JSON round trip for code tables ------------------------------------------
@@ -752,10 +752,10 @@ def code_to_dict(model: NetworkModel, code: UDCode) -> dict:
 
 def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
     try:
-        k = int(doc["k"])
+        k = json_int(doc["k"], "code document: k")
         enc_doc = doc["encoders"]
         dec_doc = doc["decoder"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"malformed code document: {exc}") from exc
     if k < 1:
         raise UsageError(f"code document: k must be at least 1, got {k}")

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import pgraph
 from .errors import BadDist, NoConvergence, TooLarge
-from .pgraph import ProbGraph, _bits, _mwis_mask
+from .pgraph import ProbGraph, _bits, _complement_masks, _mwis_mask
 
 METHOD_EXACT = "ExactDecomposition"
 METHOD_NUMERIC = "NumericFallback"
@@ -139,7 +139,7 @@ def _decompose(
     comps = pgraph._components(sub, full)
     if len(comps) > 1:
         return _split_node("IsolatedSplit", adj, masses, ids, comps, fallback_cap)
-    co = [full & ~m & ~(1 << i) for i, m in enumerate(sub)]
+    co = _complement_masks(sub)
     comps = pgraph._components(co, full)
     if len(comps) > 1:
         return _split_node("CCSplit", adj, masses, ids, comps, fallback_cap)
@@ -200,7 +200,7 @@ def graph_entropy(
         raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
     masses = list(g.dist)
     ids = tuple(i for i, m in enumerate(masses) if m > 0)
-    co = complements_masks(g)
+    co = _complement_masks(g.adjacency_masks())
     tree = None
     try:
         tree = _decompose(co, masses, ids, fallback_cap=0)
@@ -213,11 +213,6 @@ def graph_entropy(
     probs = _normalized([masses[i] for i in ids])
     value, iters, gap = _fw_min_log_mass(sub, probs, gap_tol=gap_tol, max_iter=max_iter)
     return EntropyResult(value, METHOD_NUMERIC, FwTrace(iters, gap))
-
-
-def complements_masks(g: ProbGraph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [full & ~m & ~(1 << i) for i, m in enumerate(g.adjacency_masks())]
 
 
 def _normalized(masses: Sequence) -> list[float]:

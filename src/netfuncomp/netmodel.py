@@ -192,10 +192,17 @@ class StrongPartition:
 # -- construction and serialization ------------------------------------------
 
 
+def json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer (not a bool); otherwise raise UsageError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: Mapping) -> NetworkModel:
     """Build a model from its JSON document form.  Schema errors raise UsageError."""
     try:
-        q = int(doc["alphabet"])
+        q = json_int(doc["alphabet"], "alphabet")
         nodes = tuple(str(n) for n in doc["nodes"])
         edges = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"])
         sources = tuple(str(s) for s in doc["sources"])
@@ -207,6 +214,9 @@ def model_from_dict(doc: Mapping) -> NetworkModel:
 
     if q < 2:
         raise UsageError("alphabet size must be at least 2")
+    for n, v in enumerate(table):
+        if not isinstance(v, Hashable):
+            raise UsageError(f"function table entry {n} must be a JSON scalar, got {v!r}")
     if len(set(nodes)) != len(nodes):
         raise UsageError("duplicate node names")
     if len({e.id for e in edges}) != len(edges):
@@ -403,6 +413,10 @@ def _context(model: NetworkModel) -> _Context:
 # -- cut analysis -------------------------------------------------------------
 
 
+EDGE_CAP = 20
+"""Most edges a model may have for its cut sets to be enumerated."""
+
+
 def analyze_cut(model: NetworkModel, cut: Iterable[str]) -> CutAnalysis:
     """Classify the sources relative to the edge set ``cut``."""
     ids = tuple(sorted(set(cut)))
@@ -417,19 +431,15 @@ def analyze_cut(model: NetworkModel, cut: Iterable[str]) -> CutAnalysis:
     return ctx.analysis(ids, k, ctx.i_mask(mask))
 
 
-def enumerate_cut_sets(
-    model: NetworkModel, max_size: int | None = None, *, edge_cap: int = 20
-) -> list[CutAnalysis]:
+def enumerate_cut_sets(model: NetworkModel, max_size: int | None = None) -> list[CutAnalysis]:
     """All cut sets up to ``max_size`` edges, in lexicographic edge-id order.
 
     Enumeration is exponential in the edge count, so models with more than
-    ``edge_cap`` edges are refused, and 26 edges is a hard ceiling.
+    ``EDGE_CAP`` edges are refused.
     """
     m = len(model.edges)
-    if m > 26:
-        raise TooLarge(f"{m} edges; cut enumeration is capped at 26")
-    if m > edge_cap:
-        raise TooLarge(f"{m} edges exceeds the cap of {edge_cap}; raise edge_cap to proceed")
+    if m > EDGE_CAP:
+        raise TooLarge(f"{m} edges exceeds the cut enumeration cap of {EDGE_CAP}")
     if max_size is None:
         max_size = m
     if not 1 <= max_size <= m:

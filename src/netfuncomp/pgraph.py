@@ -101,15 +101,15 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _complement_masks(adj: Sequence[int]) -> list[int]:
+    """Adjacency masks of the complement graph."""
+    full = (1 << len(adj)) - 1
+    return [full & ~m & ~(1 << i) for i, m in enumerate(adj)]
+
+
 def complement(g: ProbGraph) -> ProbGraph:
-    full = (1 << g.n) - 1
-    edges = []
-    adj = g.adjacency_masks()
-    for i in range(g.n):
-        inv = full & ~adj[i] & ~(1 << i)
-        for j in _bits(inv):
-            if j > i:
-                edges.append((g.vertices[i], g.vertices[j]))
+    co = _complement_masks(g.adjacency_masks())
+    edges = [(g.vertices[i], g.vertices[j]) for i in range(g.n) for j in _bits(co[i]) if j > i]
     return ProbGraph(g.vertices, edges, g.dist)
 
 
@@ -255,8 +255,7 @@ def autonomous_split(g: ProbGraph) -> AutonomousSplit:
     comps = _components(g.adjacency_masks(), full)
     if len(comps) > 1:
         return AutonomousSplit("Isolated", _blocks_of(g, comps))
-    co_adj = [full & ~m & ~(1 << i) for i, m in enumerate(g.adjacency_masks())]
-    comps = _components(co_adj, full)
+    comps = _components(_complement_masks(g.adjacency_masks()), full)
     if len(comps) > 1:
         return AutonomousSplit("CompletelyConnected", _blocks_of(g, comps))
     return AutonomousSplit(None, ((tuple(g.vertices)),))

@@ -5,9 +5,10 @@ touching the package's fast paths: cut classification by hand-rolled BFS,
 the strong-partition filter over all set partitions (as a set, and in
 restricted-growth-string order with the index sets), the characteristic
 graph's edge predicate by explicit quantification over completions, maximum
-cliques and independent sets by subset enumeration, and minimum-entropy
-colorings by partition enumeration.  Tests compare the library against
-these oracles on small random instances.
+cliques and independent sets by subset enumeration, minimum-entropy
+colorings by partition enumeration, and the improved bound's optimum by an
+exhaustive grid over low-dimensional feasible slices.  Tests compare the
+library against these oracles on small random instances.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import itertools
 import math
 import random
 
+import numpy as np
+
+from netfuncomp.errors import OptimizerFailed
 from netfuncomp.netmodel import CutAnalysis, Edge, NetworkModel, StrongPartition, validate
 from netfuncomp.pgraph import ProbGraph
 
@@ -344,3 +348,66 @@ def brute_chromatic_entropy(g: ProbGraph) -> float:
             h -= mass * math.log2(mass)
         best = min(best, h)
     return best
+
+
+# -- improved-bound oracle ------------------------------------------------------
+
+
+GRID_POINTS = 81
+GRID_MAX_DIM = 3
+
+
+def grid_scan(graph) -> tuple[float, bool] | None:
+    """Exhaustive scan of the feasible box of a ``bounds._Graph`` at grid resolution.
+
+    Returns the best grid value and whether it sits on the box edge or near
+    the floor, or None when the box cannot be bounded.  Raises
+    OptimizerFailed when a grid point beats the certified optimum.  Meant
+    for graphs with at most ``GRID_MAX_DIM`` free dimensions.
+    """
+    from scipy.optimize import linprog
+
+    base, null, objective, floor = graph.base, graph.null, graph.objective, graph.floor
+    dim = null.shape[1]
+    a_ub = -null
+    b_ub = base - floor
+    boxes = []
+    for i in range(dim):
+        c = np.zeros(dim)
+        c[i] = 1.0
+        lo = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
+        hi = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * dim, method="highs")
+        if not (lo.success and hi.success):
+            return None
+        boxes.append((float(lo.fun), float(-hi.fun)))
+    axes = [np.linspace(lo, hi, GRID_POINTS) for lo, hi in boxes]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)
+    edge = np.zeros(points.shape[0], dtype=bool)
+    for i, (lo, hi) in enumerate(boxes):
+        edge |= (points[:, i] == lo) | (points[:, i] == hi)
+    best_val = -math.inf
+    best_t: np.ndarray | None = None
+    best_on_edge = False
+    chunk = 32768
+    for off in range(0, points.shape[0], chunk):
+        ts = points[off : off + chunk]
+        p = base[None, :] + ts @ null.T
+        ok = p.min(axis=1) >= floor - 1e-15
+        if not ok.any():
+            continue
+        vals = np.where(ok, objective(np.maximum(p, floor)), -np.inf)
+        j = int(np.argmax(vals))
+        if float(vals[j]) > best_val:
+            best_val = float(vals[j])
+            best_t = ts[j].copy()
+            best_on_edge = bool(edge[off + j])
+    if best_t is None:
+        return None
+    best = graph.optimum
+    if best_val > best.value + best.gap + 1e-12:
+        raise OptimizerFailed(
+            f"grid value {best_val!r} exceeds the certified optimum {best.value!r} + {best.gap:.3g}"
+        )
+    near_floor = bool(np.min(base + null @ best_t) <= 10 * floor)
+    return best_val, best_on_edge or near_floor

@@ -14,9 +14,14 @@ import time
 
 import pytest
 
-from conftest import brute_clique_number, brute_strong_partitions, random_graph, random_model
+from conftest import (
+    brute_clique_number,
+    brute_strong_partitions,
+    grid_scan,
+    random_graph,
+    random_model,
+)
 from netfuncomp import bounds, chargraph, cli, codesim, entropy, equiv, netmodel, pgraph
-from netfuncomp.bounds import OptConfig
 from netfuncomp.codesim import FixedScheme
 from netfuncomp.entropy import clique_entropy, graph_entropy, chromatic_entropy, shannon_entropy
 from netfuncomp.examples import diamond_model
@@ -89,7 +94,7 @@ def test_acceptance_2_diamond_intermediate_values(capsys, diamond, diamond_parti
 
 def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions):
     t0 = time.perf_counter()
-    report = bounds.improved_lower_bound(diamond, opt=OptConfig(grid_oracle=True))
+    report = bounds.improved_lower_bound(diamond)
     elapsed = time.perf_counter() - t0
     top = next(
         p
@@ -98,8 +103,9 @@ def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions
     )
     atoms = top.details["opt_dist"]
     atom_err = max(abs(a - b) for a, b in zip(atoms, OPT_ATOMS))
-    grid_gap = abs(top.details["grid_value"] - top.value)
     cut, parts = diamond_partitions
+    grid_value, _ = grid_scan(bounds._graphs(diamond)(parts[1]))
+    grid_gap = abs(grid_value / len(top.cut) - top.value)
     checks = [
         ("value within 1e-4", abs(report.value - IMPROVED) <= 1e-4),
         ("optimum atoms within 1e-3", atom_err <= 1e-3),

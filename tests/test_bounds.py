@@ -10,17 +10,14 @@ basic <= improved <= fixed length must hold on every pair.
 import dataclasses
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import GRID_MAX_DIM, grid_scan, random_model
 from netfuncomp import bounds, chargraph, entropy, equiv, errors, netmodel, pgraph
-from netfuncomp.bounds import OptConfig, SearchConfig
+from netfuncomp.bounds import SearchConfig
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 
 BASIC = 7 / 4 - (3 / 8) * math.log2(3)
@@ -99,9 +96,10 @@ def test_improved_optimum_is_admissible(diamond, improved_report):
 
 def test_grid_oracle_agrees_on_witness_pair(diamond):
     search = SearchConfig(pairs=((WITNESS_CUT, WITNESS_BLOCKS),))
-    report = bounds.improved_lower_bound(diamond, search, OptConfig(grid_oracle=True))
-    pair = report.pairs[0]
-    assert abs(pair.details["grid_value"] - pair.value) < 1e-3
+    report = bounds.improved_lower_bound(diamond, search)
+    (pair,) = bounds.enumerate_pairs(diamond, search)
+    grid_value, _ = grid_scan(bounds._graphs(diamond)(pair))
+    assert abs(grid_value / len(WITNESS_CUT) - report.pairs[0].value) < 1e-3
     assert report.value == pytest.approx(IMPROVED, abs=1e-4)
 
 
@@ -136,14 +134,15 @@ def test_biased_single_edge_basic_value():
     assert bounds.basic_lower_bound(model).value == pytest.approx(expected, abs=1e-12)
 
 
-def test_search_restrictions(diamond):
+def test_search_restrictions(diamond, monkeypatch):
     search = SearchConfig(pairs=((WITNESS_CUT, WITNESS_BLOCKS),))
     report = bounds.basic_lower_bound(diamond, search)
     assert len(report.pairs) == 1
     assert report.value == pytest.approx(BASIC, abs=1e-12)
 
-    with pytest.raises(errors.SearchSpaceExceeded):
-        bounds.enumerate_pairs(diamond, SearchConfig(pair_cap=10))
+    with monkeypatch.context() as patch, pytest.raises(errors.SearchSpaceExceeded):
+        patch.setattr(bounds, "PAIR_CAP", 10)
+        bounds.enumerate_pairs(diamond)
     with pytest.raises(errors.UsageError):
         bounds.enumerate_pairs(
             diamond, SearchConfig(pairs=((("e9",), (("e9",),)),))
@@ -210,28 +209,11 @@ def test_improved_optimum_is_certified(diamond):
                 assert np.abs(graph.rows @ points.T - (graph.rows @ graph.base)[:, None]).max() < 1e-12
                 assert graph.objective(points).max() <= ceiling
             solved += 1
-            if graph.null.shape[1] <= bounds.GRID_MAX_DIM:
-                grid_value, _ = bounds._grid_scan(graph)
+            if graph.null.shape[1] <= GRID_MAX_DIM:
+                grid_value, _ = grid_scan(graph)
                 assert grid_value <= ceiling
                 gridded += 1
     assert solved > 21 and gridded > 10 and at_floor >= 1
-
-
-def test_improved_bound_does_not_import_scipy_optimize():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(bounds.__file__)))
-    code = (
-        "import contextlib, io, sys\n"
-        "from netfuncomp import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    rc = cli.main(['example', 'diamond', '--bounds'])\n"
-        "print(rc, 'scipy.optimize' in sys.modules)\n"
-    )
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["0", "False"]
 
 
 def test_ordering_on_random_models():

@@ -184,6 +184,76 @@ def test_entropy_with_every_quantity_capped_exits_3(capsys, paths):
     assert err.startswith("netfuncomp: TooLarge:")
 
 
+def test_bad_side_information_block_exits_2(capsys, paths):
+    rc, out, err = run(
+        capsys, "classes", paths["diamond"], "--i", "s1", "--j", "s2", "--aj", "x"
+    )
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: assignment 'x'")
+    assert err.count("\n") == 1
+
+
+def test_entropy_edge_with_three_ends_exits_2(capsys, paths):
+    path = paths["base"] / "three_ends.json"
+    path.write_text(
+        json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]], "dist": [0.5, 0.25, 0.25]})
+    )
+    rc, out, err = run(capsys, "entropy", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: malformed graph document")
+    assert err.count("\n") == 1
+
+
+def _model_file(base, name, **changes):
+    doc = {**netmodel.model_to_dict(diamond_model()), **changes}
+    path = base / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"function": [[0], 1, 1, 0, 1, 0, 0, 1]},
+        {"alphabet": 2.5},
+        {"alphabet": "2"},
+    ],
+    ids=["list-function-entry", "fractional-alphabet", "string-alphabet"],
+)
+def test_malformed_model_document_exits_2(capsys, paths, changes):
+    path = _model_file(paths["base"], "malformed_model", **changes)
+    rc, out, err = run(capsys, "validate", path)
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: ")
+    assert err.count("\n") == 1
+
+
+def test_cut_enumeration_over_the_edge_cap_exits_3(capsys, paths):
+    # One source feeding the sink over 21 parallel edges: valid, one edge too many.
+    edges = [{"id": f"e{i:02d}", "tail": "s", "head": "t"} for i in range(netmodel.EDGE_CAP + 1)]
+    path = paths["base"] / "wide.json"
+    path.write_text(json.dumps({
+        "alphabet": 2, "nodes": ["s", "t"], "edges": edges, "sources": ["s"], "sink": "t",
+        "function": [0, 1], "distribution": [0.5, 0.5],
+    }))
+    rc, out, err = run(capsys, "validate", str(path))
+    assert rc == 0 and json.loads(out)["result"]["edges"] == 21
+    for command in ("cuts", "bounds"):
+        rc, out, err = run(capsys, command, str(path))
+        assert rc == 3 and out == ""
+        assert err.startswith("netfuncomp: TooLarge: 21 edges")
+        assert err.count("\n") == 1
+
+
+def test_grid_oracle_flag_is_gone(capsys, paths):
+    for argv in (["bounds", paths["diamond"]], ["example", "diamond", "--bounds"]):
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--grid-oracle"])
+        assert info.value.code == 2
+        _, err = capsys.readouterr()
+        assert "unrecognized arguments: --grid-oracle" in err
+
+
 def test_bounds_csv_on_single_edge(capsys, paths):
     rc, out, _ = run(capsys, "bounds", paths["single"], "--csv")
     assert rc == 0
@@ -260,8 +330,12 @@ def _bad_k(doc):
     doc["k"] = 0
 
 
+def _fractional_k(doc):
+    doc["k"] = 2.7
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_bad_decoder_list, _bad_decoder_entry, _bad_encoder_table, _bad_k]
+    "corrupt", [_bad_decoder_list, _bad_decoder_entry, _bad_encoder_table, _bad_k, _fractional_k]
 )
 def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
     from netfuncomp import codesim
@@ -279,11 +353,12 @@ def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
 
 def test_simulate_builtin_reference_with_bad_k_exits_2(capsys, paths):
     ref_path = paths["base"] / "bad_k_ref.json"
-    ref_path.write_text(json.dumps({"builtin": "diamond", "k": "two"}))
-    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
-    assert rc == 2 and out == ""
-    assert err.startswith("netfuncomp: UsageError: ")
-    assert err.count("\n") == 1
+    for k in ("two", 2.7, True):
+        ref_path.write_text(json.dumps({"builtin": "diamond", "k": k}))
+        rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
+        assert rc == 2 and out == ""
+        assert err.startswith("netfuncomp: UsageError: builtin code reference: k must be an integer")
+        assert err.count("\n") == 1
 
 
 def test_simulate_over_the_block_cap_exits_3(capsys):

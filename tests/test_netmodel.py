@@ -8,6 +8,7 @@ in conftest.
 
 import dataclasses
 import itertools
+import json
 import os
 import pickle
 import random
@@ -322,11 +323,44 @@ def test_cli_import_leaves_networkx_unloaded():
     assert done.stdout.split() == ["False"]
 
 
-def test_declared_dependencies_are_numpy_and_scipy():
+def test_cli_commands_leave_scipy_unloaded(tmp_path):
+    model = tmp_path / "diamond.json"
+    model.write_text(json.dumps(netmodel.model_to_dict(diamond_model())))
+    # A 5-cycle does not decompose, so entropy takes its numeric fallback.
+    graph = tmp_path / "pentagon.json"
+    ring = ["a", "b", "c", "d", "e"]
+    graph.write_text(json.dumps(
+        {"vertices": ring, "edges": [[ring[i - 1], ring[i]] for i in range(5)], "dist": [0.2] * 5}
+    ))
+    runs = [
+        ["example", "diamond", "--bounds"],
+        ["bounds", str(model)],
+        ["cuts", str(model)],
+        ["entropy", str(graph)],
+        ["simulate", "--builtin", "diamond", "--k", "2"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from netfuncomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(*codes, 'scipy' in sys.modules)\n"
+    )
+    src = Path(netmodel.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"] * len(runs) + ["False"]
+
+
+def test_declared_runtime_dependency_is_numpy_only():
     tomllib = pytest.importorskip("tomllib")
     doc = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group() for dep in doc["project"]["dependencies"]]
-    assert sorted(names) == ["numpy", "scipy"]
+    assert names == ["numpy"]
 
 
 # -- assignment helpers ------------------------------------------------------------
