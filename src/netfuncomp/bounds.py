@@ -58,7 +58,6 @@ from .errors import (
     UsageError,
 )
 from .netmodel import (
-    CutAnalysis,
     NetworkModel,
     StrongPartition,
     enumerate_cut_sets,
@@ -183,9 +182,9 @@ class _Graph:
     needs beyond the graph is derived on first use.
     """
 
-    def __init__(self, model: NetworkModel, cut: CutAnalysis, partition: StrongPartition):
+    def __init__(self, model: NetworkModel, partition: StrongPartition):
         self.model = model
-        self.cg = chargraph.build(model, cut, partition, 1)
+        self.cg = chargraph.build(model, partition, 1)
         self.base = np.array([float(x) for x in self.cg.graph.dist])
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
@@ -222,37 +221,10 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
         # i_sets stays ordered: brackets and constraint rows follow it.
         key = (pair.cut.i_set, pair.cut.j_set, pair.l_set, pair.i_sets)
         if key not in built:
-            built[key] = _Graph(model, pair.cut, pair)
+            built[key] = _Graph(model, pair)
         return built[key]
 
     return graph_of
-
-
-def lower_bounds(
-    model: NetworkModel,
-    search: SearchConfig | None = None,
-    *,
-    pairs: Sequence[StrongPartition] | None = None,
-) -> tuple[BoundReport, BoundReport, BoundReport]:
-    """The basic, improved and fixed-length reports from one pass over the pairs.
-
-    Each report equals the one its own function returns; ``pairs`` is as
-    for :func:`basic_lower_bound`.
-    """
-    if pairs is None:
-        pairs = enumerate_pairs(model, search)
-    graph_of = _graphs(model)
-    basic, improved, fixed = [], [], []
-    for pair in pairs:
-        graph = graph_of(pair)
-        basic.append(_basic(pair, graph))
-        improved.append(_improved(pair, graph))
-        fixed.append(_fixed(pair, graph))
-    return (
-        _report("basic", basic),
-        _report("improved", improved),
-        _report("fixed_length", fixed),
-    )
 
 
 # -- basic bound --------------------------------------------------------------
@@ -271,23 +243,6 @@ def _basic(pair: StrongPartition, graph: _Graph) -> PairResult:
             "leaf_counts": tree.leaf_counts() if tree is not None else {},
         },
     )
-
-
-def basic_lower_bound(
-    model: NetworkModel,
-    search: SearchConfig | None = None,
-    *,
-    pairs: Sequence[StrongPartition] | None = None,
-) -> BoundReport:
-    """Max over pairs of single-shot clique entropy over cut size.
-
-    ``pairs``, when given, is the list ``enumerate_pairs(model, search)``
-    returns; callers computing several bounds enumerate it once.
-    """
-    if pairs is None:
-        pairs = enumerate_pairs(model, search)
-    graph_of = _graphs(model)
-    return _report("basic", [_basic(p, graph_of(p)) for p in pairs])
 
 
 # -- improved bound -----------------------------------------------------------
@@ -361,7 +316,6 @@ def _constraint_rows(
 def is_pc_equivalent(
     phat: Sequence[float],
     model: NetworkModel,
-    cut: CutAnalysis,
     partition: StrongPartition,
     *,
     tol: float = 1e-9,
@@ -373,7 +327,7 @@ def is_pc_equivalent(
     positive distribution matching the source distribution's marginal on
     every block scope.
     """
-    graph = _Graph(model, cut, partition)
+    graph = _Graph(model, partition)
     p = np.asarray(phat, dtype=float)
     if p.shape != graph.base.shape:
         raise BadDist(f"expected {graph.base.size} masses, got {p.shape}")
@@ -516,25 +470,6 @@ def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
     return PairResult(pair.cut.cut, pair.blocks, best.value / size, "BarrierNewton", details)
 
 
-def improved_lower_bound(
-    model: NetworkModel,
-    search: SearchConfig | None = None,
-    *,
-    pairs: Sequence[StrongPartition] | None = None,
-) -> BoundReport:
-    """Basic bound maximized over marginal-preserving full-support distributions.
-
-    Reports per pair the certified optimum over distributions whose atoms
-    are all at least the graph's floor (``MIN_MASS``, or half the smallest
-    base atom if that is smaller), with its optimality gap.  ``pairs`` is as
-    for :func:`basic_lower_bound`.
-    """
-    if pairs is None:
-        pairs = enumerate_pairs(model, search)
-    graph_of = _graphs(model)
-    return _report("improved", [_improved(p, graph_of(p)) for p in pairs])
-
-
 # -- fixed-length bound -------------------------------------------------------
 
 
@@ -550,17 +485,46 @@ def _fixed(pair: StrongPartition, graph: _Graph) -> PairResult:
     )
 
 
-def fixed_length_bound(
-    model: NetworkModel,
-    search: SearchConfig | None = None,
-    *,
-    pairs: Sequence[StrongPartition] | None = None,
-) -> BoundReport:
-    """Max over pairs of log2 distinguishability count over cut size.
+# -- entry points -------------------------------------------------------------
 
-    ``pairs`` is as for :func:`basic_lower_bound`.
-    """
-    if pairs is None:
-        pairs = enumerate_pairs(model, search)
+_PAIR_RESULT = {"basic": _basic, "improved": _improved, "fixed_length": _fixed}
+
+
+def _bounds(
+    model: NetworkModel, search: SearchConfig | None, kinds: Sequence[str]
+) -> tuple[BoundReport, ...]:
+    """One report per kind from one pass over the pairs and their distinct graphs."""
     graph_of = _graphs(model)
-    return _report("fixed_length", [_fixed(p, graph_of(p)) for p in pairs])
+    results: dict[str, list[PairResult]] = {kind: [] for kind in kinds}
+    for pair in enumerate_pairs(model, search):
+        graph = graph_of(pair)
+        for kind in kinds:
+            results[kind].append(_PAIR_RESULT[kind](pair, graph))
+    return tuple(_report(kind, results[kind]) for kind in kinds)
+
+
+def lower_bounds(
+    model: NetworkModel, search: SearchConfig | None = None
+) -> tuple[BoundReport, BoundReport, BoundReport]:
+    """The basic, improved and fixed-length reports, each equal to its own function's."""
+    return _bounds(model, search, ("basic", "improved", "fixed_length"))
+
+
+def basic_lower_bound(model: NetworkModel, search: SearchConfig | None = None) -> BoundReport:
+    """Max over pairs of single-shot clique entropy over cut size."""
+    return _bounds(model, search, ("basic",))[0]
+
+
+def improved_lower_bound(model: NetworkModel, search: SearchConfig | None = None) -> BoundReport:
+    """Basic bound maximized over marginal-preserving full-support distributions.
+
+    Reports per pair the certified optimum over distributions whose atoms
+    are all at least the graph's floor (``MIN_MASS``, or half the smallest
+    base atom if that is smaller), with its optimality gap.
+    """
+    return _bounds(model, search, ("improved",))[0]
+
+
+def fixed_length_bound(model: NetworkModel, search: SearchConfig | None = None) -> BoundReport:
+    """Max over pairs of log2 distinguishability count over cut size."""
+    return _bounds(model, search, ("fixed_length",))[0]

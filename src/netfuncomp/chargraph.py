@@ -42,7 +42,8 @@ from .netmodel import (
     restrict_sources,
 )
 
-DEFAULT_VERTEX_CAP = 2**14
+VERTEX_CAP = 2**14
+"""Most vertices a characteristic graph may have."""
 
 
 class LayerCoord(NamedTuple):
@@ -64,33 +65,30 @@ class CharGraph:
     """
 
     graph: pgraph.ProbGraph
-    cut: CutAnalysis
     partition: StrongPartition
     k: int
     order: tuple[str, ...]
     assignments: tuple[Assignment, ...]
     layers: tuple[LayerCoord, ...]
 
+    @property
+    def cut(self) -> CutAnalysis:
+        return self.partition.cut
 
-def build(
-    model: NetworkModel,
-    cut: CutAnalysis,
-    partition: StrongPartition,
-    k: int = 1,
-    *,
-    vertex_cap: int = DEFAULT_VERTEX_CAP,
-) -> CharGraph:
-    """Construct the k-shot characteristic graph of (cut, partition)."""
+
+def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGraph:
+    """Construct the k-shot characteristic graph of a strong partition of a cut."""
     if k < 1:
         raise UsageError("k must be at least 1")
+    cut = partition.cut
     q = model.alphabet_size
     i_tuple = restrict_sources(model, cut.i_set)
     j_tuple = restrict_sources(model, cut.j_set)
     l_tuple = restrict_sources(model, partition.l_set)
     order = restrict_sources(model, cut.i_set | cut.j_set)
     n_vertices = assignment_count(q, len(order), k)
-    if n_vertices > vertex_cap:
-        raise TooLarge(f"{n_vertices} vertices exceed the cap of {vertex_cap}")
+    if n_vertices > VERTEX_CAP:
+        raise TooLarge(f"{n_vertices} vertices exceed the cap of {VERTEX_CAP}")
 
     i_pos = [order.index(s) for s in i_tuple]
     j_pos = [order.index(s) for s in j_tuple]
@@ -156,7 +154,7 @@ def build(
                     edges.append((labels[u], labels[v]))
 
     graph = pgraph.ProbGraph(labels, edges, dist)
-    return CharGraph(graph, cut, partition, k, order, assignments, tuple(layers))
+    return CharGraph(graph, partition, k, order, assignments, tuple(layers))
 
 
 def _marginal_fractions(
@@ -277,12 +275,7 @@ class SandwichReport:
         return self.and_inside_k and self.k_inside_or
 
 
-def sandwich_check(
-    model: NetworkModel,
-    cut: CutAnalysis,
-    partition: StrongPartition,
-    k: int,
-) -> SandwichReport:
+def sandwich_check(model: NetworkModel, partition: StrongPartition, k: int) -> SandwichReport:
     """Check that the k-shot graph sits between the AND and OR powers.
 
     Both powers are built from the single-shot graph with the generic
@@ -291,8 +284,8 @@ def sandwich_check(
     """
     if not 1 <= k <= 3:
         raise UsageError("sandwich comparison is supported for k in 1..3")
-    g1 = build(model, cut, partition, 1)
-    gk = build(model, cut, partition, k)
+    g1 = build(model, partition, 1)
+    gk = build(model, partition, k)
     and_g = pgraph.and_product([g1.graph] * k)
     or_g = pgraph.or_product([g1.graph] * k)
 

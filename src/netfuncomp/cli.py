@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -75,16 +76,6 @@ def _parse_partition(
     raise UsageError(f"{text or 'trivial'} is not a strong partition of {cut.cut}")
 
 
-def _parse_assignment(text: str, q: int, n_sources: int, k: int) -> netmodel.Assignment:
-    try:
-        symbols = [int(c) for c in text] if q <= 10 else [int(x) for x in text.split(",")]
-    except ValueError:
-        raise UsageError(f"assignment {text!r} is not a block of symbols") from None
-    if len(symbols) != n_sources * k or any(not 0 <= v < q for v in symbols):
-        raise UsageError(f"assignment {text!r} does not fit {n_sources} sources at k={k}")
-    return tuple(tuple(symbols[i * k : (i + 1) * k]) for i in range(n_sources))
-
-
 def _search_config(args) -> bounds.SearchConfig:
     pairs = None
     if getattr(args, "pairs", None):
@@ -119,40 +110,21 @@ def _pair_entry(n: int, item) -> bounds.PairKey:
 
 
 def _bounds_result(model: NetworkModel, search: bounds.SearchConfig) -> dict:
-    basic, improved, fixed = bounds.lower_bounds(model, search)
-    rows = []
-    for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
-        rows.append(
-            {
-                "cut": list(b.cut),
-                "blocks": [list(blk) for blk in b.blocks],
-                "basic": b.value,
-                "improved": i.value,
-                "fixed_length": f.value,
-                "details": {
-                    "basic": dict(b.details),
-                    "improved": dict(i.details),
-                    "fixed_length": dict(f.details),
-                },
-            }
-        )
+    reports = bounds.lower_bounds(model, search)
+    rows = [
+        {
+            "cut": list(row[0].cut),
+            "blocks": [list(b) for b in row[0].blocks],
+            **{r.kind: p.value for r, p in zip(reports, row)},
+            "details": {r.kind: p.details for r, p in zip(reports, row)},
+        }
+        for row in zip(*(r.pairs for r in reports))
+    ]
     return {
-        "basic": basic.value,
-        "improved": improved.value,
-        "fixed_length": fixed.value,
+        **{r.kind: r.value for r in reports},
         "witness": {
-            "basic": {
-                "cut": list(basic.witness_cut),
-                "blocks": [list(b) for b in basic.witness_blocks],
-            },
-            "improved": {
-                "cut": list(improved.witness_cut),
-                "blocks": [list(b) for b in improved.witness_blocks],
-            },
-            "fixed_length": {
-                "cut": list(fixed.witness_cut),
-                "blocks": [list(b) for b in fixed.witness_blocks],
-            },
+            r.kind: {"cut": list(r.witness_cut), "blocks": [list(b) for b in r.witness_blocks]}
+            for r in reports
         },
         "pairs": rows,
     }
@@ -221,7 +193,10 @@ def _cmd_classes(args) -> None:
     j_sources = tuple(x.strip() for x in args.j.split(",") if x.strip()) if args.j else ()
     a_j = ()
     if args.aj:
-        a_j = _parse_assignment(args.aj, model.alphabet_size, len(j_sources), args.k)
+        try:
+            a_j = netmodel.parse_assignment(args.aj, model.alphabet_size, len(j_sources), args.k)
+        except UsageError as exc:
+            raise UsageError(f"assignment {exc}") from None
     part = equiv.i_aj_classes(model, i_sources, j_sources, a_j, k=args.k)
     _emit(
         "classes",
@@ -248,7 +223,7 @@ def _cmd_chargraph(args) -> None:
     model = _load(args.model)
     cut = _parse_cut(model, args.cut)
     partition = _parse_partition(model, cut, args.blocks)
-    cg = chargraph.build(model, cut, partition, args.k)
+    cg = chargraph.build(model, partition, args.k)
     report = chargraph.layer_report(cg)
     g = cg.graph
     if args.dot:
@@ -283,35 +258,31 @@ def _cmd_chargraph(args) -> None:
                 }
                 for i, c in enumerate(cg.layers)
             ],
-            "layer_certificate": {
-                "fibers_isolated": report.fibers_isolated,
-                "classes_completely_connected": report.classes_completely_connected,
-                "leftover_isolated": report.leftover_isolated,
-                "brackets_completely_connected": report.brackets_completely_connected,
-                "bracket_interiors_empty": report.bracket_interiors_empty,
-                "ok": report.ok,
-            },
+            "layer_certificate": {**dataclasses.asdict(report), "ok": report.ok},
         },
     )
+
+
+def _vertex(label):
+    """A graph-document vertex label; JSON lists become tuples."""
+    return tuple(label) if isinstance(label, list) else label
 
 
 def _cmd_entropy(args) -> None:
     with open(args.graph, encoding="utf-8") as fh:
         doc = json.load(fh)
+    what = "malformed graph document"
     try:
+        vertices = netmodel.json_list(doc["vertices"], f"{what}: vertices")
+        edges = netmodel.json_list(doc["edges"], f"{what}: edges")
+        dist = netmodel.json_numbers(doc["dist"], f"{what}: dist")
+        if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+            raise UsageError(f"{what}: every edge must be a list of two vertices")
         g = pgraph.ProbGraph(
-            [tuple(v) if isinstance(v, list) else v for v in doc["vertices"]],
-            [
-                (
-                    tuple(u) if isinstance(u, list) else u,
-                    tuple(v) if isinstance(v, list) else v,
-                )
-                for u, v in doc["edges"]
-            ],
-            doc["dist"],
+            [_vertex(v) for v in vertices], [(_vertex(u), _vertex(v)) for u, v in edges], dist
         )
     except (KeyError, TypeError, ValueError) as exc:
-        raise UsageError(f"malformed graph document: {exc}") from exc
+        raise UsageError(f"{what}: {exc}") from exc
     # Each quantity has its own size cap; a capped one is reported as such
     # and the run fails only when none can be computed.
     found: dict[str, entropy.EntropyResult | None] = {}
@@ -381,14 +352,7 @@ def _cmd_simulate(args) -> None:
         model = _load(args.model)
         with open(args.code, encoding="utf-8") as fh:
             doc = json.load(fh)
-        if isinstance(doc, dict) and "builtin" in doc:
-            if doc["builtin"] != "diamond":
-                raise UsageError(f"unknown builtin scheme {doc['builtin']!r}")
-            k = netmodel.json_int(doc.get("k", args.k), "builtin code reference: k")
-            scheme = codesim.diamond_scheme(k)
-            code = codesim.huffman_transform(model, scheme)
-        else:
-            code = codesim.code_from_dict(model, doc)
+        code = codesim.code_from_dict(model, doc)
         source = {"code": args.code}
     report = codesim.evaluate(model, code)
     _emit(

@@ -48,13 +48,13 @@ from .errors import (
     UsageError,
 )
 from .netmodel import (
-    CutAnalysis,
     Edge,
     NetworkModel,
     StrongPartition,
     _context,
     format_assignment,
     json_int,
+    parse_assignment,
 )
 
 # Largest sweep, in blocks, that any simulation accepts.
@@ -585,9 +585,7 @@ def _scheme_images(
     return values, mass, keys, first, _distinct_rows(np.concatenate(sink))
 
 
-def huffman_transform(
-    model: NetworkModel, scheme: FixedScheme, k: int | None = None
-) -> UDCode:
+def huffman_transform(model: NetworkModel, scheme: FixedScheme) -> UDCode:
     """Binary-code a symbol-level scheme edge by edge with Huffman words.
 
     The sweep records each edge's image distribution under the i.i.d.
@@ -595,10 +593,7 @@ def huffman_transform(
     edge's value must be a function of what that edge can see), and emits
     the composed lookup tables.
     """
-    if k is None:
-        k = scheme.k
-    if k != scheme.k:
-        raise UsageError(f"scheme is for k={scheme.k}, requested k={k}")
+    k = scheme.k
     q = model.alphabet_size
     source_pos = {s: i for i, s in enumerate(model.sources)}
     in_ids = {n: _in_ids(model, n) for n in model.nodes}
@@ -687,24 +682,17 @@ def diamond_scheme(k: int) -> FixedScheme:
     return FixedScheme("diamond-split", k, functions, decode)
 
 
-def cut_coloring_check(
-    model: NetworkModel,
-    code: UDCode,
-    cut: CutAnalysis,
-    partition: StrongPartition,
-    k: int,
-) -> bool:
-    """Whether the code's cut words color the k-shot characteristic graph.
+def cut_coloring_check(model: NetworkModel, code: UDCode, partition: StrongPartition) -> bool:
+    """Whether the code's cut words color the characteristic graph at the code's k.
 
     The tuple of words carried by the cut edges is computed for every input
     block and projected onto the graph's vertices; the check passes when
     every edge of the graph receives two distinct tuples.  Cut words that
-    depend on sources outside the cut's K set mean ``cut`` does not belong
-    to ``model``, which raises UsageError.
+    depend on sources outside the cut's K set mean ``partition.cut`` does
+    not belong to ``model``, which raises UsageError.
     """
-    if k != code.k:
-        raise UsageError(f"code is for k={code.k}, requested k={k}")
-    cg = chargraph.build(model, cut, partition, k)
+    k, cut = code.k, partition.cut
+    cg = chargraph.build(model, partition, k)
     enc = _Encoders(model, code)
     order_pos = [enc.source_pos[s] for s in cg.order]
     width = model.alphabet_size**k
@@ -774,13 +762,10 @@ def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
         table = {}
         for key, w in enc_doc[e.id].items():
             if e.tail in source_names:
-                symbols = key if q <= 10 else key.split(",")
                 try:
-                    table[tuple(int(c) for c in symbols)] = str(w)
-                except ValueError:
-                    raise UsageError(
-                        f"edge {e.id}: source key {key!r} is not a block of symbols"
-                    ) from None
+                    table[parse_assignment(key, q, 1, k)[0]] = str(w)
+                except UsageError as exc:
+                    raise UsageError(f"edge {e.id}: source key {exc}") from None
             else:
                 table[tuple(key.split(","))] = str(w)
         encoders[e.id] = table

@@ -38,6 +38,15 @@ METHOD_EXACT = "ExactDecomposition"
 METHOD_NUMERIC = "NumericFallback"
 METHOD_BRUTE = "BruteForce"
 
+FALLBACK_CAP = 20
+"""Most vertices of a subgraph whose clique entropy falls back on numerics."""
+
+FW_GAP_TOL = 1e-7
+"""Duality gap, in bits, at which the Frank-Wolfe solve stops."""
+
+FW_MAX_ITER = 100_000
+"""Frank-Wolfe iterations before NoConvergence is raised."""
+
 _LN2 = math.log(2.0)
 
 
@@ -77,9 +86,9 @@ class DecompositionTree:
         walk(self)
         return counts
 
-    def to_dict(self, labels: Sequence | None = None) -> dict:
-        ids = self.vertex_ids
-        shown = [labels[i] for i in ids] if labels is not None else list(ids)
+    def to_dict(self, labels: Sequence) -> dict:
+        """JSON form, naming each vertex by ``labels[vertex id]``."""
+        shown = [labels[i] for i in self.vertex_ids]
         out = {"kind": self.kind, "vertices": shown, "value": self.value}
         if self.children:
             out["children"] = [c.to_dict(labels) for c in self.children]
@@ -126,7 +135,7 @@ def _decompose(
     adj: Sequence[int],
     masses: Sequence,
     ids: tuple[int, ...],
-    fallback_cap: int,
+    cap: int,
 ) -> DecompositionTree:
     n = len(ids)
     sub = _subgraph_masks(adj, ids)
@@ -138,27 +147,27 @@ def _decompose(
     full = (1 << n) - 1
     comps = pgraph._components(sub, full)
     if len(comps) > 1:
-        return _split_node("IsolatedSplit", adj, masses, ids, comps, fallback_cap)
+        return _split_node("IsolatedSplit", adj, masses, ids, comps, cap)
     co = _complement_masks(sub)
     comps = pgraph._components(co, full)
     if len(comps) > 1:
-        return _split_node("CCSplit", adj, masses, ids, comps, fallback_cap)
-    if n > fallback_cap:
+        return _split_node("CCSplit", adj, masses, ids, comps, cap)
+    if n > cap:
         raise TooLarge(
-            f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {fallback_cap}"
+            f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {cap}"
         )
     h = _entropy_of_masses([masses[i] for i in ids])
     co_value, _, _ = _fw_min_log_mass(co, _normalized([masses[i] for i in ids]))
     return DecompositionTree("Opaque", ids, h - co_value)
 
 
-def _split_node(kind, adj, masses, ids, comps, fallback_cap) -> DecompositionTree:
+def _split_node(kind, adj, masses, ids, comps, cap) -> DecompositionTree:
     children = []
     blocks = []
     for comp in sorted(comps, key=lambda c: (c & -c).bit_length()):
         block = tuple(ids[i] for i in _bits(comp))
         blocks.append(block)
-        children.append(_decompose(adj, masses, block, fallback_cap))
+        children.append(_decompose(adj, masses, block, cap))
     total = sum(masses[i] for i in ids)
     value = 0.0
     for block, child in zip(blocks, children):
@@ -172,46 +181,45 @@ def _split_node(kind, adj, masses, ids, comps, fallback_cap) -> DecompositionTre
     return DecompositionTree(kind, ids, value, tuple(children))
 
 
-def clique_entropy(g: ProbGraph, *, fallback_cap: int = 20) -> EntropyResult:
+def clique_entropy(g: ProbGraph) -> EntropyResult:
     """Clique entropy with a decomposition certificate.
 
     Zero-mass vertices are dropped up front; they cannot change the value.
     The method is exact when the recursion bottoms out in empty and complete
-    leaves only, and a numeric fallback otherwise.  Fraction masses are kept
+    leaves only, and a numeric fallback otherwise; an opaque subgraph above
+    ``FALLBACK_CAP`` vertices raises TooLarge.  Fraction masses are kept
     exact all the way to the final log.
     """
     masses = list(g.dist)
     ids = tuple(i for i, m in enumerate(masses) if m > 0)
-    tree = _decompose(g.adjacency_masks(), masses, ids, fallback_cap)
+    tree = _decompose(g.adjacency_masks(), masses, ids, FALLBACK_CAP)
     method = METHOD_NUMERIC if tree.has_opaque() else METHOD_EXACT
     return EntropyResult(tree.value, method, tree)
 
 
-def graph_entropy(
-    g: ProbGraph, *, gap_tol: float = 1e-7, max_iter: int = 100_000
-) -> EntropyResult:
+def graph_entropy(g: ProbGraph) -> EntropyResult:
     """Koerner graph entropy.
 
     When the complement decomposes exactly, the complement identity gives
     the value in closed form; otherwise away-step Frank-Wolfe minimizes
-    ``-sum p log2 a`` over the vertex packing polytope to ``gap_tol`` bits.
+    ``-sum p log2 a`` over the vertex packing polytope to ``FW_GAP_TOL`` bits.
     """
     if g.n > 20:
         raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
     masses = list(g.dist)
     ids = tuple(i for i, m in enumerate(masses) if m > 0)
     co = _complement_masks(g.adjacency_masks())
-    tree = None
     try:
-        tree = _decompose(co, masses, ids, fallback_cap=0)
+        # With a cap of 0 every opaque subgraph raises, so a tree is exact.
+        tree = _decompose(co, masses, ids, 0)
     except TooLarge:
         tree = None
-    if tree is not None and not tree.has_opaque():
+    if tree is not None:
         h = _entropy_of_masses([masses[i] for i in ids])
         return EntropyResult(h - tree.value, METHOD_EXACT, tree)
     sub = _subgraph_masks(g.adjacency_masks(), ids)
     probs = _normalized([masses[i] for i in ids])
-    value, iters, gap = _fw_min_log_mass(sub, probs, gap_tol=gap_tol, max_iter=max_iter)
+    value, iters, gap = _fw_min_log_mass(sub, probs)
     return EntropyResult(value, METHOD_NUMERIC, FwTrace(iters, gap))
 
 
@@ -220,13 +228,7 @@ def _normalized(masses: Sequence) -> list[float]:
     return [float(m / total) if isinstance(m, Fraction) else float(m) / float(total) for m in masses]
 
 
-def _fw_min_log_mass(
-    adj: Sequence[int],
-    probs: Sequence[float],
-    *,
-    gap_tol: float = 1e-7,
-    max_iter: int = 100_000,
-) -> tuple[float, int, float]:
+def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float, int, float]:
     """Minimize F(a) = -sum_i p_i log2 a_i over the vertex packing polytope.
 
     The polytope is the convex hull of independent-set indicator vectors, so
@@ -246,12 +248,12 @@ def _fw_min_log_mass(
     def objective() -> float:
         return -sum(p * math.log2(x) for p, x in zip(probs, a))
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, FW_MAX_ITER + 1):
         w = [p / (x * _LN2) for p, x in zip(probs, a)]
         _, s_mask = _mwis_mask(adj, w)
         wa = sum(wi * ai for wi, ai in zip(w, a))
         fw_gap = sum(w[i] for i in _bits(s_mask)) - wa
-        if fw_gap < gap_tol:
+        if fw_gap < FW_GAP_TOL:
             return objective(), it, fw_gap
         away_mask, away_alpha = min(
             active.items(), key=lambda kv: (sum(w[i] for i in _bits(kv[0])), kv[0])
@@ -293,7 +295,7 @@ def _fw_min_log_mass(
             for i in range(n):
                 if a[i] < 1e-300:
                     a[i] = 1e-300
-    raise NoConvergence(f"duality gap still {fw_gap:.3g} after {max_iter} iterations")
+    raise NoConvergence(f"duality gap still {fw_gap:.3g} after {FW_MAX_ITER} iterations")
 
 
 def _direction(n: int, a: Sequence[float], mask: int, *, away: bool) -> list[float]:

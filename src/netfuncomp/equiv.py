@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import DomainTooLarge, NotAClass, OverlappingSets, UsageError
 from .netmodel import (
@@ -43,7 +43,9 @@ from .netmodel import (
     restrict_sources,
 )
 
-DEFAULT_DOMAIN_CAP = 2**20
+DOMAIN_CAP = 2**20
+"""Most k-shot blocks over all sources a class computation may range over."""
+
 # Entries per class cache.  One CLI bounds call on the benchmark models fills
 # at most 1,234; the bound keeps a long-lived process from growing without
 # limit.
@@ -71,12 +73,12 @@ class EquivPartition:
         return len(self.classes)
 
 
-def _check_domain(model: NetworkModel, k: int, domain_cap: int) -> None:
+def _check_domain(model: NetworkModel, k: int) -> None:
     if k < 1:
         raise UsageError("k must be at least 1")
-    if assignment_count(model.alphabet_size, model.num_sources, k) > domain_cap:
+    if assignment_count(model.alphabet_size, model.num_sources, k) > DOMAIN_CAP:
         raise DomainTooLarge(
-            f"{model.alphabet_size}^({k}*{model.num_sources}) blocks exceed the cap of {domain_cap}"
+            f"{model.alphabet_size}^({k}*{model.num_sources}) blocks exceed the cap of {DOMAIN_CAP}"
         )
 
 
@@ -105,8 +107,6 @@ def i_aj_classes(
     j_sources: Iterable[str],
     a_j: Assignment = (),
     k: int = 1,
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
 ) -> EquivPartition:
     """Classes of k-shot blocks on I, interchangeable given the J block ``a_j``.
 
@@ -119,7 +119,7 @@ def i_aj_classes(
     if set(i_tuple) & set(j_tuple):
         raise OverlappingSets("I and J share sources")
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    _check_domain(model, k, domain_cap)
+    _check_domain(model, k)
     return _i_aj_cached(model, i_tuple, j_tuple, a_j, k)
 
 
@@ -156,8 +156,6 @@ def il_al_aj_classes(
     a_l: Assignment,
     a_j: Assignment = (),
     k: int = 1,
-    *,
-    domain_cap: int = DEFAULT_DOMAIN_CAP,
 ) -> EquivPartition:
     """Classes of k-shot blocks on the separated set of one partition block.
 
@@ -175,7 +173,7 @@ def il_al_aj_classes(
     l_tuple = restrict_sources(model, partition.l_set)
     _check_aj(l_tuple, a_l, k, model.alphabet_size)
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    _check_domain(model, k, domain_cap)
+    _check_domain(model, k)
     return _il_cached(model, partition, block_index, a_l, a_j, k)
 
 

@@ -199,16 +199,34 @@ def json_int(value, what: str) -> int:
     return value
 
 
+def json_list(value, what: str) -> list:
+    """``value`` if it is a JSON list; otherwise raise UsageError."""
+    if not isinstance(value, list):
+        raise UsageError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def json_numbers(value, what: str) -> list:
+    """``value`` if it is a JSON list of numbers (not bools); otherwise raise UsageError."""
+    for x in json_list(value, what):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise UsageError(f"{what} entries must be numbers, got {x!r}")
+    return value
+
+
 def model_from_dict(doc: Mapping) -> NetworkModel:
     """Build a model from its JSON document form.  Schema errors raise UsageError."""
     try:
         q = json_int(doc["alphabet"], "alphabet")
-        nodes = tuple(str(n) for n in doc["nodes"])
-        edges = tuple(Edge(str(e["id"]), str(e["tail"]), str(e["head"])) for e in doc["edges"])
-        sources = tuple(str(s) for s in doc["sources"])
+        nodes = tuple(str(n) for n in json_list(doc["nodes"], "nodes"))
+        edges = tuple(
+            Edge(str(e["id"]), str(e["tail"]), str(e["head"]))
+            for e in json_list(doc["edges"], "edges")
+        )
+        sources = tuple(str(s) for s in json_list(doc["sources"], "sources"))
         sink = str(doc["sink"])
-        table = tuple(doc["function"])
-        dist = tuple(float(p) for p in doc["distribution"])
+        table = tuple(json_list(doc["function"], "function"))
+        dist = tuple(float(p) for p in json_numbers(doc["distribution"], "distribution"))
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"malformed model document: {exc}") from exc
 
@@ -582,4 +600,15 @@ def format_assignment(assignment: Assignment, q: int) -> str:
     if q <= 10:
         return "".join(str(sym) for col in assignment for sym in col)
     return ",".join(str(sym) for col in assignment for sym in col)
+
+
+def parse_assignment(text: str, q: int, n_sources: int, k: int) -> Assignment:
+    """The block whose :func:`format_assignment` form is ``text``; else UsageError."""
+    try:
+        symbols = [int(c) for c in (text if q <= 10 else text.split(","))]
+    except ValueError:
+        raise UsageError(f"{text!r} is not a block of symbols") from None
+    if len(symbols) != n_sources * k or any(not 0 <= v < q for v in symbols):
+        raise UsageError(f"{text!r} does not fit {n_sources} sources at k={k}")
+    return tuple(tuple(symbols[i * k : (i + 1) * k]) for i in range(n_sources))
 

@@ -48,8 +48,7 @@ def diamond():
 
 @pytest.fixture(scope="module")
 def diamond_partitions(diamond):
-    cut = netmodel.analyze_cut(diamond, ("e5", "e6"))
-    return cut, netmodel.enumerate_strong_partitions(diamond, cut)
+    return netmodel.enumerate_strong_partitions(diamond, ("e5", "e6"))
 
 
 def test_acceptance_1_diamond_basic_bound(capsys, diamond):
@@ -75,8 +74,8 @@ def test_acceptance_1_diamond_basic_bound(capsys, diamond):
 
 
 def test_acceptance_2_diamond_intermediate_values(capsys, diamond, diamond_partitions):
-    cut, parts = diamond_partitions
-    cg = chargraph.build(diamond, cut, parts[1], 1)
+    parts = diamond_partitions
+    cg = chargraph.build(diamond, parts[1], 1)
     by_label = {}
     for label in ("001", "010", "100"), ("011", "101", "110"):
         by_label[label] = clique_entropy(pgraph.project(cg.graph, label)).value
@@ -103,13 +102,13 @@ def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions
     )
     atoms = top.details["opt_dist"]
     atom_err = max(abs(a - b) for a, b in zip(atoms, OPT_ATOMS))
-    cut, parts = diamond_partitions
+    parts = diamond_partitions
     grid_value, _ = grid_scan(bounds._graphs(diamond)(parts[1]))
     grid_gap = abs(grid_value / len(top.cut) - top.value)
     checks = [
         ("value within 1e-4", abs(report.value - IMPROVED) <= 1e-4),
         ("optimum atoms within 1e-3", atom_err <= 1e-3),
-        ("optimum is admissible", bounds.is_pc_equivalent(atoms, diamond, cut, parts[1], tol=1e-6)),
+        ("optimum is admissible", bounds.is_pc_equivalent(atoms, diamond, parts[1], tol=1e-6)),
         ("grid oracle within 1e-3", grid_gap <= 1e-3),
         ("runtime < 30 s", elapsed < 30.0),
     ]
@@ -123,11 +122,11 @@ def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions
 
 def test_acceptance_4_diamond_fixed_length_bound(capsys, diamond, diamond_partitions):
     t0 = time.perf_counter()
-    cut, parts = diamond_partitions
+    parts = diamond_partitions
     count = equiv.n_C(diamond, parts[1])
     report = bounds.fixed_length_bound(diamond)
     cliques = [
-        brute_clique_number(chargraph.build(diamond, cut, part, 1).graph)
+        brute_clique_number(chargraph.build(diamond, part, 1).graph)
         for part in parts
     ]
     counts = [equiv.n_C(diamond, part) for part in parts]
@@ -272,19 +271,19 @@ def test_acceptance_7_entropy_property_suite(capsys):
 
 def test_acceptance_8_structural_suite(capsys, diamond, diamond_partitions):
     t0 = time.perf_counter()
-    cut, parts = diamond_partitions
+    parts = diamond_partitions
     layer_ok = True
     sandwich_ok = True
 
-    def check_layers(model, c, part, ks=(1, 2)):
+    def check_layers(model, part, ks=(1, 2)):
         nonlocal layer_ok
         for k in ks:
-            cg = chargraph.build(model, c, part, k)
+            cg = chargraph.build(model, part, k)
             layer_ok = layer_ok and chargraph.layer_report(cg).ok
 
     for part in parts:
-        check_layers(diamond, cut, part)
-        sandwich_ok = sandwich_ok and chargraph.sandwich_check(diamond, cut, part, 2).ok
+        check_layers(diamond, part)
+        sandwich_ok = sandwich_ok and chargraph.sandwich_check(diamond, part, 2).ok
 
     rng = random.Random(801)
     models_checked = 0
@@ -296,10 +295,8 @@ def test_acceptance_8_structural_suite(capsys, diamond, diamond_partitions):
         pair_budget = 2
         for c in cuts:
             for part in netmodel.enumerate_strong_partitions(model, c):
-                check_layers(model, c, part)
-                sandwich_ok = (
-                    sandwich_ok and chargraph.sandwich_check(model, c, part, 2).ok
-                )
+                check_layers(model, part)
+                sandwich_ok = sandwich_ok and chargraph.sandwich_check(model, part, 2).ok
                 pair_budget -= 1
                 if pair_budget == 0:
                     break
@@ -321,13 +318,11 @@ def test_acceptance_8_structural_suite(capsys, diamond, diamond_partitions):
         lambda values: tuple(a + b for a, b in zip(values["e5"], values["e6"])),
     )
     coloring_ok = True
-    for k, scheme in ((1, single), (2, codesim.diamond_scheme(2))):
+    for scheme in (single, codesim.diamond_scheme(2)):
         code = codesim.huffman_transform(diamond, scheme)
         coloring_ok = coloring_ok and codesim.evaluate(diamond, code).admissible
         for part in parts:
-            coloring_ok = coloring_ok and codesim.cut_coloring_check(
-                diamond, code, cut, part, k
-            )
+            coloring_ok = coloring_ok and codesim.cut_coloring_check(diamond, code, part)
     elapsed = time.perf_counter() - t0
     checks = [
         ("sandwich holds at k=2", sandwich_ok),
@@ -340,7 +335,7 @@ def test_acceptance_8_structural_suite(capsys, diamond, diamond_partitions):
 
 def test_acceptance_9_partition_machinery(capsys, diamond, diamond_partitions):
     t0 = time.perf_counter()
-    cut, parts = diamond_partitions
+    parts = diamond_partitions
     got = {frozenset(frozenset(b) for b in p.blocks) for p in parts}
     expected = {
         frozenset({frozenset({"e5", "e6"})}),

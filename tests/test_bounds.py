@@ -84,14 +84,13 @@ def test_improved_optimum_is_admissible(diamond, improved_report):
     top = next(
         p for p in improved_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS)
     )
-    cut = netmodel.analyze_cut(diamond, WITNESS_CUT)
-    part = netmodel.enumerate_strong_partitions(diamond, cut)[1]
-    assert bounds.is_pc_equivalent(top.details["opt_dist"], diamond, cut, part, tol=1e-8)
-    assert bounds.is_pc_equivalent(OPT_ATOMS, diamond, cut, part)
+    part = netmodel.enumerate_strong_partitions(diamond, WITNESS_CUT)[1]
+    assert bounds.is_pc_equivalent(top.details["opt_dist"], diamond, part, tol=1e-8)
+    assert bounds.is_pc_equivalent(OPT_ATOMS, diamond, part)
     skewed = [0.2, 0.05, 0.1, 0.15, 0.15, 0.1, 0.15, 0.1]
-    assert not bounds.is_pc_equivalent(skewed, diamond, cut, part)
+    assert not bounds.is_pc_equivalent(skewed, diamond, part)
     with pytest.raises(errors.BadDist):
-        bounds.is_pc_equivalent([0.5, 0.5], diamond, cut, part)
+        bounds.is_pc_equivalent([0.5, 0.5], diamond, part)
 
 
 def test_grid_oracle_agrees_on_witness_pair(diamond):
@@ -238,7 +237,7 @@ def test_report_serialization(basic_report):
 
 def _pair_graphs(model):
     for pair in bounds.enumerate_pairs(model):
-        yield chargraph.build(model, pair.cut, pair, 1)
+        yield chargraph.build(model, pair, 1)
 
 
 def test_layer_objective_matches_clique_entropy(diamond):

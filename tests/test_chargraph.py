@@ -36,7 +36,7 @@ def _edge_labels(cg):
 
 def test_diamond_nontrivial_graph_is_frozen(diamond, partitions):
     _, nontrivial = partitions
-    cg = chargraph.build(diamond, nontrivial.cut, nontrivial)
+    cg = chargraph.build(diamond, nontrivial)
     assert cg.order == ("s1", "s2", "s3")
     assert cg.graph.vertices == tuple(
         f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"
@@ -54,7 +54,7 @@ def test_diamond_nontrivial_graph_is_frozen(diamond, partitions):
 
 def test_diamond_trivial_graph_has_no_intra_class_edges(diamond, partitions):
     trivial, _ = partitions
-    cg = chargraph.build(diamond, trivial.cut, trivial)
+    cg = chargraph.build(diamond, trivial)
     classes = [["000"], ["001", "010", "100"], ["011", "101", "110"], ["111"]]
     expected = set()
     for ca, cb in itertools.combinations(classes, 2):
@@ -65,7 +65,7 @@ def test_diamond_trivial_graph_has_no_intra_class_edges(diamond, partitions):
 def test_side_information_cut_splits_into_fibers(diamond):
     cut = netmodel.analyze_cut(diamond, ["e5"])
     part = netmodel.enumerate_strong_partitions(diamond, cut)[0]
-    cg = chargraph.build(diamond, cut, part)
+    cg = chargraph.build(diamond, part)
     assert cg.order == ("s1", "s2")
     assert _edge_labels(cg) == {frozenset(("00", "10")), frozenset(("01", "11"))}
     assert [float(p) for p in cg.graph.dist] == [0.25] * 4
@@ -74,7 +74,7 @@ def test_side_information_cut_splits_into_fibers(diamond):
 def test_construction_matches_quantifier_oracle_on_diamond(diamond, partitions):
     for part in partitions:
         for k in (1, 2):
-            cg = chargraph.build(diamond, part.cut, part, k)
+            cg = chargraph.build(diamond, part, k)
             label = dict(zip(cg.graph.vertices, cg.assignments))
             got = {
                 frozenset((label[u], label[v])) for u, v in cg.graph.edges()
@@ -90,7 +90,7 @@ def test_construction_matches_quantifier_oracle_on_random_models():
         cuts = netmodel.enumerate_cut_sets(model, min(2, len(model.edges)))
         for cut in cuts[:3]:
             for part in netmodel.enumerate_strong_partitions(model, cut)[:2]:
-                cg = chargraph.build(model, cut, part, 1)
+                cg = chargraph.build(model, part, 1)
                 label = dict(zip(cg.graph.vertices, cg.assignments))
                 got = {
                     frozenset((label[u], label[v])) for u, v in cg.graph.edges()
@@ -103,14 +103,14 @@ def test_construction_matches_quantifier_oracle_on_random_models():
 def test_layer_report_holds_on_diamond(diamond, partitions):
     for part in partitions:
         for k in (1, 2):
-            cg = chargraph.build(diamond, part.cut, part, k)
+            cg = chargraph.build(diamond, part, k)
             report = chargraph.layer_report(cg)
             assert report.ok, report
 
 
 def test_layer_coordinates_partition_vertices(diamond, partitions):
     _, nontrivial = partitions
-    cg = chargraph.build(diamond, nontrivial.cut, nontrivial)
+    cg = chargraph.build(diamond, nontrivial)
     by_class = {}
     for label, coord in zip(cg.graph.vertices, cg.layers):
         by_class.setdefault((coord.fiber, coord.cls), []).append(label)
@@ -126,21 +126,21 @@ def test_layer_coordinates_partition_vertices(diamond, partitions):
 def test_clique_number_via_layers_matches_search(diamond, partitions):
     trivial, nontrivial = partitions
     for part, expected in [(trivial, 4), (nontrivial, 6)]:
-        cg = chargraph.build(diamond, part.cut, part)
+        cg = chargraph.build(diamond, part)
         assert chargraph.clique_number_via_decomposition(cg) == expected
         assert pgraph.clique_number(cg.graph) == expected
 
 
 def test_clique_number_via_layers_rejects_multishot(diamond, partitions):
     _, nontrivial = partitions
-    cg = chargraph.build(diamond, nontrivial.cut, nontrivial, 2)
+    cg = chargraph.build(diamond, nontrivial, 2)
     with pytest.raises(errors.UsageError):
         chargraph.clique_number_via_decomposition(cg)
 
 
 def test_sandwich_on_diamond(diamond, partitions):
     for part in partitions:
-        report = chargraph.sandwich_check(diamond, part.cut, part, 2)
+        report = chargraph.sandwich_check(diamond, part, 2)
         assert report.ok
         assert report.and_edges <= report.k_edges <= report.or_edges
 
@@ -148,13 +148,13 @@ def test_sandwich_on_diamond(diamond, partitions):
 def test_sandwich_rejects_large_k(diamond, partitions):
     trivial, _ = partitions
     with pytest.raises(errors.UsageError):
-        chargraph.sandwich_check(diamond, trivial.cut, trivial, 4)
+        chargraph.sandwich_check(diamond, trivial, 4)
 
 
 def test_vertex_cap(diamond, partitions):
     trivial, _ = partitions
     with pytest.raises(errors.TooLarge):
-        chargraph.build(diamond, trivial.cut, trivial, 5)
+        chargraph.build(diamond, trivial, 5)
 
 
 def test_vertex_masses_are_marginals():
@@ -163,7 +163,7 @@ def test_vertex_masses_are_marginals():
         model = random_model(rng)
         cut = netmodel.enumerate_cut_sets(model)[0]
         part = netmodel.enumerate_strong_partitions(model, cut)[0]
-        cg = chargraph.build(model, cut, part, 1)
+        cg = chargraph.build(model, part, 1)
         pos = [model.sources.index(s) for s in cg.order]
         for a, mass in zip(cg.assignments, cg.graph.dist):
             want = sum(

@@ -6,6 +6,8 @@ the same inputs, usage problems must exit 2 with a one-line diagnostic on
 stderr, and size-cap violations must exit 3.
 """
 
+import ast
+import importlib
 import json
 import math
 import os
@@ -14,7 +16,7 @@ import sys
 
 import pytest
 
-from netfuncomp import cli, entropy, netmodel, pgraph
+from netfuncomp import chargraph, cli, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, single_edge_model
 
 
@@ -194,14 +196,19 @@ def test_bad_side_information_block_exits_2(capsys, paths):
 
 
 def test_entropy_edge_with_three_ends_exits_2(capsys, paths):
+    good = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]], "dist": [0.5, 0.25, 0.25]}
     path = paths["base"] / "three_ends.json"
-    path.write_text(
-        json.dumps({"vertices": ["a", "b", "c"], "edges": [["a", "b", "c"]], "dist": [0.5, 0.25, 0.25]})
-    )
-    rc, out, err = run(capsys, "entropy", str(path))
-    assert rc == 2 and out == ""
-    assert err.startswith("netfuncomp: UsageError: malformed graph document")
-    assert err.count("\n") == 1
+    for changes in (
+        {"edges": [["a", "b", "c"]]},
+        {"edges": ["ab"]},
+        {"vertices": "ab", "dist": [0.5, 0.5]},
+        {"vertices": ["a", "b"], "dist": [True, False]},
+    ):
+        path.write_text(json.dumps({**good, **changes}))
+        rc, out, err = run(capsys, "entropy", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith("netfuncomp: UsageError: malformed graph document")
+        assert err.count("\n") == 1
 
 
 def _model_file(base, name, **changes):
@@ -212,19 +219,31 @@ def _model_file(base, name, **changes):
 
 
 @pytest.mark.parametrize(
-    "changes",
+    "changes,message",
     [
-        {"function": [[0], 1, 1, 0, 1, 0, 0, 1]},
-        {"alphabet": 2.5},
-        {"alphabet": "2"},
+        ({"function": [[0], 1, 1, 0, 1, 0, 0, 1]}, "function table entry 0 must be a JSON scalar"),
+        ({"alphabet": 2.5}, "alphabet must be an integer"),
+        ({"alphabet": "2"}, "alphabet must be an integer"),
+        ({"distribution": ["0.125"] * 8}, "distribution entries must be numbers"),
+        ({"distribution": [True] + [0.125] * 7}, "distribution entries must be numbers"),
+        ({"function": "01121223"}, "function must be a list"),
+        ({"sources": "s1"}, "sources must be a list"),
     ],
-    ids=["list-function-entry", "fractional-alphabet", "string-alphabet"],
+    ids=[
+        "list-function-entry",
+        "fractional-alphabet",
+        "string-alphabet",
+        "string-distribution-entries",
+        "bool-distribution-entry",
+        "string-function",
+        "string-sources",
+    ],
 )
-def test_malformed_model_document_exits_2(capsys, paths, changes):
+def test_malformed_model_document_exits_2(capsys, paths, changes, message):
     path = _model_file(paths["base"], "malformed_model", **changes)
     rc, out, err = run(capsys, "validate", path)
     assert rc == 2 and out == ""
-    assert err.startswith("netfuncomp: UsageError: ")
+    assert err.startswith(f"netfuncomp: UsageError: {message}")
     assert err.count("\n") == 1
 
 
@@ -293,25 +312,22 @@ def test_simulate_code_file(capsys, paths):
     assert rc == 0
     assert json.loads(out)["result"]["max_rate"] == 1.25
 
-    ref_path = paths["base"] / "builtin_ref.json"
-    ref_path.write_text(json.dumps({"builtin": "diamond", "k": 2}))
-    rc, out, _ = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
-    assert rc == 0
-    assert json.loads(out)["result"]["admissible"] is True
-
 
 def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):
     from netfuncomp import codesim
 
     model = diamond_model()
-    doc = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
-    doc["encoders"]["e1"]["a"] = "0"
+    good = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
     code_path = paths["base"] / "bad_code.json"
-    code_path.write_text(json.dumps(doc))
-    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
-    assert rc == 2 and out == ""
-    assert err.startswith("netfuncomp: UsageError: edge e1")
-    assert err.count("\n") == 1
+    # Not a symbol, one symbol short of k = 2, and a symbol outside q = 2.
+    for key in ("a", "0", "20"):
+        doc = json.loads(json.dumps(good))
+        doc["encoders"]["e1"][key] = "0"
+        code_path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"netfuncomp: UsageError: edge e1: source key {key!r}")
+        assert err.count("\n") == 1
 
 
 def _bad_decoder_list(doc):
@@ -334,8 +350,22 @@ def _fractional_k(doc):
     doc["k"] = 2.7
 
 
+def _builtin_reference(doc):
+    # The builtin scheme is named with --builtin; a code file holds tables only.
+    doc.clear()
+    doc.update(builtin="diamond", k=2)
+
+
 @pytest.mark.parametrize(
-    "corrupt", [_bad_decoder_list, _bad_decoder_entry, _bad_encoder_table, _bad_k, _fractional_k]
+    "corrupt",
+    [
+        _bad_decoder_list,
+        _bad_decoder_entry,
+        _bad_encoder_table,
+        _bad_k,
+        _fractional_k,
+        _builtin_reference,
+    ],
 )
 def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
     from netfuncomp import codesim
@@ -349,16 +379,6 @@ def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
     assert rc == 2 and out == ""
     assert err.startswith("netfuncomp: UsageError: ")
     assert err.count("\n") == 1
-
-
-def test_simulate_builtin_reference_with_bad_k_exits_2(capsys, paths):
-    ref_path = paths["base"] / "bad_k_ref.json"
-    for k in ("two", 2.7, True):
-        ref_path.write_text(json.dumps({"builtin": "diamond", "k": k}))
-        rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(ref_path))
-        assert rc == 2 and out == ""
-        assert err.startswith("netfuncomp: UsageError: builtin code reference: k must be an integer")
-        assert err.count("\n") == 1
 
 
 def test_simulate_over_the_block_cap_exits_3(capsys):
@@ -379,6 +399,25 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.returncode == 0, done.stderr
     rc, out, _ = run(capsys, *argv)
     assert rc == 0 and done.stdout == out
+
+
+def test_traced_names_resolve():
+    # bench/tracing.py wraps package functions by name; a rename would break --trace 1.
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "tracing.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets)
+    ]
+    assert wrapped
+    for module, name in wrapped:
+        assert hasattr(importlib.import_module(f"netfuncomp.{module}"), name), (module, name)
+    model = diamond_model()
+    part = netmodel.enumerate_strong_partitions(model, ("e5", "e6"))[1]
+    assert chargraph.build(model, part).cut is part.cut
 
 
 def test_simulate_requires_a_code_source(capsys, paths):

@@ -79,11 +79,8 @@ def test_diamond_scheme_rejects_odd_k():
 
 
 def test_cut_words_color_the_characteristic_graph(diamond, diamond_code):
-    cut = netmodel.analyze_cut(diamond, ("e5", "e6"))
-    for part in netmodel.enumerate_strong_partitions(diamond, cut):
-        assert codesim.cut_coloring_check(diamond, diamond_code, cut, part, 2)
-    with pytest.raises(errors.UsageError):
-        codesim.cut_coloring_check(diamond, diamond_code, cut, part, 1)
+    for part in netmodel.enumerate_strong_partitions(diamond, ("e5", "e6")):
+        assert codesim.cut_coloring_check(diamond, diamond_code, part)
 
 
 def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
@@ -99,7 +96,7 @@ def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
         cut=forged, blocks=(("e5",),), i_sets=(frozenset({"s1"}),), l_set=frozenset()
     )
     with pytest.raises(errors.UsageError, match="does not match the model"):
-        codesim.cut_coloring_check(diamond, diamond_code, forged, part, 2)
+        codesim.cut_coloring_check(diamond, diamond_code, part)
 
 
 def test_corrupt_decoder_entry_breaks_admissibility(diamond, diamond_code):
@@ -140,11 +137,6 @@ def test_unrealizable_scheme_is_rejected(diamond):
     bad = FixedScheme("bad", 2, functions, base.decoder)
     with pytest.raises(errors.DomainMismatch):
         codesim.huffman_transform(diamond, bad)
-
-
-def test_huffman_transform_k_mismatch(diamond):
-    with pytest.raises(errors.UsageError):
-        codesim.huffman_transform(diamond, codesim.diamond_scheme(2), k=4)
 
 
 def test_code_round_trips_through_json(diamond, diamond_code):
@@ -289,8 +281,9 @@ def ref_huffman_transform(model, scheme):
     return UDCode(k=k, encoders=encoders, decoder=decoder)
 
 
-def ref_cut_coloring_check(model, code, cut, partition, k):
-    cg = chargraph.build(model, cut, partition, k)
+def ref_cut_coloring_check(model, code, partition):
+    k, cut = code.k, partition.cut
+    cg = chargraph.build(model, partition, k)
     source_pos = {s: i for i, s in enumerate(model.sources)}
     colors = {}
     for xs in _blocks(model, k):
@@ -357,9 +350,9 @@ def test_sweep_matches_the_per_block_loop(monkeypatch, diamond, skewed, scheme, 
         return
     for cut in netmodel.enumerate_cut_sets(skewed):
         for part in netmodel.enumerate_strong_partitions(skewed, cut):
-            assert codesim.cut_coloring_check(
-                skewed, code, cut, part, scheme.k
-            ) == ref_cut_coloring_check(skewed, want, cut, part, scheme.k)
+            assert codesim.cut_coloring_check(skewed, code, part) == ref_cut_coloring_check(
+                skewed, want, part
+            )
 
 
 def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):

@@ -375,6 +375,18 @@ def test_assignment_enumeration_order_and_count():
     assert netmodel.format_assignment(blocks[5], 2) == "0101"
 
 
+@pytest.mark.parametrize("q", [2, 11])
+def test_assignment_text_round_trips(q):
+    for n_sources, k in ((1, 1), (1, 3), (3, 1)):
+        for block in netmodel.enumerate_assignments(q, n_sources, k):
+            text = netmodel.format_assignment(block, q)
+            assert netmodel.parse_assignment(text, q, n_sources, k) == block
+    wrong_length = "0" * 4 if q == 2 else "0,0,0,0"
+    for text in ("x", "0a1", wrong_length, str(q)):
+        with pytest.raises(errors.UsageError, match=repr(text)):
+            netmodel.parse_assignment(text, q, 3, 1)
+
+
 def test_restrict_sources_keeps_model_order():
     model = diamond_model()
     assert netmodel.restrict_sources(model, {"s3", "s1"}) == ("s1", "s3")
