@@ -24,14 +24,105 @@ from .errors import NetfuncompError, TooLarge, UsageError
 from .netmodel import NetworkModel
 
 
-def _round_floats(doc):
-    if isinstance(doc, float):
-        return float(f"{doc:.15g}")
-    if isinstance(doc, dict):
-        return {k: _round_floats(v) for k, v in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [_round_floats(v) for v in doc]
-    return doc
+_encode_str = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _spell(x: float) -> str:
+    """A float as ``json`` spells it."""
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it; keys are never rounded."""
+    if isinstance(key, str):
+        text = key
+    elif isinstance(key, float):
+        text = _spell(key)
+    elif key is True:
+        text = "true"
+    elif key is False:
+        text = "false"
+    elif key is None:
+        text = "null"
+    elif isinstance(key, int):
+        text = int.__repr__(key)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _encode_str(text)
+
+
+def _write(o, append, nl: str) -> None:
+    """Append the text of ``o``; ``nl`` is the newline and indent of its line."""
+    if isinstance(o, str):
+        append(_encode_str(o))
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    elif isinstance(o, float):
+        append(_spell(float(f"{o:.15g}")))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            append("[]")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        append("[" + inner)
+        # Leaf lists of one exact type make up most of a report's bytes;
+        # join them at C speed.  Subclasses and mixed lists go item by item.
+        kinds = set(map(type, o))
+        text = None
+        if kinds == {str}:
+            text = sep.join(map(_encode_str, o))
+        elif kinds == {float}:
+            text = sep.join(map(float.__repr__, map(float, map("{:.15g}".format, o))))
+            if "n" in text:  # nan or inf: json spells them NaN and Infinity
+                text = None
+        if text is not None:
+            append(text)
+        else:
+            for i, item in enumerate(o):
+                if i:
+                    append(sep)
+                _write(item, append, inner)
+        append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            append("{}")
+            return
+        inner = nl + "  "
+        sep = "," + inner
+        append("{" + inner)
+        for i, (key, value) in enumerate(sorted(o.items())):
+            if i:
+                append(sep)
+            append(_key(key) + ": ")
+            _write(value, append, inner)
+        append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, sort_keys=True, indent=2)`` with floats rounded to 15 digits.
+
+    One pass over ``doc``: no rounded copy is built, and the text is the
+    one the pure-Python encoder (the only one that indents) would write.
+    """
+    parts: list[str] = []
+    _write(doc, parts.append, "\n")
+    return "".join(parts)
 
 
 def _emit(command: str, config: dict, result) -> None:
@@ -42,7 +133,7 @@ def _emit(command: str, config: dict, result) -> None:
         "config": config,
         "result": result,
     }
-    print(json.dumps(_round_floats(doc), sort_keys=True, indent=2))
+    print(_dumps(doc))
 
 
 def _load(path: str) -> NetworkModel:
@@ -339,14 +430,19 @@ def _cmd_bounds(args) -> None:
 def _cmd_simulate(args) -> None:
     if args.builtin is None and args.code is None:
         raise UsageError("simulate needs --builtin NAME or --code FILE")
+    if args.builtin is not None and args.code is not None:
+        raise UsageError("simulate takes --builtin NAME or --code FILE, not both")
     if args.builtin is not None:
         if args.builtin != "diamond":
             raise UsageError(f"unknown builtin scheme {args.builtin!r}")
+        k = 2 if args.k is None else args.k
         model = examples.diamond_model() if args.model is None else _load(args.model)
-        scheme = codesim.diamond_scheme(args.k)
+        scheme = codesim.diamond_scheme(k)
         code = codesim.huffman_transform(model, scheme)
-        source = {"builtin": args.builtin, "k": args.k}
+        source = {"builtin": args.builtin, "k": k}
     else:
+        if args.k is not None:
+            raise UsageError("--k applies to --builtin only; a code file sets its own k")
         if args.model is None:
             raise UsageError("simulate --code needs a model file")
         model = _load(args.model)
@@ -429,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("model", nargs="?", default=None)
     sp.add_argument("--code", default=None, help="code tables as JSON")
     sp.add_argument("--builtin", default=None, help="built-in scheme name")
-    sp.add_argument("--k", type=int, default=2, help="shots per block")
+    sp.add_argument("--k", type=int, default=None, help="shots per block of --builtin (default 2)")
     sp.set_defaults(func=_cmd_simulate)
 
     sp = sub.add_parser("example", help="built-in example models")
@@ -454,6 +550,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except json.JSONDecodeError as exc:
         print(f"netfuncomp: invalid JSON: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"netfuncomp: invalid input file: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -7,17 +7,25 @@ stderr, and size-cap violations must exit 3.
 """
 
 import ast
+import contextlib
+import enum
+import hashlib
 import importlib
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from netfuncomp import chargraph, cli, entropy, netmodel, pgraph
-from netfuncomp.examples import diamond_model, single_edge_model
+from conftest import random_model
+from netfuncomp import chargraph, cli, codesim, entropy, netmodel, pgraph
+from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 
 
 @pytest.fixture(scope="module")
@@ -302,8 +310,6 @@ def test_simulate_builtin_scheme(capsys):
 
 
 def test_simulate_code_file(capsys, paths):
-    from netfuncomp import codesim
-
     model = diamond_model()
     code = codesim.huffman_transform(model, codesim.diamond_scheme(2))
     code_path = paths["base"] / "code.json"
@@ -314,8 +320,6 @@ def test_simulate_code_file(capsys, paths):
 
 
 def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):
-    from netfuncomp import codesim
-
     model = diamond_model()
     good = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
     code_path = paths["base"] / "bad_code.json"
@@ -368,8 +372,6 @@ def _builtin_reference(doc):
     ],
 )
 def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
-    from netfuncomp import codesim
-
     model = diamond_model()
     doc = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
     corrupt(doc)
@@ -481,3 +483,202 @@ def test_malformed_pairs_entry_exits_2(capsys, paths, entries):
     assert rc == 2 and out == ""
     assert err.startswith("netfuncomp: UsageError: --pairs entry 0")
     assert err.count("\n") == 1
+
+
+def test_simulate_builtin_defaults_to_k_2(capsys):
+    rc, out, _ = run(capsys, "simulate", "--builtin", "diamond")
+    assert rc == 0
+    assert json.loads(out)["config"] == {"model": None, "builtin": "diamond", "k": 2}
+
+
+def test_simulate_builtin_with_code_exits_2(capsys, paths):
+    # Refused before the code file is read: this one does not exist.
+    missing = str(paths["base"] / "missing_code.json")
+    rc, out, err = run(
+        capsys, "simulate", paths["diamond"], "--builtin", "diamond", "--k", "2", "--code", missing
+    )
+    assert rc == 2 and out == ""
+    assert err == "netfuncomp: UsageError: simulate takes --builtin NAME or --code FILE, not both\n"
+
+
+def test_simulate_code_with_k_exits_2(capsys, paths):
+    model = diamond_model()
+    code_path = paths["base"] / "k2_code.json"
+    code_path.write_text(
+        json.dumps(codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2))))
+    )
+    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path), "--k", "2")
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: --k applies to --builtin only")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["bounds", "{bad}"],
+        ["entropy", "{bad}"],
+        ["simulate", "{diamond}", "--code", "{bad}"],
+        ["bounds", "{diamond}", "--pairs", "{bad}"],
+    ],
+    ids=["validate-model", "bounds-model", "entropy-graph", "simulate-code", "bounds-pairs"],
+)
+def test_non_utf8_input_exits_2(capsys, paths, argv):
+    bad = paths["base"] / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    rc, out, err = run(capsys, *(a.format(bad=bad, diamond=paths["diamond"]) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: invalid input file: ")
+    assert err.count("\n") == 1
+
+
+# -- the report writer against the json module ---------------------------------
+
+
+def _round_floats(doc):
+    """The rounded deep copy the reports were once printed from."""
+    if isinstance(doc, float):
+        return float(f"{doc:.15g}")
+    if isinstance(doc, dict):
+        return {k: _round_floats(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_round_floats(v) for v in doc]
+    return doc
+
+
+def _oracle(doc) -> str:
+    return json.dumps(_round_floats(doc), sort_keys=True, indent=2)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 7
+
+
+EDGE_DOCUMENTS = {
+    "special-floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3],
+    "finite-floats": [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 2.0**70, 123456789.123456789],
+    "float-scalars": {"nan": math.nan, "inf": math.inf, "ninf": -math.inf, "zero": -0.0,
+                      "tiny": 5e-324, "big": 1e16, "sum": 0.1 + 0.2},
+    "numpy-floats": [np.float64(1 / 3), np.float64(0.1) + np.float64(0.2), 0.5],
+    "numpy-float-scalar": {"x": np.float64(2 / 3), "nan": np.float64(math.nan)},
+    "floats-with-bools-and-none": [0.5, True, None, False, 1e-7],
+    "strs-with-bools-and-none": ["a", None, True, "b", False],
+    "ints": [1, True, 0, False, -(2**70), _Level.HIGH],
+    "empty-containers": {"a": {}, "b": [], "c": [[], {}, ()], "d": {"e": [{}, []]}},
+    "tuples": (1, (2.5, "x"), ((),), [(0.1, 0.2)], ("a", "b")),
+    "strings": ["é", "☃", "\x00\x1f\x7f", 'q"uote\\back', "\n\t\r", "\ud83d", ""],
+    "string-keys": {"é": 1, "b\n": 2, "": 3, "a": {"z": None, "y": [True]}},
+    "int-keys": {10: "ten", 2: "two", -1: [0.5], _Level.LOW: 0.1 + 0.2},
+    "float-keys": {0.1 + 0.2: 1, 1e16: 2, -0.0: 3},
+    "bool-keys": {True: 1, False: 0},
+    "scalars": [None, True, 0.1 + 0.2, "x", 3],
+}
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCUMENTS.values(), ids=EDGE_DOCUMENTS.keys())
+def test_writer_matches_json_on_edge_cases(doc):
+    assert cli._dumps(doc) == _oracle(doc)
+    for item in doc.values() if isinstance(doc, dict) else doc:
+        assert cli._dumps(item) == _oracle(item)
+
+
+@pytest.mark.parametrize("doc", [{"a": object()}, [np.int64(1)], {(1, 2): 3}])
+def test_writer_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError):
+        _oracle(doc)
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+
+
+TUPLE_GRAPH = {"vertices": [["a", 0], ["a", 1], ["b", 0]], "edges": [[["a", 0], ["b", 0]]],
+               "dist": [0.5, 0.25, 0.25]}
+
+
+def test_every_report_matches_json(monkeypatch, capsys, paths):
+    base = paths["base"]
+    layered = base / "layered.json"
+    layered.write_text(json.dumps(netmodel.model_to_dict(layered_sum_model())))
+    graph = base / "tuple_graph.json"
+    graph.write_text(json.dumps(TUPLE_GRAPH))
+    rng = random.Random(1010)
+    drawn = []
+    for n in range(4):
+        path = base / f"drawn{n}.json"
+        path.write_text(json.dumps(netmodel.model_to_dict(random_model(rng))))
+        drawn.append(["bounds", str(path)])
+    d = paths["diamond"]
+    argvs = [
+        ["validate", d],
+        ["bounds", d],
+        ["bounds", str(layered)],
+        ["cuts", str(layered)],
+        ["classes", d, "--i", "s1", "--j", "s2", "--aj", "0"],
+        ["chargraph", d, "--cut", "e5,e6", "--blocks", "e5/e6", "--k", "2"],
+        ["chargraph", d, "--cut", "e5"],
+        ["entropy", paths["pentagon"]],
+        ["entropy", str(graph)],
+        ["simulate", "--builtin", "diamond", "--k", "4"],
+        ["example", "layered-sum"],
+        ["example", "diamond", "--bounds"],
+        *drawn,
+    ]
+    docs = []
+    write = cli._dumps
+    monkeypatch.setattr(cli, "_dumps", lambda doc: docs.append(doc) or write(doc))
+    for argv in argvs:
+        rc, out, err = run(capsys, *argv)
+        assert rc == 0, err
+        assert out == write(docs[-1]) + "\n"
+    assert len(docs) == len(argvs)
+    for argv, doc in zip(argvs, docs):
+        assert write(doc) == _oracle(doc), argv
+
+
+# -- golden report digests ----------------------------------------------------
+
+DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
+
+# Exact-valued reports only: the improved bound's floats come from a dense
+# eigensolver and may move in the last digits across BLAS builds.
+DIGEST_CALLS = [
+    ["validate", "diamond.json"],
+    ["classes", "diamond.json", "--i", "s1", "--j", "s2", "--aj", "0"],
+    ["cuts", "layered_sum.json"],
+    ["chargraph", "diamond.json", "--cut", "e5,e6", "--blocks", "e5/e6", "--k", "2"],
+    ["chargraph", "diamond.json", "--cut", "e5"],
+    ["entropy", "graph.json"],
+    ["simulate", "--builtin", "diamond", "--k", "4"],
+    ["example", "layered-sum"],
+]
+
+
+def report_digests(base: Path) -> dict[str, str]:
+    """SHA-256 of the stdout of every ``DIGEST_CALLS`` entry, run from ``base``.
+
+    Regenerate the stored file (after a deliberate report change) with
+    ``PYTHONPATH=src:tests python -c "import json, pathlib, tempfile, test_cli;
+    print(json.dumps(test_cli.report_digests(pathlib.Path(tempfile.mkdtemp())), indent=2))"``.
+    """
+    for name, model in (("diamond.json", diamond_model()), ("layered_sum.json", layered_sum_model())):
+        (base / name).write_text(json.dumps(netmodel.model_to_dict(model)))
+    (base / "graph.json").write_text(json.dumps(TUPLE_GRAPH))
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(base)
+    try:
+        for argv in DIGEST_CALLS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(list(argv))
+            assert rc == 0, argv
+            digests[" ".join(argv)] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return digests
+
+
+def test_reports_match_golden_digests(tmp_path):
+    stored = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    assert report_digests(tmp_path) == stored
