@@ -14,9 +14,8 @@ from .bounds import (
     basic_lower_bound,
     fixed_length_bound,
     improved_lower_bound,
-    is_pc_equivalent,
 )
-from .chargraph import CharGraph, build, layer_report, sandwich_check
+from .chargraph import CharGraph, build, layer_report
 from .codesim import (
     FixedScheme,
     RateReport,
@@ -32,7 +31,6 @@ from .entropy import (
     chromatic_entropy,
     clique_entropy,
     graph_entropy,
-    shannon_entropy,
 )
 from .equiv import EquivPartition, i_aj_classes, il_al_aj_classes, n_C
 from .errors import NetfuncompError, SizeCapError, UsageError
@@ -49,7 +47,7 @@ from .netmodel import (
     model_to_dict,
     validate,
 )
-from .pgraph import ProbGraph, and_product, complement, or_product
+from .pgraph import ProbGraph
 
 __version__ = "0.1.0"
 
@@ -71,12 +69,10 @@ __all__ = [
     "UDCode",
     "UsageError",
     "analyze_cut",
-    "and_product",
     "basic_lower_bound",
     "build",
     "chromatic_entropy",
     "clique_entropy",
-    "complement",
     "diamond_model",
     "diamond_scheme",
     "enumerate_cut_sets",
@@ -88,16 +84,12 @@ __all__ = [
     "i_aj_classes",
     "il_al_aj_classes",
     "improved_lower_bound",
-    "is_pc_equivalent",
     "layer_report",
     "load_model",
     "model_from_dict",
     "model_to_dict",
     "n_C",
-    "or_product",
-    "sandwich_check",
     "sardinas_patterson",
-    "shannon_entropy",
     "single_edge_model",
     "validate",
     "__version__",

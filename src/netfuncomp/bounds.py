@@ -51,12 +51,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import chargraph, entropy
-from .errors import (
-    BadDist,
-    OptimizerFailed,
-    SearchSpaceExceeded,
-    UsageError,
-)
+from .errors import OptimizerFailed, SearchSpaceExceeded, UsageError
 from .netmodel import (
     NetworkModel,
     StrongPartition,
@@ -311,32 +306,6 @@ def _constraint_rows(
             row[groups[key]] = 1.0
             rows.append(row)
     return np.array(rows)
-
-
-def is_pc_equivalent(
-    phat: Sequence[float],
-    model: NetworkModel,
-    partition: StrongPartition,
-    *,
-    tol: float = 1e-9,
-) -> bool:
-    """Whether ``phat`` is admissible for the improved bound at this pair.
-
-    ``phat`` is indexed like the single-shot characteristic graph vertices
-    (all blocks over I and J in canonical order).  It must be a strictly
-    positive distribution matching the source distribution's marginal on
-    every block scope.
-    """
-    graph = _Graph(model, partition)
-    p = np.asarray(phat, dtype=float)
-    if p.shape != graph.base.shape:
-        raise BadDist(f"expected {graph.base.size} masses, got {p.shape}")
-    if np.any(np.isnan(p)) or abs(float(p.sum()) - 1.0) > tol or np.any(p < -tol):
-        raise BadDist("not a probability vector")
-    if np.any(p <= 0):
-        return False
-    m = graph.rows
-    return bool(np.max(np.abs(m @ p - m @ graph.base)) <= tol)
 
 
 def _null_space(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ partitions, which also yields per-vertex layer coordinates: side
 information fiber, global class, leftover block, and the per-block class
 tuple (the bracket).  :func:`layer_report` re-derives the four-layer
 nesting from the finished adjacency alone, using only generic component
-machinery, and cross-checks it against those coordinates.
+machinery, and cross-checks it against those coordinates.  The paper's
+claim that the k-shot graph sits between the k-fold AND and OR powers of
+the single-shot graph is checked by the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -256,69 +258,3 @@ def clique_number_via_decomposition(cg: CharGraph) -> int:
         best = max(len(brackets) for brackets in by_leftover.values())
         fiber_totals[fiber] = fiber_totals.get(fiber, 0) + best
     return max(fiber_totals.values())
-
-
-@dataclass(frozen=True)
-class SandwichReport:
-    """Edge-set comparison of the k-shot graph against the k-fold powers."""
-
-    k: int
-    and_inside_k: bool
-    k_inside_or: bool
-    counterexample: tuple[str, str] | None
-    and_edges: int
-    k_edges: int
-    or_edges: int
-
-    @property
-    def ok(self) -> bool:
-        return self.and_inside_k and self.k_inside_or
-
-
-def sandwich_check(model: NetworkModel, partition: StrongPartition, k: int) -> SandwichReport:
-    """Check that the k-shot graph sits between the AND and OR powers.
-
-    Both powers are built from the single-shot graph with the generic
-    product operations, relabeled shot-wise to k-shot vertex labels, and
-    compared edge set against edge set.
-    """
-    if not 1 <= k <= 3:
-        raise UsageError("sandwich comparison is supported for k in 1..3")
-    g1 = build(model, partition, 1)
-    gk = build(model, partition, k)
-    and_g = pgraph.and_product([g1.graph] * k)
-    or_g = pgraph.or_product([g1.graph] * k)
-
-    label_of = {}
-    q = model.alphabet_size
-    by_label = {lbl: asg for lbl, asg in zip(g1.graph.vertices, g1.assignments)}
-    for combo in and_g.vertices:
-        shots = [by_label[lbl] for lbl in combo]
-        merged = tuple(
-            tuple(shots[r][ci][0] for r in range(k)) for ci in range(len(g1.order))
-        )
-        label_of[combo] = format_assignment(merged, q)
-
-    def edge_set(g: pgraph.ProbGraph, relabel: bool) -> set[frozenset[str]]:
-        out = set()
-        for u, v in g.edges():
-            if relabel:
-                out.add(frozenset((label_of[u], label_of[v])))
-            else:
-                out.add(frozenset((u, v)))
-        return out
-
-    and_edges = edge_set(and_g, relabel=True)
-    or_edges = edge_set(or_g, relabel=True)
-    k_edges = edge_set(gk.graph, relabel=False)
-
-    counter = None
-    and_in_k = and_edges <= k_edges
-    if not and_in_k:
-        counter = tuple(sorted(next(iter(and_edges - k_edges))))
-    k_in_or = k_edges <= or_edges
-    if counter is None and not k_in_or:
-        counter = tuple(sorted(next(iter(k_edges - or_edges))))
-    return SandwichReport(
-        k, and_in_k, k_in_or, counter, len(and_edges), len(k_edges), len(or_edges)
-    )

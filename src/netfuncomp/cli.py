@@ -170,8 +170,7 @@ def _parse_partition(
 def _search_config(args) -> bounds.SearchConfig:
     pairs = None
     if getattr(args, "pairs", None):
-        with open(args.pairs, encoding="utf-8") as fh:
-            listed = json.load(fh)
+        listed = netmodel.read_json(args.pairs)
         if not isinstance(listed, list):
             raise UsageError("--pairs file must hold a JSON list of {cut, blocks}")
         pairs = tuple(_pair_entry(n, item) for n, item in enumerate(listed))
@@ -360,8 +359,7 @@ def _vertex(label):
 
 
 def _cmd_entropy(args) -> None:
-    with open(args.graph, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = netmodel.read_json(args.graph)
     what = "malformed graph document"
     try:
         vertices = netmodel.json_list(doc["vertices"], f"{what}: vertices")
@@ -437,6 +435,10 @@ def _cmd_simulate(args) -> None:
             raise UsageError(f"unknown builtin scheme {args.builtin!r}")
         k = 2 if args.k is None else args.k
         model = examples.diamond_model() if args.model is None else _load(args.model)
+        if model.num_sources != 3:
+            raise UsageError(
+                f"the diamond scheme needs a model with three sources, not {model.num_sources}"
+            )
         scheme = codesim.diamond_scheme(k)
         code = codesim.huffman_transform(model, scheme)
         source = {"builtin": args.builtin, "k": k}
@@ -446,9 +448,7 @@ def _cmd_simulate(args) -> None:
         if args.model is None:
             raise UsageError("simulate --code needs a model file")
         model = _load(args.model)
-        with open(args.code, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        code = codesim.code_from_dict(model, doc)
+        code = codesim.code_from_dict(model, netmodel.read_json(args.code))
         source = {"code": args.code}
     report = codesim.evaluate(model, code)
     _emit(
@@ -547,12 +547,6 @@ def main(argv: list[str] | None = None) -> int:
         return exc.exit_code
     except OSError as exc:
         print(f"netfuncomp: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"netfuncomp: invalid JSON: {exc}", file=sys.stderr)
-        return 2
-    except UnicodeDecodeError as exc:
-        print(f"netfuncomp: invalid input file: {exc}", file=sys.stderr)
         return 2
     return 0
 

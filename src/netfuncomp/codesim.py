@@ -17,6 +17,10 @@ images.  The built-in :func:`diamond_scheme` routes half of the shared
 source's block through each relay of the diamond network so both relay
 edges carry a partial sum.
 
+Whether a code's cut words color a characteristic graph, one of the
+paper's claims, is checked by a per-block test oracle in
+``tests/oracles.py`` rather than here.
+
 Every sweep walks the q^(k*s) blocks in one order, source 0 most
 significant and then shot 0, in numpy chunks of ``CHUNK_BLOCKS`` blocks
 (:func:`_sweep`).  Sweeps above ``MAX_BLOCKS`` blocks raise DomainTooLarge
@@ -39,7 +43,6 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import chargraph, pgraph
 from .errors import (
     DomainMismatch,
     DomainTooLarge,
@@ -50,9 +53,7 @@ from .errors import (
 from .netmodel import (
     Edge,
     NetworkModel,
-    StrongPartition,
     _context,
-    format_assignment,
     json_int,
     parse_assignment,
 )
@@ -591,8 +592,11 @@ def huffman_transform(model: NetworkModel, scheme: FixedScheme) -> UDCode:
     The sweep records each edge's image distribution under the i.i.d.
     k-shot source law, checks that the scheme is locally realizable (each
     edge's value must be a function of what that edge can see), and emits
-    the composed lookup tables.
+    the composed lookup tables.  A scheme whose edge functions are not
+    keyed by exactly the model's edge ids raises DomainMismatch.
     """
+    if set(scheme.edge_functions) != {e.id for e in model.edges}:
+        raise DomainMismatch("scheme must define exactly one edge function per edge")
     k = scheme.k
     q = model.alphabet_size
     source_pos = {s: i for i, s in enumerate(model.sources)}
@@ -682,60 +686,7 @@ def diamond_scheme(k: int) -> FixedScheme:
     return FixedScheme("diamond-split", k, functions, decode)
 
 
-def cut_coloring_check(model: NetworkModel, code: UDCode, partition: StrongPartition) -> bool:
-    """Whether the code's cut words color the characteristic graph at the code's k.
-
-    The tuple of words carried by the cut edges is computed for every input
-    block and projected onto the graph's vertices; the check passes when
-    every edge of the graph receives two distinct tuples.  Cut words that
-    depend on sources outside the cut's K set mean ``partition.cut`` does
-    not belong to ``model``, which raises UsageError.
-    """
-    k, cut = code.k, partition.cut
-    cg = chargraph.build(model, partition, k)
-    enc = _Encoders(model, code)
-    order_pos = [enc.source_pos[s] for s in cg.order]
-    width = model.alphabet_size**k
-    colors = _Interner()
-    first = _FirstValue()
-    for chunk in _sweep(model, k):
-        ids = enc.forward(chunk)
-        missing = _first_missing(chunk.n, ids.values())
-        color = colors(_stack([ids[eid] for eid in cut.cut], chunk.n))
-        # The vertex index of a block: its K-set columns in mixed radix,
-        # the order in which chargraph enumerates its assignments.
-        vertex = np.zeros(chunk.n, dtype=np.int64)
-        for p in order_pos:
-            vertex = vertex * width + chunk.cols[p]
-        clash = first.violation(vertex, color)
-        if clash is not None and (missing is None or clash < missing):
-            raise UsageError(
-                f"cut {','.join(cut.cut)} carries words that depend on sources "
-                "outside its K set; the cut analysis does not match the model"
-            )
-        if missing is not None:
-            enc.raise_missing(chunk, ids, missing)
-    return pgraph.is_coloring(cg.graph, dict(zip(cg.graph.vertices, first.first.tolist())))
-
-
-# -- JSON round trip for code tables ------------------------------------------
-
-
-def code_to_dict(model: NetworkModel, code: UDCode) -> dict:
-    """JSON form of a code; source-edge keys are written like ``format_assignment``."""
-    q = model.alphabet_size
-    source_names = set(model.sources)
-    enc_doc: dict[str, dict] = {}
-    for e in model.edges:
-        table = code.encoders[e.id]
-        if e.tail in source_names:
-            enc_doc[e.id] = {
-                format_assignment((key,), q): w for key, w in sorted(table.items())
-            }
-        else:
-            enc_doc[e.id] = {",".join(key): w for key, w in sorted(table.items())}
-    dec_doc = {",".join(key): list(out) for key, out in sorted(code.decoder.items())}
-    return {"k": code.k, "encoders": enc_doc, "decoder": dec_doc}
+# -- code tables from JSON ----------------------------------------------------
 
 
 def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:

@@ -18,9 +18,11 @@ whenever the graph decomposes recursively into disjoint unions and joins:
 
 A graph this recursion cannot exhaust falls back on the complement identity
 (clique entropy plus the complement's Koerner entropy equals the Shannon
-entropy) with the Koerner side computed numerically.  The recursion emits a
-:class:`DecompositionTree` certificate, whose shape depends only on
-adjacency.
+entropy) with the Koerner side computed numerically.  The recursion is the
+package's only split detection: each node of the
+:class:`DecompositionTree` certificate it emits names the split it found
+(``IsolatedSplit`` for components, ``CCSplit`` for join blocks), and the
+tree's shape depends only on adjacency.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import pgraph
-from .errors import BadDist, NoConvergence, TooLarge
-from .pgraph import ProbGraph, _bits, _complement_masks, _mwis_mask
+from .errors import NoConvergence, TooLarge
+from .pgraph import ProbGraph, _bits, _complement_masks, _components, _mwis_mask
 
 METHOD_EXACT = "ExactDecomposition"
 METHOD_NUMERIC = "NumericFallback"
@@ -48,14 +49,6 @@ FW_MAX_ITER = 100_000
 """Frank-Wolfe iterations before NoConvergence is raised."""
 
 _LN2 = math.log(2.0)
-
-
-def shannon_entropy(dist: Sequence) -> float:
-    """Entropy of a probability vector, in bits."""
-    total = sum(dist)
-    if any(p < 0 for p in dist) or abs(total - 1) > 1e-9:
-        raise BadDist(f"not a distribution (sum {float(total)!r})")
-    return _entropy_of_masses(list(dist))
 
 
 @dataclass(frozen=True)
@@ -145,11 +138,11 @@ def _decompose(
     if edge_bits == n * (n - 1) // 2:
         return DecompositionTree("CompleteLeaf", ids, _entropy_of_masses([masses[i] for i in ids]))
     full = (1 << n) - 1
-    comps = pgraph._components(sub, full)
+    comps = _components(sub, full)
     if len(comps) > 1:
         return _split_node("IsolatedSplit", adj, masses, ids, comps, cap)
     co = _complement_masks(sub)
-    comps = pgraph._components(co, full)
+    comps = _components(co, full)
     if len(comps) > 1:
         return _split_node("CCSplit", adj, masses, ids, comps, cap)
     if n > cap:
@@ -387,18 +380,3 @@ def chromatic_entropy(g: ProbGraph) -> EntropyResult:
     rec(0)
     blocks = tuple(tuple(g.vertices[i] for i in blk) for blk in best_blocks)
     return EntropyResult(best, METHOD_BRUTE, blocks)
-
-
-def clique_entropy_product_check(graphs: Sequence[ProbGraph]) -> dict:
-    """Clique entropy of the AND product versus the sum over factors."""
-    product = pgraph.and_product(graphs)
-    prod_res = clique_entropy(product)
-    parts = [clique_entropy(g) for g in graphs]
-    sum_value = sum(r.value for r in parts)
-    return {
-        "product_value": prod_res.value,
-        "sum_value": sum_value,
-        "delta": prod_res.value - sum_value,
-        "product_method": prod_res.method,
-        "factor_values": [r.value for r in parts],
-    }

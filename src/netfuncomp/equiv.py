@@ -33,13 +33,10 @@ from typing import Iterable
 from .errors import DomainTooLarge, NotAClass, OverlappingSets, UsageError
 from .netmodel import (
     Assignment,
-    CutAnalysis,
     NetworkModel,
     StrongPartition,
-    analyze_cut,
     assignment_count,
     enumerate_assignments,
-    enumerate_strong_partitions,
     restrict_sources,
 )
 
@@ -293,12 +290,3 @@ def n_C(model: NetworkModel, partition: StrongPartition) -> int:
         )
         best = max(best, total)
     return best
-
-
-def n_C_f(model: NetworkModel, cut: CutAnalysis | Iterable[str]) -> int:
-    """The count maximized over all strong partitions of the cut set."""
-    if not isinstance(cut, CutAnalysis):
-        cut = analyze_cut(model, cut)
-    return max(
-        n_C(model, partition) for partition in enumerate_strong_partitions(model, cut)
-    )

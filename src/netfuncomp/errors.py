@@ -67,29 +67,13 @@ class NotAClass(NetfuncompError):
     """Supplied vertex set is not one of the equivalence classes."""
 
 
-# probabilistic graphs
-
-class EmptyList(NetfuncompError):
-    pass
-
-
-class NotAutonomous(NetfuncompError):
-    pass
-
-
-class ZeroMass(NetfuncompError):
-    pass
-
+# graphs
 
 class TooLarge(SizeCapError):
     pass
 
 
 # entropies
-
-class BadDist(NetfuncompError):
-    """Distribution argument is negative somewhere or not normalized."""
-
 
 class NoConvergence(NetfuncompError):
     """Iterative solver hit its iteration cap above the gap tolerance."""

@@ -116,12 +116,6 @@ class NetworkModel:
     def symbols(self) -> range:
         return range(self.alphabet_size)
 
-    def edge_by_id(self, edge_id: str) -> Edge:
-        for e in self.edges:
-            if e.id == edge_id:
-                return e
-        raise UnknownEdgeId(edge_id)
-
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.head == node)
 
@@ -271,15 +265,21 @@ def model_to_dict(model: NetworkModel) -> dict:
     }
 
 
-def load_model(path: str) -> NetworkModel:
+def read_json(path: str):
+    """The JSON document in a UTF-8 file; a bad file raises UsageError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: invalid JSON: {exc}") from exc
-    return model_from_dict(doc)
+
+
+def load_model(path: str) -> NetworkModel:
+    return model_from_dict(read_json(path))
 
 
 # -- validation ---------------------------------------------------------------

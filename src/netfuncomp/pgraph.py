@@ -1,11 +1,11 @@
 """Probabilistic graphs: finite simple graphs with a vertex distribution.
 
-These carry everything the entropy layer needs: complement, AND/OR graph
-powers, conditioning on a vertex subset, contraction of an autonomous set
-to a single vertex, and the split detection that drives the recursive
-entropy decomposition.  Exact maximum clique and maximum-weight independent
-set solvers live here too; both are branch-and-bound over bitmask adjacency
-and are deterministic, including their tie-breaking.
+A :class:`ProbGraph` holds its adjacency as one bitmask per vertex.  The
+entropy layer works on those masks directly: complement masks, connected
+components (the split detection of its recursive decomposition) and an
+exact maximum-weight independent set, a deterministic branch and bound
+that is the Frank-Wolfe linear oracle.  :func:`to_dot` writes the Graphviz
+form that ``chargraph --dot`` exports.
 
 Vertex labels are opaque hashables with a fixed order; all algorithms work
 on indices into that order, so two graphs built from the same input compare
@@ -14,12 +14,9 @@ and iterate identically.
 
 from __future__ import annotations
 
-import itertools
-import math
-from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Sequence
 
-from .errors import EmptyList, NotAutonomous, TooLarge, UsageError, ZeroMass
+from .errors import UsageError
 
 Label = Hashable
 
@@ -107,124 +104,6 @@ def _complement_masks(adj: Sequence[int]) -> list[int]:
     return [full & ~m & ~(1 << i) for i, m in enumerate(adj)]
 
 
-def complement(g: ProbGraph) -> ProbGraph:
-    co = _complement_masks(g.adjacency_masks())
-    edges = [(g.vertices[i], g.vertices[j]) for i in range(g.n) for j in _bits(co[i]) if j > i]
-    return ProbGraph(g.vertices, edges, g.dist)
-
-
-def _product(graphs: Sequence[ProbGraph], conjunctive: bool) -> ProbGraph:
-    if not graphs:
-        raise EmptyList("product of zero graphs")
-    index_combos = list(itertools.product(*(range(g.n) for g in graphs)))
-    verts = [
-        tuple(g.vertices[i] for g, i in zip(graphs, combo)) for combo in index_combos
-    ]
-    dist = [
-        math.prod(g.dist[i] for g, i in zip(graphs, combo)) for combo in index_combos
-    ]
-    adjs = [g.adjacency_masks() for g in graphs]
-    edges = []
-    for a in range(len(index_combos)):
-        ca = index_combos[a]
-        for b in range(a + 1, len(index_combos)):
-            cb = index_combos[b]
-            hit = False
-            ok = True
-            for adj, ia, ib in zip(adjs, ca, cb):
-                if ia == ib:
-                    continue
-                if adj[ia] >> ib & 1:
-                    hit = True
-                elif conjunctive:
-                    ok = False
-                    break
-            if conjunctive:
-                if ok:
-                    edges.append((verts[a], verts[b]))
-            elif hit:
-                edges.append((verts[a], verts[b]))
-    return ProbGraph(verts, edges, dist)
-
-
-def and_product(graphs: Sequence[ProbGraph]) -> ProbGraph:
-    """Conjunctive power: distinct tuples joined iff every differing coordinate is."""
-    return _product(graphs, conjunctive=True)
-
-
-def or_product(graphs: Sequence[ProbGraph]) -> ProbGraph:
-    """Disjunctive power: distinct tuples joined iff some differing coordinate is."""
-    return _product(graphs, conjunctive=False)
-
-
-def project(g: ProbGraph, subset: Iterable[Label]) -> ProbGraph:
-    """Induced subgraph with the distribution renormalized to ``subset``."""
-    wanted = set(subset)
-    keep = [v for v in g.vertices if v in wanted]
-    if not keep:
-        raise UsageError("projection onto an empty vertex set")
-    mass = g.mass(keep)
-    if mass == 0:
-        raise ZeroMass("projection target has zero probability")
-    kept = set(keep)
-    edges = [(u, v) for u, v in g.edges() if u in kept and v in kept]
-    dist = [g.dist[g.index(v)] / mass for v in keep]
-    return ProbGraph(keep, edges, dist)
-
-
-def outside_neighborhood(g: ProbGraph, subset: Iterable[Label]) -> frozenset[Label] | None:
-    """The common neighborhood outside ``subset``, or None if members disagree."""
-    wanted = set(subset)
-    members = [v for v in g.vertices if v in wanted]
-    inside = set(members)
-    common: frozenset[Label] | None = None
-    for v in members:
-        outside = frozenset(u for u in g.neighbors(v) if u not in inside)
-        if common is None:
-            common = outside
-        elif common != outside:
-            return None
-    return common if common is not None else frozenset()
-
-
-def replace(g: ProbGraph, subset: Iterable[Label], new_label: Label) -> ProbGraph:
-    """Contract an autonomous set to one vertex carrying its total mass."""
-    wanted = set(subset)
-    members = [v for v in g.vertices if v in wanted]
-    if not members:
-        raise UsageError("cannot replace an empty vertex set")
-    common = outside_neighborhood(g, members)
-    if common is None:
-        raise NotAutonomous("members disagree on their outside neighborhood")
-    mass = g.mass(members)
-    if mass == 0:
-        raise ZeroMass("replaced set has zero probability")
-    inside = set(members)
-    if new_label in set(g.vertices) - inside:
-        raise UsageError(f"label {new_label!r} already present")
-    slot = g.index(members[0])
-    verts: list[Label] = []
-    dist = []
-    for i, v in enumerate(g.vertices):
-        if i == slot:
-            verts.append(new_label)
-            dist.append(mass)
-        elif v not in inside:
-            verts.append(v)
-            dist.append(g.dist[i])
-    edges = [(u, v) for u, v in g.edges() if u not in inside and v not in inside]
-    edges.extend((new_label, u) for u in common)
-    return ProbGraph(verts, edges, dist)
-
-
-@dataclass(frozen=True)
-class AutonomousSplit:
-    """Result of split detection: block lists are orderd by least vertex index."""
-
-    kind: str | None  # "Isolated" | "CompletelyConnected" | None
-    blocks: tuple[tuple[Label, ...], ...]
-
-
 def _components(adj: Sequence[int], mask: int) -> list[int]:
     comps = []
     rest = mask
@@ -243,88 +122,12 @@ def _components(adj: Sequence[int], mask: int) -> list[int]:
     return comps
 
 
-def autonomous_split(g: ProbGraph) -> AutonomousSplit:
-    """Detect a disjoint-union or join structure.
-
-    If the graph is disconnected the connected components form autonomous,
-    pairwise isolated blocks; otherwise, if the complement is disconnected,
-    its components form autonomous, pairwise completely connected blocks.
-    A connected graph with connected complement yields kind None.
-    """
-    full = (1 << g.n) - 1
-    comps = _components(g.adjacency_masks(), full)
-    if len(comps) > 1:
-        return AutonomousSplit("Isolated", _blocks_of(g, comps))
-    comps = _components(_complement_masks(g.adjacency_masks()), full)
-    if len(comps) > 1:
-        return AutonomousSplit("CompletelyConnected", _blocks_of(g, comps))
-    return AutonomousSplit(None, ((tuple(g.vertices)),))
-
-
-def _blocks_of(g: ProbGraph, comps: list[int]) -> tuple[tuple[Label, ...], ...]:
-    blocks = [tuple(g.vertices[i] for i in _bits(m)) for m in comps]
-    blocks.sort(key=lambda b: g.index(b[0]))
-    return tuple(blocks)
-
-
-def clique_number(g: ProbGraph) -> int:
-    """Exact maximum clique size via branch and bound with pivoting."""
-    if g.n > 64:
-        raise TooLarge(f"{g.n} vertices; exact clique search is capped at 64")
-    adj = g.adjacency_masks()
-    best = 0
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if size > best:
-                best = size
-            return
-        if size + cand.bit_count() <= best:
-            return
-        pivot = -1
-        pivot_deg = -1
-        for i in _bits(cand):
-            d = (cand & adj[i]).bit_count()
-            if d > pivot_deg:
-                pivot_deg = d
-                pivot = i
-        branch = cand & ~adj[pivot]
-        while branch:
-            low = branch & -branch
-            v = low.bit_length() - 1
-            expand(size + 1, cand & adj[v])
-            cand ^= low
-            branch ^= low
-            if size + cand.bit_count() <= best:
-                return
-
-    expand(0, (1 << g.n) - 1)
-    return best
-
-
-def max_weight_independent_set(
-    g: ProbGraph, weights: Mapping[Label, float] | Sequence[float]
-) -> frozenset[Label]:
-    """Exact maximum-weight independent set for nonnegative weights.
-
-    Among optimal sets the first in lexicographic vertex-index order wins,
-    so identical inputs always return the identical set.
-    """
-    if isinstance(weights, Mapping):
-        w = [float(weights[v]) for v in g.vertices]
-    else:
-        w = [float(x) for x in weights]
-        if len(w) != g.n:
-            raise UsageError("weight vector length does not match vertex count")
-    if any(x < 0 for x in w):
-        raise UsageError("weights must be nonnegative")
-    _, mask = _mwis_mask(g.adjacency_masks(), w)
-    return frozenset(g.vertices[i] for i in _bits(mask))
-
-
 def _mwis_mask(adj: Sequence[int], weights: Sequence[float]) -> tuple[float, int]:
-    """Branch and bound on bitmasks; include-first search keeps ties canonical."""
+    """Exact maximum-weight independent set for nonnegative weights: (weight, mask).
+
+    Branch and bound on bitmasks; the include-first search keeps ties
+    canonical, so identical inputs always return the identical set.
+    """
     n = len(weights)
     best_w = -1.0
     best_mask = 0
@@ -348,11 +151,6 @@ def _mwis_mask(adj: Sequence[int], weights: Sequence[float]) -> tuple[float, int
 
     go((1 << n) - 1, 0, 0.0)
     return best_w, best_mask
-
-
-def is_coloring(g: ProbGraph, coloring: Mapping[Label, Hashable]) -> bool:
-    """True when every edge of the graph receives two distinct colors."""
-    return all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
 def to_dot(g: ProbGraph, name: str = "G") -> str:

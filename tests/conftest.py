@@ -103,7 +103,7 @@ def _reachable(model: NetworkModel, start: str, removed: frozenset[str]) -> set[
 def brute_cut_sets(model: NetworkModel, cut_ids) -> tuple[set[str], set[str], set[str]]:
     """(K, I, J) for an edge set, from scratch."""
     ids = frozenset(cut_ids)
-    tails = {model.edge_by_id(eid).tail for eid in ids}
+    tails = {e.tail for e in model.edges if e.id in ids}
     k_set = {
         s
         for s in model.sources

@@ -19,6 +19,7 @@ from conftest import GRID_MAX_DIM, grid_scan, random_model
 from netfuncomp import bounds, chargraph, entropy, equiv, errors, netmodel, pgraph
 from netfuncomp.bounds import SearchConfig
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
+from oracles import is_pc_equivalent
 
 BASIC = 7 / 4 - (3 / 8) * math.log2(3)
 IMPROVED = 0.5 * math.log2(5)
@@ -85,12 +86,12 @@ def test_improved_optimum_is_admissible(diamond, improved_report):
         p for p in improved_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS)
     )
     part = netmodel.enumerate_strong_partitions(diamond, WITNESS_CUT)[1]
-    assert bounds.is_pc_equivalent(top.details["opt_dist"], diamond, part, tol=1e-8)
-    assert bounds.is_pc_equivalent(OPT_ATOMS, diamond, part)
+    assert is_pc_equivalent(top.details["opt_dist"], diamond, part, tol=1e-8)
+    assert is_pc_equivalent(OPT_ATOMS, diamond, part)
     skewed = [0.2, 0.05, 0.1, 0.15, 0.15, 0.1, 0.15, 0.1]
-    assert not bounds.is_pc_equivalent(skewed, diamond, part)
-    with pytest.raises(errors.BadDist):
-        bounds.is_pc_equivalent([0.5, 0.5], diamond, part)
+    assert not is_pc_equivalent(skewed, diamond, part)
+    with pytest.raises(errors.UsageError):
+        is_pc_equivalent([0.5, 0.5], diamond, part)
 
 
 def test_grid_oracle_agrees_on_witness_pair(diamond):

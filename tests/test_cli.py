@@ -26,6 +26,7 @@ import pytest
 from conftest import random_model
 from netfuncomp import chargraph, cli, codesim, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
+from oracles import code_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +314,7 @@ def test_simulate_code_file(capsys, paths):
     model = diamond_model()
     code = codesim.huffman_transform(model, codesim.diamond_scheme(2))
     code_path = paths["base"] / "code.json"
-    code_path.write_text(json.dumps(codesim.code_to_dict(model, code)))
+    code_path.write_text(json.dumps(code_to_dict(model, code)))
     rc, out, _ = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
     assert rc == 0
     assert json.loads(out)["result"]["max_rate"] == 1.25
@@ -321,7 +322,7 @@ def test_simulate_code_file(capsys, paths):
 
 def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):
     model = diamond_model()
-    good = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    good = code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
     code_path = paths["base"] / "bad_code.json"
     # Not a symbol, one symbol short of k = 2, and a symbol outside q = 2.
     for key in ("a", "0", "20"):
@@ -373,7 +374,7 @@ def _builtin_reference(doc):
 )
 def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
     model = diamond_model()
-    doc = codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    doc = code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
     corrupt(doc)
     code_path = paths["base"] / f"{corrupt.__name__}.json"
     code_path.write_text(json.dumps(doc))
@@ -420,6 +421,49 @@ def test_traced_names_resolve():
     model = diamond_model()
     part = netmodel.enumerate_strong_partitions(model, ("e5", "e6"))[1]
     assert chargraph.build(model, part).cut is part.cut
+
+
+def _names(node) -> set[str]:
+    """Every ``Name`` id and ``Attribute`` attr under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_shipped_definition_has_a_caller():
+    # Test-only oracles live in tests/oracles.py; the package ships what the
+    # CLI, module-level code or the benchmark's traced names can reach.
+    root = Path(__file__).resolve().parents[1]
+    tracing = ast.parse((root / "bench" / "tracing.py").read_text(encoding="utf-8"))
+    (wrapped,) = [
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets)
+    ]
+    defs: dict[str, list] = {}
+    referenced = {name for _, name in wrapped}
+    for path in sorted((root / "src" / "netfuncomp").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append((f"{path.stem}.{node.name}", node))
+                if (path.stem, node.name) == ("cli", "main"):
+                    referenced |= _names(node)
+            else:
+                referenced |= _names(node)
+    reached: set[str] = set()
+    while True:
+        fresh = (referenced & defs.keys()) - reached
+        if not fresh:
+            break
+        reached |= fresh
+        for name in fresh:
+            for _, node in defs[name]:
+                referenced |= _names(node)
+    unreached = sorted(q for name in defs.keys() - reached for q, _ in defs[name])
+    assert not unreached, "no caller: " + ", ".join(unreached)
 
 
 def test_simulate_requires_a_code_source(capsys, paths):
@@ -505,7 +549,7 @@ def test_simulate_code_with_k_exits_2(capsys, paths):
     model = diamond_model()
     code_path = paths["base"] / "k2_code.json"
     code_path.write_text(
-        json.dumps(codesim.code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2))))
+        json.dumps(code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2))))
     )
     rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path), "--k", "2")
     assert rc == 2 and out == ""
@@ -529,7 +573,47 @@ def test_non_utf8_input_exits_2(capsys, paths, argv):
     bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
     rc, out, err = run(capsys, *(a.format(bad=bad, diamond=paths["diamond"]) for a in argv))
     assert rc == 2 and out == ""
-    assert err.startswith("netfuncomp: invalid input file: ")
+    assert err.startswith(f"netfuncomp: UsageError: {bad}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{bad}"],
+        ["entropy", "{bad}"],
+        ["simulate", "{diamond}", "--code", "{bad}"],
+        ["bounds", "{diamond}", "--pairs", "{bad}"],
+    ],
+    ids=["model", "entropy-graph", "simulate-code", "bounds-pairs"],
+)
+@pytest.mark.parametrize("content", ["{not json", None], ids=["broken", "missing"])
+def test_file_diagnostics_name_the_file(capsys, paths, argv, content):
+    bad = paths["base"] / "bad_input.json"
+    if content is None:
+        bad.unlink(missing_ok=True)
+    else:
+        bad.write_text(content)
+    rc, out, err = run(capsys, *(a.format(bad=bad, diamond=paths["diamond"]) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: ") and str(bad) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["single", "two-sources"])
+def test_builtin_scheme_on_a_model_it_does_not_fit_exits_2(capsys, paths, model):
+    path = paths["single"]
+    if model == "two-sources":
+        # The diamond's six edge ids, with s3's edge moved to s1.
+        edges = netmodel.model_to_dict(diamond_model())["edges"]
+        edges[3] = {"id": "e4", "tail": "s1", "head": "v2"}
+        path = _model_file(
+            paths["base"], "two_sources", nodes=["s1", "s2", "v1", "v2", "t"], edges=edges,
+            sources=["s1", "s2"], function=[0, 1, 1, 2], distribution=[0.25] * 4,
+        )
+    rc, out, err = run(capsys, "simulate", path, "--builtin", "diamond")
+    assert rc == 2 and out == ""
+    assert err.startswith("netfuncomp: UsageError: the diamond scheme needs a model with three")
     assert err.count("\n") == 1
 
 

@@ -3,7 +3,8 @@
 The split scheme on the diamond network at k = 2 must be admissible with
 exact dyadic Huffman rates (source edges 1.0, half-block edges 0.5, relay
 edges 1.25) and its relay words must properly color the characteristic
-graph of the sink cut under both strong partitions.
+graph of the sink cut under both strong partitions (checked by the
+per-block coloring oracle in ``oracles.py``).
 
 The chunked numpy sweep is checked bit for bit against a per-block loop
 kept here as the reference: same floats, same tables, same verdicts and
@@ -12,15 +13,15 @@ the domain.
 """
 
 import dataclasses
-import itertools
 import json
 
 import numpy as np
 import pytest
 
-from netfuncomp import chargraph, codesim, errors, netmodel
+from netfuncomp import codesim, errors, netmodel
 from netfuncomp.codesim import FixedScheme, UDCode
 from netfuncomp.examples import diamond_model, single_edge_model
+from oracles import blocks, code_to_dict, ref_cut_coloring_check, ref_forward
 
 
 @pytest.fixture(scope="module")
@@ -80,7 +81,7 @@ def test_diamond_scheme_rejects_odd_k():
 
 def test_cut_words_color_the_characteristic_graph(diamond, diamond_code):
     for part in netmodel.enumerate_strong_partitions(diamond, ("e5", "e6")):
-        assert codesim.cut_coloring_check(diamond, diamond_code, part)
+        assert ref_cut_coloring_check(diamond, diamond_code, part)
 
 
 def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
@@ -96,7 +97,7 @@ def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
         cut=forged, blocks=(("e5",),), i_sets=(frozenset({"s1"}),), l_set=frozenset()
     )
     with pytest.raises(errors.UsageError, match="does not match the model"):
-        codesim.cut_coloring_check(diamond, diamond_code, part)
+        ref_cut_coloring_check(diamond, diamond_code, part)
 
 
 def test_corrupt_decoder_entry_breaks_admissibility(diamond, diamond_code):
@@ -129,6 +130,15 @@ def test_evaluate_rejects_wrong_edge_set(diamond, diamond_code):
         codesim.evaluate(diamond, UDCode(2, encoders, diamond_code.decoder))
 
 
+def test_scheme_for_other_edges_is_rejected(diamond):
+    # The diamond scheme names e1..e6; the single-edge model has only e1.
+    with pytest.raises(errors.DomainMismatch, match="one edge function per edge"):
+        codesim.huffman_transform(single_edge_model(), codesim.diamond_scheme(2))
+    functions = dict(codesim.diamond_scheme(2).edge_functions, e7=lambda xs: xs[0])
+    with pytest.raises(errors.DomainMismatch, match="one edge function per edge"):
+        codesim.huffman_transform(diamond, FixedScheme("extra", 2, functions, lambda v: v["e5"]))
+
+
 def test_unrealizable_scheme_is_rejected(diamond):
     base = codesim.diamond_scheme(2)
     functions = dict(base.edge_functions)
@@ -140,7 +150,7 @@ def test_unrealizable_scheme_is_rejected(diamond):
 
 
 def test_code_round_trips_through_json(diamond, diamond_code):
-    doc = json.loads(json.dumps(codesim.code_to_dict(diamond, diamond_code)))
+    doc = json.loads(json.dumps(code_to_dict(diamond, diamond_code)))
     code = codesim.code_from_dict(diamond, doc)
     report = codesim.evaluate(diamond, code)
     assert report.admissible
@@ -148,7 +158,7 @@ def test_code_round_trips_through_json(diamond, diamond_code):
 
 
 def test_code_from_dict_rejects_missing_edge(diamond, diamond_code):
-    doc = codesim.code_to_dict(diamond, diamond_code)
+    doc = code_to_dict(diamond, diamond_code)
     del doc["encoders"]["e6"]
     with pytest.raises(errors.UsageError):
         codesim.code_from_dict(diamond, doc)
@@ -164,7 +174,7 @@ def test_code_over_large_alphabet_round_trips_through_json():
         encoders={"e1": {(i,): w for i, w in words.items()}},
         decoder={(w,): (i,) for i, w in words.items()},
     )
-    doc = json.loads(json.dumps(codesim.code_to_dict(model, code)))
+    doc = json.loads(json.dumps(code_to_dict(model, code)))
     assert "10" in doc["encoders"]["e1"]
     report = codesim.evaluate(model, codesim.code_from_dict(model, doc))
     assert report.admissible
@@ -184,32 +194,11 @@ def _one_key(decoder, values):
     return tuple(np.asarray(decoder({d: np.array([v]) for d, v in values.items()}))[0].tolist())
 
 
-def _blocks(model, k):
-    columns = list(itertools.product(range(model.alphabet_size), repeat=k))
-    return itertools.product(columns, repeat=model.num_sources)
-
-
 def _block_prob(model, xs, k):
     p = 1.0
     for r in range(k):
         p *= model.distribution[model.arg_index([col[r] for col in xs])]
     return p
-
-
-def _ref_forward(model, code, xs):
-    edges = codesim._edges_in_topo_order(model)
-    source_pos = {s: i for i, s in enumerate(model.sources)}
-    y = {}
-    for e in edges:
-        if e.tail in source_pos:
-            key = xs[source_pos[e.tail]]
-        else:
-            key = tuple(y[d] for d in codesim._in_ids(model, e.tail))
-        try:
-            y[e.id] = code.encoders[e.id][key]
-        except KeyError:
-            raise errors.DomainMismatch(f"edge {e.id} has no entry for {key!r}") from None
-    return y
 
 
 def ref_evaluate(model, code):
@@ -221,10 +210,10 @@ def ref_evaluate(model, code):
     sink_ids = codesim._in_ids(model, model.sink)
     lengths = {e.id: 0.0 for e in model.edges}
     admissible = True
-    for xs in _blocks(model, k):
+    for xs in blocks(model, k):
         p = _block_prob(model, xs, k)
         truth = model.f_rows(dict(zip(model.sources, xs)), k)
-        y = _ref_forward(model, code, xs)
+        y = ref_forward(model, code, xs)
         for eid, w in y.items():
             lengths[eid] += p * len(w)
         dec_key = tuple(y[d] for d in sink_ids)
@@ -247,7 +236,7 @@ def ref_huffman_transform(model, scheme):
     image = {e.id: {} for e in model.edges}
     local = {e.id: {} for e in model.edges}
     dec_vals = {}
-    for xs in _blocks(model, k):
+    for xs in blocks(model, k):
         p = _block_prob(model, xs, k)
         vals = {}
         for e in edges:
@@ -279,20 +268,6 @@ def ref_huffman_transform(model, scheme):
         for key, out in dec_vals.items()
     }
     return UDCode(k=k, encoders=encoders, decoder=decoder)
-
-
-def ref_cut_coloring_check(model, code, partition):
-    k, cut = code.k, partition.cut
-    cg = chargraph.build(model, partition, k)
-    source_pos = {s: i for i, s in enumerate(model.sources)}
-    colors = {}
-    for xs in _blocks(model, k):
-        y = _ref_forward(model, code, xs)
-        word = tuple(y[eid] for eid in cut.cut)
-        if colors.setdefault(tuple(xs[source_pos[s]] for s in cg.order), word) != word:
-            raise errors.UsageError("the cut analysis does not match the model")
-    coloring = {lbl: colors[asg] for asg, lbl in zip(cg.assignments, cg.graph.vertices)}
-    return all(coloring[u] != coloring[v] for u, v in cg.graph.edges())
 
 
 def _same_report(got, want):
@@ -346,13 +321,6 @@ def test_sweep_matches_the_per_block_loop(monkeypatch, diamond, skewed, scheme, 
         assert code.encoders == want.encoders
         assert code.decoder == want.decoder
         _same_report(codesim.evaluate(model, code), ref_evaluate(model, want))
-    if scheme.k > 2:
-        return
-    for cut in netmodel.enumerate_cut_sets(skewed):
-        for part in netmodel.enumerate_strong_partitions(skewed, cut):
-            assert codesim.cut_coloring_check(skewed, code, part) == ref_cut_coloring_check(
-                skewed, want, part
-            )
 
 
 def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):

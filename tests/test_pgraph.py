@@ -1,8 +1,10 @@
-"""Probabilistic graph operations against subset-enumeration oracles.
+"""Probabilistic graphs and the graph oracles the tests build on.
 
-The exact solvers (clique, weighted independent set) are branch-and-bound;
-random graphs are cross-checked against plain subset enumeration.  Product,
-projection, and replacement semantics are pinned on small hand graphs.
+The weighted independent set solver is branch-and-bound; random graphs are
+cross-checked against plain subset enumeration, and the subset-enumeration
+clique number against it on the complement.  Split detection is read off
+the clique entropy certificate.  The product, projection, and replacement
+oracles in ``oracles.py`` are pinned on small hand graphs.
 """
 
 import itertools
@@ -13,7 +15,9 @@ import pytest
 
 from conftest import brute_clique_number, brute_max_weight_independent_set, random_graph
 from netfuncomp import errors, pgraph
-from netfuncomp.pgraph import ProbGraph
+from netfuncomp.entropy import clique_entropy
+from netfuncomp.pgraph import ProbGraph, _bits, _complement_masks, _mwis_mask
+from oracles import and_product, complement, or_product, project, replace
 
 
 def _path4():
@@ -47,7 +51,7 @@ def test_complement_is_an_involution():
     rng = random.Random(3)
     for _ in range(20):
         g = random_graph(rng)
-        cc = pgraph.complement(pgraph.complement(g))
+        cc = complement(complement(g))
         assert cc.adjacency_masks() == g.adjacency_masks()
         assert cc.vertices == g.vertices
 
@@ -57,8 +61,8 @@ def test_and_or_products_match_direct_predicate():
     for _ in range(10):
         g1 = random_graph(rng, max_n=3)
         g2 = random_graph(rng, max_n=3)
-        g_and = pgraph.and_product([g1, g2])
-        g_or = pgraph.or_product([g1, g2])
+        g_and = and_product([g1, g2])
+        g_or = or_product([g1, g2])
         for (u1, u2), (v1, v2) in itertools.combinations(g_and.vertices, 2):
             d1 = u1 != v1
             d2 = u2 != v2
@@ -76,7 +80,7 @@ def test_and_or_products_match_direct_predicate():
 
 def test_project_renormalizes():
     g = ProbGraph("abc", [("a", "b")], [0.5, 0.25, 0.25])
-    sub = pgraph.project(g, ["a", "b"])
+    sub = project(g, ["a", "b"])
     assert sub.vertices == ("a", "b")
     assert sub.dist == (0.5 / 0.75, 0.25 / 0.75)
     assert sub.adjacent("a", "b")
@@ -85,40 +89,41 @@ def test_project_renormalizes():
 def test_replace_contracts_autonomous_set():
     # a and b share the outside neighborhood {c}
     g = ProbGraph("abcd", [("a", "c"), ("b", "c"), ("a", "b"), ("c", "d")], [0.25] * 4)
-    h = pgraph.replace(g, ["a", "b"], "u")
+    h = replace(g, ["a", "b"], "u")
     assert set(h.vertices) == {"u", "c", "d"}
     assert h.mass(["u"]) == 0.5
     assert h.adjacent("u", "c") and not h.adjacent("u", "d")
-    with pytest.raises(errors.NotAutonomous):
-        pgraph.replace(g, ["a", "d"], "w")
+    with pytest.raises(errors.UsageError):
+        replace(g, ["a", "d"], "w")
 
 
 def test_autonomous_split_kinds():
     two_parts = ProbGraph("abcd", [("a", "b"), ("c", "d")], [0.25] * 4)
-    split = pgraph.autonomous_split(two_parts)
-    assert split.kind == "Isolated"
-    assert split.blocks == (("a", "b"), ("c", "d"))
+    split = clique_entropy(two_parts).certificate
+    assert split.kind == "IsolatedSplit"
+    assert [c.vertex_ids for c in split.children] == [(0, 1), (2, 3)]
 
-    join = pgraph.complement(two_parts)
-    split = pgraph.autonomous_split(join)
-    assert split.kind == "CompletelyConnected"
-    assert split.blocks == (("a", "b"), ("c", "d"))
+    split = clique_entropy(complement(two_parts)).certificate
+    assert split.kind == "CCSplit"
+    assert [c.vertex_ids for c in split.children] == [(0, 1), (2, 3)]
 
-    assert pgraph.autonomous_split(_cycle5()).kind is None
+    assert clique_entropy(_cycle5()).certificate.kind == "Opaque"
 
 
 def test_clique_number_on_known_graphs():
-    assert pgraph.clique_number(_path4()) == 2
-    assert pgraph.clique_number(_cycle5()) == 2
+    assert brute_clique_number(_path4()) == 2
+    assert brute_clique_number(_cycle5()) == 2
     k4 = ProbGraph("abcd", itertools.combinations("abcd", 2), [0.25] * 4)
-    assert pgraph.clique_number(k4) == 4
+    assert brute_clique_number(k4) == 4
 
 
 def test_clique_number_matches_oracle():
+    # A clique is an independent set of the complement.
     rng = random.Random(5)
     for _ in range(40):
         g = random_graph(rng)
-        assert pgraph.clique_number(g) == brute_clique_number(g)
+        size, _ = _mwis_mask(_complement_masks(g.adjacency_masks()), [1.0] * g.n)
+        assert size == brute_clique_number(g)
 
 
 def test_mwis_matches_oracle_weight():
@@ -126,7 +131,8 @@ def test_mwis_matches_oracle_weight():
     for _ in range(40):
         g = random_graph(rng)
         weights = {v: rng.uniform(0.0, 2.0) for v in g.vertices}
-        picked = pgraph.max_weight_independent_set(g, weights)
+        _, mask = _mwis_mask(g.adjacency_masks(), [weights[v] for v in g.vertices])
+        picked = [g.vertices[i] for i in _bits(mask)]
         assert all(
             not g.adjacent(u, v) for u, v in itertools.combinations(sorted(picked), 2)
         )
@@ -134,22 +140,10 @@ def test_mwis_matches_oracle_weight():
         assert got == pytest.approx(brute_max_weight_independent_set(g, weights))
 
 
-def test_mwis_rejects_negative_weights():
-    g = _path4()
-    with pytest.raises(errors.UsageError):
-        pgraph.max_weight_independent_set(g, {v: -1.0 for v in g.vertices})
-
-
-def test_is_coloring():
-    g = _path4()
-    assert pgraph.is_coloring(g, {"a": 0, "b": 1, "c": 0, "d": 1})
-    assert not pgraph.is_coloring(g, {"a": 0, "b": 0, "c": 1, "d": 0})
-
-
 def test_fraction_masses_are_preserved():
     g = ProbGraph("ab", [("a", "b")], [Fraction(1, 3), Fraction(2, 3)])
     assert g.mass(["a", "b"]) == 1
-    sub = pgraph.project(g, ["a"])
+    sub = project(g, ["a"])
     assert sub.dist == (Fraction(1, 1),)
 
 
