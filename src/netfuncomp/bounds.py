@@ -174,7 +174,9 @@ class _Graph:
     """One distinct single-shot characteristic graph of a run.
 
     Every pair with the same (I, J, L, I_1..I_m) shares it; what a bound
-    needs beyond the graph is derived on first use.
+    needs beyond the graph is derived on first use.  Its pairs also share
+    their ``details`` dicts: one per bound, and for the improved bound one
+    per cut size (``improved_details``).  Nothing mutates them.
     """
 
     def __init__(self, model: NetworkModel, partition: StrongPartition):
@@ -182,14 +184,27 @@ class _Graph:
         self.cg = chargraph.build(model, partition, 1)
         self.base = np.array([float(x) for x in self.cg.graph.dist])
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
+        self.improved_details: dict[int, dict] = {}
 
     @cached_property
     def clique(self) -> entropy.EntropyResult:
         return entropy.clique_entropy(self.cg.graph)
 
     @cached_property
+    def basic_details(self) -> dict:
+        tree = self.clique.certificate
+        return {
+            "clique_entropy": self.clique.value,
+            "leaf_counts": tree.leaf_counts() if tree is not None else {},
+        }
+
+    @cached_property
     def count(self) -> int:
         return chargraph.clique_number_via_decomposition(self.cg)
+
+    @cached_property
+    def fixed_details(self) -> dict:
+        return {"count": self.count}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -227,16 +242,12 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
 
 def _basic(pair: StrongPartition, graph: _Graph) -> PairResult:
     res = graph.clique
-    tree = res.certificate
     return PairResult(
         cut=pair.cut.cut,
         blocks=pair.blocks,
         value=res.value / len(pair.cut.cut),
         method=res.method,
-        details={
-            "clique_entropy": res.value,
-            "leaf_counts": tree.leaf_counts() if tree is not None else {},
-        },
+        details=graph.basic_details,
     )
 
 
@@ -423,8 +434,7 @@ def _solve(graph: _Graph) -> _Optimum:
     raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
 
 
-def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
-    size = len(pair.cut.cut)
+def _improved_details(graph: _Graph, size: int) -> dict:
     best = graph.optimum
     dim = graph.null.shape[1]
     details: dict = {
@@ -432,11 +442,19 @@ def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
         "feasible_dimension": int(dim),
         "opt_dist": [float(x) for x in best.p],
     }
-    if dim == 0:
-        return PairResult(pair.cut.cut, pair.blocks, best.value / size, "FixedPoint", details)
-    details["gap"] = best.gap / size
-    details["marginal_residual"] = best.residual
-    return PairResult(pair.cut.cut, pair.blocks, best.value / size, "BarrierNewton", details)
+    if dim:
+        details["gap"] = best.gap / size
+        details["marginal_residual"] = best.residual
+    return details
+
+
+def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
+    size = len(pair.cut.cut)
+    details = graph.improved_details.get(size)
+    if details is None:
+        details = graph.improved_details[size] = _improved_details(graph, size)
+    method = "BarrierNewton" if graph.null.shape[1] else "FixedPoint"
+    return PairResult(pair.cut.cut, pair.blocks, graph.optimum.value / size, method, details)
 
 
 # -- fixed-length bound -------------------------------------------------------
@@ -450,7 +468,7 @@ def _fixed(pair: StrongPartition, graph: _Graph) -> PairResult:
         blocks=pair.blocks,
         value=value,
         method="Counting",
-        details={"count": count},
+        details=graph.fixed_details,
     )
 
 

@@ -7,21 +7,32 @@ and keys are sorted before printing; identical inputs and options therefore
 produce byte-identical reports.  Exit codes: 0 on success, 2 for any input
 or usage problem (with a one-line diagnostic on stderr), 3 when a size cap
 is exceeded.
+
+The subcommands and their arguments are described once, in ``_COMMANDS``.
+A call with its long options spelled out in full is parsed from that table
+directly, without importing ``argparse``; help, ``--version``,
+abbreviations, ``--opt=value`` and every malformed call go through the
+argparse parser that ``build_parser`` makes from the same table, so their
+output and exit codes are argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import io
 import json
 import os
 import sys
+import types
+from typing import TYPE_CHECKING
 
 from . import __version__, bounds, chargraph, codesim, entropy, equiv, examples, netmodel, pgraph
 from .errors import NetfuncompError, TooLarge, UsageError
 from .netmodel import NetworkModel
+
+if TYPE_CHECKING:
+    import argparse
 
 
 _encode_str = json.encoder.encode_basestring_ascii
@@ -477,69 +488,155 @@ def _cmd_example(args) -> None:
     )
 
 
+_MAX_CUT_SIZE = ("--max-cut-size", {"type": int, "default": None})
+
+# Each subcommand once: its help, its handler, and every argument's flag
+# with its ``add_argument`` keywords, in ``-h`` order.  Flags without a
+# leading dash are positionals.
+_COMMANDS = {
+    "validate": ("check a network model file", _cmd_validate, [("model", {})]),
+    "cuts": ("enumerate cut sets and strong partitions", _cmd_cuts, [("model", {}), _MAX_CUT_SIZE]),
+    "classes": (
+        "source-block equivalence classes",
+        _cmd_classes,
+        [
+            ("model", {}),
+            ("--i", {"required": True, "help": "comma-separated sources to separate"}),
+            ("--j", {"default": "", "help": "comma-separated side-information sources"}),
+            ("--aj", {"default": "", "help": "side-information block, flattened symbols"}),
+            ("--k", {"type": int, "default": 1}),
+        ],
+    ),
+    "chargraph": (
+        "build a characteristic graph",
+        _cmd_chargraph,
+        [
+            ("model", {}),
+            ("--cut", {"required": True, "help": "comma-separated edge ids"}),
+            ("--blocks", {"default": None, "help": "partition blocks, e.g. e5/e6"}),
+            ("--k", {"type": int, "default": 1}),
+            ("--dot", {"default": None, "help": "directory for a DOT export"}),
+        ],
+    ),
+    "entropy": (
+        "entropies of a probabilistic graph",
+        _cmd_entropy,
+        [("graph", {"help": "JSON with vertices, edges, dist"})],
+    ),
+    "bounds": (
+        "computing-rate lower bounds",
+        _cmd_bounds,
+        [
+            ("model", {}),
+            _MAX_CUT_SIZE,
+            ("--pairs", {"default": None, "help": "JSON file restricting the pair search"}),
+            ("--csv", {"action": "store_true", "help": "flatten the per-pair table to CSV"}),
+        ],
+    ),
+    "simulate": (
+        "simulate a concrete code",
+        _cmd_simulate,
+        [
+            ("model", {"nargs": "?", "default": None}),
+            ("--code", {"default": None, "help": "code tables as JSON"}),
+            ("--builtin", {"default": None, "help": "built-in scheme name"}),
+            ("--k", {"type": int, "default": None, "help": "shots per block of --builtin (default 2)"}),
+        ],
+    ),
+    "example": (
+        "built-in example models",
+        _cmd_example,
+        [
+            ("name", {}),
+            ("--bounds", {"action": "store_true", "help": "also compute all bounds"}),
+            _MAX_CUT_SIZE,
+        ],
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full argparse parser: ``-h``, ``--version`` and every error message."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="netfuncomp",
         description="Lower bounds and code simulation for zero-error network function computation.",
     )
     parser.add_argument("--version", action="version", version=f"netfuncomp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("validate", help="check a network model file")
-    sp.add_argument("model")
-    sp.set_defaults(func=_cmd_validate)
-
-    sp = sub.add_parser("cuts", help="enumerate cut sets and strong partitions")
-    sp.add_argument("model")
-    sp.add_argument("--max-cut-size", type=int, default=None)
-    sp.set_defaults(func=_cmd_cuts)
-
-    sp = sub.add_parser("classes", help="source-block equivalence classes")
-    sp.add_argument("model")
-    sp.add_argument("--i", required=True, help="comma-separated sources to separate")
-    sp.add_argument("--j", default="", help="comma-separated side-information sources")
-    sp.add_argument("--aj", default="", help="side-information block, flattened symbols")
-    sp.add_argument("--k", type=int, default=1)
-    sp.set_defaults(func=_cmd_classes)
-
-    sp = sub.add_parser("chargraph", help="build a characteristic graph")
-    sp.add_argument("model")
-    sp.add_argument("--cut", required=True, help="comma-separated edge ids")
-    sp.add_argument("--blocks", default=None, help="partition blocks, e.g. e5/e6")
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--dot", default=None, help="directory for a DOT export")
-    sp.set_defaults(func=_cmd_chargraph)
-
-    sp = sub.add_parser("entropy", help="entropies of a probabilistic graph")
-    sp.add_argument("graph", help="JSON with vertices, edges, dist")
-    sp.set_defaults(func=_cmd_entropy)
-
-    sp = sub.add_parser("bounds", help="computing-rate lower bounds")
-    sp.add_argument("model")
-    sp.add_argument("--max-cut-size", type=int, default=None)
-    sp.add_argument("--pairs", default=None, help="JSON file restricting the pair search")
-    sp.add_argument("--csv", action="store_true", help="flatten the per-pair table to CSV")
-    sp.set_defaults(func=_cmd_bounds)
-
-    sp = sub.add_parser("simulate", help="simulate a concrete code")
-    sp.add_argument("model", nargs="?", default=None)
-    sp.add_argument("--code", default=None, help="code tables as JSON")
-    sp.add_argument("--builtin", default=None, help="built-in scheme name")
-    sp.add_argument("--k", type=int, default=None, help="shots per block of --builtin (default 2)")
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("example", help="built-in example models")
-    sp.add_argument("name")
-    sp.add_argument("--bounds", action="store_true", help="also compute all bounds")
-    sp.add_argument("--max-cut-size", type=int, default=None)
-    sp.set_defaults(func=_cmd_example)
-
+    for name, (help_text, handler, arguments) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            sp.add_argument(flag, **keywords)
+        sp.set_defaults(func=handler)
     return parser
 
 
+def _parse_spelled_out(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, or None.
+
+    Only argv that argparse reads one way is taken: a subcommand, then
+    tokens without a leading dash as positionals, and that command's long
+    options written out in full, each valued one followed by a value without
+    a leading dash that its ``type`` converts.  Everything else (help,
+    version, ``--``, abbreviations, ``--opt=value``, unknown options, failed
+    conversions, missing arguments) returns None, for argparse to handle.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, handler, arguments = _COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": handler}
+    options, positionals, missing = {}, [], set()
+    for flag, keywords in arguments:
+        if flag.startswith("-"):
+            options[flag] = keywords
+            store_true = keywords.get("action") == "store_true"
+            values[flag[2:].replace("-", "_")] = keywords.get("default", False if store_true else None)
+            required = keywords.get("required", False)
+        else:
+            positionals.append(flag)
+            values[flag] = keywords.get("default")
+            required = keywords.get("nargs") != "?"
+        if required:
+            missing.add(flag)
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        missing.discard(token)
+        dest = token[2:].replace("-", "_")
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value is declined like a dashed one
+        if value.startswith("-"):
+            return None
+        try:
+            values[dest] = keywords.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+    if len(given) > len(positionals):
+        return None
+    for flag, value in zip(positionals, given):
+        values[flag] = value
+        missing.discard(flag)
+    if missing:
+        return None
+    return types.SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_spelled_out(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except NetfuncompError as exc:

@@ -496,6 +496,105 @@ def test_version_flag(capsys):
     assert out.startswith("netfuncomp ")
 
 
+def test_spelled_out_calls_skip_argparse(paths):
+    # Building an argparse parser imports locale; a well-formed call needs neither.
+    runs = [
+        ["validate", paths["diamond"]],
+        ["cuts", paths["single"], "--max-cut-size", "1"],
+        ["classes", paths["diamond"], "--i", "s1", "--j", "s2", "--aj", "0"],
+        ["chargraph", paths["diamond"], "--cut", "e5,e6", "--blocks", "e5/e6"],
+        ["entropy", paths["pentagon"]],
+        ["bounds", paths["single"], "--csv"],
+        ["simulate", "--builtin", "diamond", "--k", "2"],
+        ["example", "single-edge", "--bounds"],
+    ]
+    assert sorted(argv[0] for argv in runs) == sorted(cli._COMMANDS)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from netfuncomp import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(*codes, 'argparse' in sys.modules, 'locale' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(runs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"] * len(runs) + ["False", "False"]
+
+
+SPELLED_OUT = [
+    ["validate", "m.json"],
+    ["validate", ""],
+    ["bounds", "cuts"],
+    ["cuts", "m.json"],
+    ["cuts", "--max-cut-size", "2", "m.json"],
+    ["cuts", "m.json", "--max-cut-size", "+3"],
+    ["cuts", "m.json", "--max-cut-size", " 3"],
+    ["cuts", "m.json", "--max-cut-size", "1", "--max-cut-size", "04"],
+    ["classes", "m.json", "--i", "s1"],
+    ["classes", "m.json", "--i", ""],
+    ["classes", "--i", "s1,s2", "--j", "s3", "--aj", "01", "--k", "2", "m.json"],
+    ["classes", "m.json", "--k", "3", "--i", "s1", "--k", "1", "--i", "s2"],
+    ["chargraph", "m.json", "--cut", "e5,e6"],
+    ["chargraph", "--cut", "e5,e6", "--blocks", "e5/e6", "--k", "2", "--dot", "out", "m.json"],
+    ["entropy", "g.json"],
+    ["bounds", "m.json"],
+    ["bounds", "--csv", "m.json"],
+    ["bounds", "m.json", "--csv", "--csv"],
+    ["bounds", "m.json", "--pairs", "p.json", "--csv", "--max-cut-size", "2"],
+    ["simulate"],
+    ["simulate", "--builtin", "diamond"],
+    ["simulate", "m.json", "--builtin", "diamond", "--k", "6"],
+    ["simulate", "--k", "2", "--builtin", "diamond", "m.json"],
+    ["simulate", "--code", "c.json", "m.json"],
+    ["example", "diamond"],
+    ["example", "diamond", "--bounds"],
+    ["example", "--bounds", "diamond", "--max-cut-size", "2"],
+]
+
+DECLINED = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["bounds", "m.json", "-h"],
+    ["--version"],
+    ["bounds", "m.json", "--version"],
+    ["nope", "m.json"],
+    ["bounds"],
+    ["bounds", "a.json", "b.json"],
+    ["simulate", "a.json", "b.json"],
+    ["bounds", "m.json", "--max", "3"],
+    ["bounds", "m.json", "--max-cut-size=3"],
+    ["bounds", "m.json", "--max-cut-size", "-1"],
+    ["bounds", "m.json", "--max-cut-size", "x"],
+    ["classes", "m.json", "--i", "s1", "--k", "x"],
+    ["classes", "m.json", "--i"],
+    ["classes", "m.json"],
+    ["chargraph", "m.json"],
+    ["bounds", "m.json", "--pairs"],
+    ["bounds", "m.json", "--bogus"],
+    ["bounds", "m.json", "--grid-oracle"],
+    ["bounds", "--", "m.json"],
+    ["bounds", "-"],
+]
+
+
+@pytest.mark.parametrize("argv", SPELLED_OUT, ids=" ".join)
+def test_spelled_out_parse_matches_argparse(argv):
+    args = cli._parse_spelled_out(argv)
+    assert args is not None
+    assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", DECLINED, ids=" ".join)
+def test_other_argv_is_left_to_argparse(argv):
+    assert cli._parse_spelled_out(argv) is None
+
+
 def test_pairs_file_restricts_search(capsys, paths):
     pairs_path = paths["base"] / "pairs.json"
     pairs_path.write_text(
