@@ -33,16 +33,23 @@ orthonormal basis of the null space of the marginal constraint matrix.
 Conditional entropy is concave in the joint distribution (Cover and Thomas,
 ch. 2) and both joints are linear in p, so f is concave.  One deterministic
 damped Newton solve on the log-barrier problem (Boyd and Vandenberghe,
-sec. 11.3) follows the barrier path in t, with gradient and Hessian in
-closed form.  For any lam >= 0, concavity and ||q - p|| <= sqrt(2) between
-distributions bound max f - f(p) by lam.(p - floor) +
-sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
+sec. 11.3) follows a two-weight barrier path in t, mu = 1e-6 then 1e-12
+(``_BARRIER_PATH``): the first weight carries the start into the interior
+near the optimum, and the second alone fails on some optima that sit on
+the floor.  Gradient and Hessian are in closed form and are formed directly
+in the d null-space coordinates, so no n x n matrix is built.  The
+backtracking line search (sec. 9.2) asks for a quarter of the predicted
+gain but forgives the rounding of barrier values: a step within ``8 eps``
+of that target is taken.  For any lam >= 0, concavity and
+||q - p|| <= sqrt(2) between distributions bound max f - f(p) by
+lam.(p - floor) + sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
 ``MAX_GAP`` raises OptimizerFailed, so every reported optimum carries its
 own certificate.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -82,12 +89,13 @@ distribution of the graph has a smaller atom: then the floor is half that atom."
 MAX_GAP = 1e-9
 """Largest optimality certificate an improved-bound optimum may carry."""
 
-_BARRIER_PATH = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)
+_BARRIER_PATH = (1e-6, 1e-12)
 _MAX_NEWTON = 50
 _RESTARTS = 3
 _FULL_STEP = 1e-8
 _NEAR_FLOOR = 1e-6
 _CURVATURE_RTOL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -219,6 +227,11 @@ class _Graph:
         return _LayerObjective(self.cg)
 
     @cached_property
+    def reduced(self) -> np.ndarray:
+        """The objective's groups in null-space coordinates: ``null.T @ groups``."""
+        return self.null.T @ self.objective.groups
+
+    @cached_property
     def optimum(self) -> _Optimum:
         return _solve(self)
 
@@ -287,12 +300,9 @@ class _LayerObjective:
         out = (m * np.log2(np.maximum(m, 1e-300))) @ self.coef / batch.sum(axis=1)
         return out[0] if p.ndim == 1 else out
 
-    def derivatives(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of ``sum(coef * m log2 m)`` at a positive ``p``."""
-        m = p @ self.groups
-        grad = self.groups @ (self.coef * (np.log2(m) + 1 / math.log(2)))
-        hess = (self.groups * (self.coef / (m * math.log(2)))) @ self.groups.T
-        return grad, hess
+    def gradient(self, p: np.ndarray) -> np.ndarray:
+        """Gradient of ``sum(coef * m log2 m)`` at a positive ``p``."""
+        return self.groups @ (self.coef * (np.log2(p @ self.groups) + 1 / math.log(2)))
 
 
 def _constraint_rows(
@@ -339,35 +349,45 @@ class _Optimum:
 
 
 def _maximize(
-    objective: _LayerObjective,
-    start: np.ndarray,
-    null: np.ndarray,
-    floor: float,
-    path: Sequence[float] = _BARRIER_PATH,
+    graph: _Graph, start: np.ndarray, path: Sequence[float] = _BARRIER_PATH
 ) -> np.ndarray:
     """Maximize ``f + mu * sum(log(p - floor))`` from ``start``, for each mu of ``path``.
 
-    Steps keep 1% of every slack and backtrack to a quarter of the predicted
-    gain, except below a Newton decrement of ``_FULL_STEP``, where gains are
-    below the resolution of objective values near 1.  Directions with
-    curvature under ``_CURVATURE_RTOL`` of the largest are frozen: near the
-    floor, rounding in the 1/mu barrier curvature swamps a flat face's mu.
+    Each Newton step is solved in the d null-space coordinates: gradient
+    ``N^T (grad f + mu / s)`` and negative Hessian ``(N^T mu / s^2) N -
+    (G_r w) G_r^T``, with ``G_r = N^T groups`` cached on the graph and
+    ``w = coef / (m ln 2)``.  Directions with curvature under
+    ``_CURVATURE_RTOL`` of the largest are frozen: near the floor, rounding
+    in the 1/mu barrier curvature swamps a flat face's mu.
+
+    A step keeps 1% of every slack and backtracks until the barrier gains a
+    quarter of the predicted ``alpha * lam^2`` (Boyd and Vandenberghe,
+    sec. 9.2), less ``8 eps`` of the start value: a gain below the rounding
+    of barrier values cannot be seen, and demanding it would halve alpha to
+    nothing.  Below a Newton decrement of ``_FULL_STEP`` the step is taken
+    and the weight is done.
     """
+    null, floor, reduced = graph.null, graph.floor, graph.reduced
+    groups, coef = graph.objective.groups, graph.objective.coef
+    ln2 = math.log(2)
+
     def barrier(q: np.ndarray, mu: float) -> float:
-        return float(objective(q)) + mu * float(np.sum(np.log(q - floor)))
+        m = q @ groups
+        return float((m * np.log2(m)) @ coef) / float(q.sum()) + mu * float(np.sum(np.log(q - floor)))
 
     p = start.copy()
     for mu in path:
         for _ in range(_MAX_NEWTON):
             slack = p - floor
-            grad, hess = objective.derivatives(p)
-            g = null.T @ (grad + mu / slack)
-            curv, vecs = np.linalg.eigh((null.T * (mu / slack**2)) @ null - null.T @ hess @ null)
+            m = p @ groups
+            g = reduced @ (coef * (np.log2(m) + 1 / ln2)) + null.T @ (mu / slack)
+            curv, vecs = np.linalg.eigh(
+                (null.T * (mu / slack**2)) @ null - (reduced * (coef / (m * ln2))) @ reduced.T
+            )
             keep = curv > _CURVATURE_RTOL * curv[-1]
-            coef = (vecs[:, keep].T @ g) / curv[keep]
-            step = vecs[:, keep] @ coef
-            decrement = float(coef @ (curv[keep] * coef))
-            d = null @ step
+            coef_step = (vecs[:, keep].T @ g) / curv[keep]
+            decrement = float(coef_step @ (curv[keep] * coef_step))
+            d = null @ (vecs[:, keep] @ coef_step)
             toward = d < 0
             alpha = 1.0
             if toward.any():
@@ -375,8 +395,9 @@ def _maximize(
             if decrement <= _FULL_STEP**2:
                 p = p + alpha * d
                 break
-            start = barrier(p, mu)
-            while alpha > 1e-12 and barrier(p + alpha * d, mu) < start + 0.25 * alpha * decrement:
+            value = barrier(p, mu)
+            target = value - 8 * _EPS * max(1.0, abs(value))
+            while alpha > 1e-12 and barrier(p + alpha * d, mu) < target + 0.25 * alpha * decrement:
                 alpha *= 0.5
             p = p + alpha * d
     return p
@@ -391,7 +412,7 @@ def _certificate(
     squares on the atoms within ``_NEAR_FLOOR`` of the floor, clipped at 0.
     """
     slack = p - floor
-    grad, _ = objective.derivatives(p)
+    grad = objective.gradient(p)
 
     def bound(lam: np.ndarray) -> float:
         return float(lam @ slack) + math.sqrt(2) * float(np.linalg.norm(null.T @ (grad + lam)))
@@ -412,6 +433,7 @@ def _solve(graph: _Graph) -> _Optimum:
     certificate above ``MAX_GAP``.  Up to ``_RESTARTS`` more passes at the
     last barrier weight, each from the previous point, resume the progress;
     every pass's point is checked for feasibility before it is certified.
+    A failure names the pair that built the graph as a ``--pairs`` entry.
     """
     base, floor = graph.base, graph.floor
     objective = graph.objective
@@ -419,19 +441,26 @@ def _solve(graph: _Graph) -> _Optimum:
     if null.shape[1] == 0:
         return _Optimum(float(objective(base)), base, 0.0, 0.0)
     rows = graph.rows
-    p = _maximize(objective, base, null, floor)
+    p = _maximize(graph, base)
     for restart in range(_RESTARTS + 1):
         if restart:
-            p = _maximize(objective, p, null, floor, _BARRIER_PATH[-1:])
+            p = _maximize(graph, p, _BARRIER_PATH[-1:])
         residual = float(np.max(np.abs(rows @ p - rows @ base)))
         if residual > 1e-10 or abs(float(p.sum()) - 1.0) > 1e-12 or np.any(p <= floor):
             raise OptimizerFailed(
-                f"optimum violates feasibility (marginal residual {residual:.3g})"
+                f"{_pair_text(graph)}: optimum violates feasibility"
+                f" (marginal residual {residual:.3g})"
             )
         gap = _certificate(objective, p, null, floor)
         if gap <= MAX_GAP:
             return _Optimum(float(objective(p)), p, gap, residual)
-    raise OptimizerFailed(f"optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
+    raise OptimizerFailed(f"{_pair_text(graph)}: optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
+
+
+def _pair_text(graph: _Graph) -> str:
+    partition = graph.cg.partition
+    entry = {"cut": list(partition.cut.cut), "blocks": [list(b) for b in partition.blocks]}
+    return f"pair {json.dumps(entry)}"
 
 
 def _improved_details(graph: _Graph, size: int) -> dict:

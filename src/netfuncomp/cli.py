@@ -69,8 +69,14 @@ def _key(key) -> str:
     return _encode_str(text)
 
 
-def _write(o, append, nl: str) -> None:
-    """Append the text of ``o``; ``nl`` is the newline and indent of its line."""
+def _write(o, append, nl: str, parts: list[str], written: dict) -> None:
+    """Append the text of ``o`` to ``parts``; ``nl`` is the newline and indent of its line.
+
+    ``append`` is ``parts.append``.  ``written`` maps the (id, ``nl``) of
+    every nonempty dict written as the value of a key to the span of
+    ``parts`` that holds its text, or to that text once the dict recurs:
+    a dict that many rows share under a key is written once.
+    """
     if isinstance(o, str):
         append(_encode_str(o))
     elif o is None:
@@ -106,7 +112,7 @@ def _write(o, append, nl: str) -> None:
             for i, item in enumerate(o):
                 if i:
                     append(sep)
-                _write(item, append, inner)
+                _write(item, append, inner, parts, written)
         append(nl + "]")
     elif isinstance(o, dict):
         if not o:
@@ -119,7 +125,22 @@ def _write(o, append, nl: str) -> None:
             if i:
                 append(sep)
             append(_key(key) + ": ")
-            _write(value, append, inner)
+            if not (isinstance(value, dict) and value):
+                _write(value, append, inner, parts, written)
+                continue
+            # Rows share dicts only under their keys (a graph's details), so
+            # list items skip the memo.  The caller's document keeps every
+            # dict alive, so ids do not recur.
+            memo = (id(value), inner)
+            done = written.get(memo)
+            if done is None:
+                start = len(parts)
+                _write(value, append, inner, parts, written)
+                written[memo] = (start, len(parts))
+                continue
+            if isinstance(done, tuple):
+                done = written[memo] = "".join(parts[done[0] : done[1]])
+            append(done)
         append(nl + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -132,7 +153,7 @@ def _dumps(doc) -> str:
     one the pure-Python encoder (the only one that indents) would write.
     """
     parts: list[str] = []
-    _write(doc, parts.append, "\n")
+    _write(doc, parts.append, "\n", parts, {})
     return "".join(parts)
 
 

@@ -347,10 +347,20 @@ def _tiny_mass_diamond(eps):
     ))
 
 
+def _draw(seed, n):
+    """The n-th ``random_model`` draw of ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    return [random_model(rng) for _ in range(n)][-1]
+
+
+# The two binary draws have interior optima whose last Newton decrements
+# fall where a quarter of the predicted gain is below the rounding of
+# barrier values; a line search that demands that gain stalls on them.
 @pytest.mark.parametrize(
     "model",
-    [_sum_diamond(4), _tiny_mass_diamond(1e-12), _tiny_mass_diamond(1e-15)],
-    ids=["sum-q4", "tiny-mass-1e-12", "tiny-mass-1e-15"],
+    [_sum_diamond(4), _tiny_mass_diamond(1e-12), _tiny_mass_diamond(1e-15),
+     _draw(1001, 18), _draw(1004, 25)],
+    ids=["sum-q4", "tiny-mass-1e-12", "tiny-mass-1e-15", "binary-1001-18", "binary-1004-25"],
 )
 def test_hard_models_get_certified_bounds(model):
     basic, improved, fixed = bounds.lower_bounds(model)

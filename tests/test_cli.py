@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from conftest import random_model
-from netfuncomp import chargraph, cli, codesim, entropy, netmodel, pgraph
+from netfuncomp import bounds, chargraph, cli, codesim, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 from oracles import code_to_dict
 
@@ -628,6 +628,19 @@ def test_malformed_pairs_entry_exits_2(capsys, paths, entries):
     assert err.count("\n") == 1
 
 
+def test_optimizer_failure_names_its_pair(capsys, monkeypatch, paths):
+    monkeypatch.setattr(bounds, "MAX_GAP", 0.0)
+    rc, out, err = run(capsys, "bounds", paths["diamond"])
+    assert rc == 2 and out == "" and err.count("\n") == 1
+    prefix = "netfuncomp: OptimizerFailed: pair "
+    assert err.startswith(prefix)
+    entry, _ = json.JSONDecoder().raw_decode(err[len(prefix):])
+    assert json.dumps(entry["cut"]) in err
+    pairs_path = paths["base"] / "failed_pair.json"
+    pairs_path.write_text(json.dumps([entry]))
+    assert run(capsys, "bounds", paths["diamond"], "--pairs", str(pairs_path)) == (2, "", err)
+
+
 def test_simulate_builtin_defaults_to_k_2(capsys):
     rc, out, _ = run(capsys, "simulate", "--builtin", "diamond")
     assert rc == 0
@@ -739,6 +752,8 @@ class _Level(enum.IntEnum):
     HIGH = 7
 
 
+_SHARED = {"b": [0.1 + 0.2, None], "a": {"c": 1}}
+
 EDGE_DOCUMENTS = {
     "special-floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3],
     "finite-floats": [-0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3, 2.0**70, 123456789.123456789],
@@ -757,6 +772,7 @@ EDGE_DOCUMENTS = {
     "float-keys": {0.1 + 0.2: 1, 1e16: 2, -0.0: 3},
     "bool-keys": {True: 1, False: 0},
     "scalars": [None, True, 0.1 + 0.2, "x", 3],
+    "shared-dicts": {"x": [_SHARED, _SHARED], "y": _SHARED, "z": [[_SHARED, {}], _SHARED["a"]]},
 }
 
 
