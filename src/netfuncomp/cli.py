@@ -405,7 +405,8 @@ def _cmd_entropy(args) -> None:
     except (KeyError, TypeError, ValueError) as exc:
         raise UsageError(f"{what}: {exc}") from exc
     # Each quantity has its own size cap; a capped one is reported as such
-    # and the run fails only when none can be computed.
+    # and the run fails only when none can be computed.  A numeric value
+    # reports the Frank-Wolfe gap that bounds its error.
     found: dict[str, entropy.EntropyResult | None] = {}
     status: dict[str, str] = {}
     for name, compute in (
@@ -414,8 +415,10 @@ def _cmd_entropy(args) -> None:
         ("clique", entropy.clique_entropy),
     ):
         try:
-            found[name] = compute(g)
+            res = found[name] = compute(g)
             status[name] = "ok"
+            if res.method == entropy.METHOD_NUMERIC:
+                status[name] = f"ok (gap {res.certificate.gap:.3g} bits)"
         except TooLarge as exc:
             found[name] = None
             status[name] = f"capped: {exc}"

@@ -4,11 +4,14 @@ Three quantities are computed here.  Chromatic entropy minimizes the entropy
 of a proper coloring and is brute-forced over partitions into independent
 sets.  Koerner graph entropy minimizes mutual information between a vertex
 and an independent set containing it; by LP duality it equals the minimum of
-``-sum p(z) log2 a(z)`` over the vertex packing polytope, which is solved
-numerically by an away-step Frank-Wolfe method whose linear oracle is an
-exact maximum-weight independent set.  Clique entropy maximizes conditional
-entropy given a clique containing the vertex and is evaluated exactly
-whenever the graph decomposes recursively into disjoint unions and joins:
+``-sum p(z) log2 a(z)`` over the vertex packing polytope.  That minimum is
+found by fully corrective Frank-Wolfe: Newton steps re-fit the weights of
+the active independent sets, and an exact maximum-weight independent set
+oracle adds sets until its duality gap, which bounds the error of the
+value, is at most ``FW_GAP_TOL`` = 1e-9 bits.  Clique entropy maximizes
+conditional entropy given a clique containing the vertex and is evaluated
+exactly whenever the graph decomposes recursively into disjoint unions and
+joins:
 
 * no edges: 0
 * complete: the Shannon entropy of the vertex distribution
@@ -18,7 +21,8 @@ whenever the graph decomposes recursively into disjoint unions and joins:
 
 A graph this recursion cannot exhaust falls back on the complement identity
 (clique entropy plus the complement's Koerner entropy equals the Shannon
-entropy) with the Koerner side computed numerically.  The recursion is the
+entropy) with the Koerner side computed numerically; the ``Opaque`` node
+carries that solve's gap.  The recursion is the
 package's only split detection: each node of the
 :class:`DecompositionTree` certificate it emits names the split it found
 (``IsolatedSplit`` for components, ``CCSplit`` for join blocks), and the
@@ -28,9 +32,12 @@ tree's shape depends only on adjacency.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 from .errors import NoConvergence, TooLarge
 from .pgraph import ProbGraph, _bits, _complement_masks, _components, _mwis_mask
@@ -42,11 +49,11 @@ METHOD_BRUTE = "BruteForce"
 FALLBACK_CAP = 20
 """Most vertices of a subgraph whose clique entropy falls back on numerics."""
 
-FW_GAP_TOL = 1e-7
+FW_GAP_TOL = 1e-9
 """Duality gap, in bits, at which the Frank-Wolfe solve stops."""
 
-FW_MAX_ITER = 100_000
-"""Frank-Wolfe iterations before NoConvergence is raised."""
+FW_MAX_ITER = 2_000
+"""Frank-Wolfe iterations (oracle calls plus Newton steps) before NoConvergence."""
 
 _LN2 = math.log(2.0)
 
@@ -57,16 +64,16 @@ class DecompositionTree:
 
     ``vertex_ids`` index into the root graph's vertex order.  ``value`` is
     the clique entropy of the induced subgraph under its renormalized
-    distribution, in bits.  Split nodes carry one child per block.
+    distribution, in bits.  Split nodes carry one child per block.  ``gap``
+    is the largest Frank-Wolfe gap of an ``Opaque`` node in the subtree, and
+    None when the subtree is exact.
     """
 
     kind: str  # EmptyLeaf | CompleteLeaf | IsolatedSplit | CCSplit | Opaque
     vertex_ids: tuple[int, ...]
     value: float
     children: tuple["DecompositionTree", ...] = ()
-
-    def has_opaque(self) -> bool:
-        return self.kind == "Opaque" or any(c.has_opaque() for c in self.children)
+    gap: float | None = None
 
     def leaf_counts(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -85,6 +92,8 @@ class DecompositionTree:
         out = {"kind": self.kind, "vertices": shown, "value": self.value}
         if self.children:
             out["children"] = [c.to_dict(labels) for c in self.children]
+        if self.kind == "Opaque":
+            out["gap"] = self.gap
         return out
 
 
@@ -150,8 +159,8 @@ def _decompose(
             f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {cap}"
         )
     h = _entropy_of_masses([masses[i] for i in ids])
-    co_value, _, _ = _fw_min_log_mass(co, _normalized([masses[i] for i in ids]))
-    return DecompositionTree("Opaque", ids, h - co_value)
+    co_value, _, gap = _fw_min_log_mass(co, _normalized([masses[i] for i in ids]))
+    return DecompositionTree("Opaque", ids, h - co_value, (), gap)
 
 
 def _split_node(kind, adj, masses, ids, comps, cap) -> DecompositionTree:
@@ -171,7 +180,8 @@ def _split_node(kind, adj, masses, ids, comps, cap) -> DecompositionTree:
         value += ratio * child.value
         if kind == "CCSplit":
             value -= ratio * math.log2(ratio)
-    return DecompositionTree(kind, ids, value, tuple(children))
+    gap = max((c.gap for c in children if c.gap is not None), default=None)
+    return DecompositionTree(kind, ids, value, tuple(children), gap)
 
 
 def clique_entropy(g: ProbGraph) -> EntropyResult:
@@ -186,7 +196,7 @@ def clique_entropy(g: ProbGraph) -> EntropyResult:
     masses = list(g.dist)
     ids = tuple(i for i, m in enumerate(masses) if m > 0)
     tree = _decompose(g.adjacency_masks(), masses, ids, FALLBACK_CAP)
-    method = METHOD_NUMERIC if tree.has_opaque() else METHOD_EXACT
+    method = METHOD_EXACT if tree.gap is None else METHOD_NUMERIC
     return EntropyResult(tree.value, method, tree)
 
 
@@ -194,8 +204,9 @@ def graph_entropy(g: ProbGraph) -> EntropyResult:
     """Koerner graph entropy.
 
     When the complement decomposes exactly, the complement identity gives
-    the value in closed form; otherwise away-step Frank-Wolfe minimizes
-    ``-sum p log2 a`` over the vertex packing polytope to ``FW_GAP_TOL`` bits.
+    the value in closed form; otherwise fully corrective Frank-Wolfe
+    minimizes ``-sum p log2 a`` over the vertex packing polytope to a gap of
+    ``FW_GAP_TOL`` bits, reported in the ``FwTrace`` certificate.
     """
     if g.n > 20:
         raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
@@ -224,113 +235,70 @@ def _normalized(masses: Sequence) -> list[float]:
 def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float, int, float]:
     """Minimize F(a) = -sum_i p_i log2 a_i over the vertex packing polytope.
 
-    The polytope is the convex hull of independent-set indicator vectors, so
-    the linear minimization oracle is a maximum-weight independent set with
-    weights p_i / (a_i ln 2).  Away steps over the active vertex set give
-    linear convergence; the line search solves phi'(gamma) = 0 by bisection,
-    staying strictly inside the region where F is finite.
+    Fully corrective Frank-Wolfe (Holloway 1974).  The active independent
+    sets are the rows of ``sets``, starting with the singletons, and
+    ``a = lam @ sets``.  With ``w = p / (a ln 2)``, a set's gap is
+    ``w(S) - 1 / ln 2``.  Each iteration takes one step on ``lam``:
 
-    Returns (value in bits, iterations used, final duality gap).
+    * while an active set's gap exceeds ``FW_GAP_TOL``, an
+      equality-constrained Newton step (Boyd and Vandenberghe, sec. 10.2),
+      solved for those gaps with the Hessian scaled to a unit diagonal so
+      that sets of tiny weight keep their precision;
+    * otherwise the oracle finds the maximum-weight independent set S*.
+      Since ``w . a = 1 / ln 2`` and F is convex, its gap bounds
+      F(a) - min F.  At most ``FW_GAP_TOL`` ends the solve; otherwise a
+      Frank-Wolfe step toward S* brings S* in.
+
+    A step stops where a weight reaches 0, and that set leaves.  The
+    backtracking accepts a step within ``8 eps`` of the start value, as a
+    smaller change is rounding.  ``probs`` must be positive.
+
+    Returns (value in bits, iterations used, final gap).
     """
     n = len(probs)
     if n == 0:
         return 0.0, 0, 0.0
-    active: dict[int, float] = {1 << i: 1.0 / n for i in range(n)}
-    a = [1.0 / n] * n
+    p = np.asarray(probs, dtype=float)
+    sets = np.eye(n)
+    lam = np.full(n, 1.0 / n)
 
-    def objective() -> float:
-        return -sum(p * math.log2(x) for p, x in zip(probs, a))
+    def phi(weights: np.ndarray) -> float:
+        a = weights @ sets
+        return -float(p @ np.log(a)) if a.min() > 0 else math.inf
 
     for it in range(1, FW_MAX_ITER + 1):
-        w = [p / (x * _LN2) for p, x in zip(probs, a)]
-        _, s_mask = _mwis_mask(adj, w)
-        wa = sum(wi * ai for wi, ai in zip(w, a))
-        fw_gap = sum(w[i] for i in _bits(s_mask)) - wa
-        if fw_gap < FW_GAP_TOL:
-            return objective(), it, fw_gap
-        away_mask, away_alpha = min(
-            active.items(), key=lambda kv: (sum(w[i] for i in _bits(kv[0])), kv[0])
-        )
-        away_gap = wa - sum(w[i] for i in _bits(away_mask))
-        use_away = away_gap > fw_gap and away_alpha < 1.0
-        if use_away:
-            gamma_max = away_alpha / (1.0 - away_alpha)
-            direction = _direction(n, a, away_mask, away=True)
+        a = lam @ sets
+        r = p / a
+        if (sets @ r).max() - 1.0 <= FW_GAP_TOL * _LN2:
+            best, mask = _mwis_mask(adj, (r / _LN2).tolist())
+            gap = best - 1.0 / _LN2
+            if gap <= FW_GAP_TOL:
+                return -float(p @ np.log2(a)), it, gap
+            sets = np.vstack([sets, [(mask >> i) & 1 for i in range(n)]])
+            d = np.append(-lam, 1.0)
+            lam = np.append(lam, 0.0)
         else:
-            gamma_max = 1.0
-            direction = _direction(n, a, s_mask, away=False)
-        gamma = _line_search(probs, a, direction, gamma_max)
-        if gamma <= 0.0:
-            return objective(), it, fw_gap
-        for i in range(n):
-            a[i] += gamma * direction[i]
-            if a[i] < 1e-300:
-                a[i] = 1e-300
-        if use_away:
-            for m in list(active):
-                active[m] *= 1.0 + gamma
-            active[away_mask] -= gamma
-        else:
-            for m in list(active):
-                active[m] *= 1.0 - gamma
-            active[s_mask] = active.get(s_mask, 0.0) + gamma
-        for m in list(active):
-            if active[m] <= 1e-15:
-                del active[m]
-        if it % 128 == 0:
-            total = sum(active.values())
-            for m in active:
-                active[m] /= total
-            a = [0.0] * n
-            for m, al in active.items():
-                for i in _bits(m):
-                    a[i] += al
-            for i in range(n):
-                if a[i] < 1e-300:
-                    a[i] = 1e-300
-    raise NoConvergence(f"duality gap still {fw_gap:.3g} after {FW_MAX_ITER} iterations")
-
-
-def _direction(n: int, a: Sequence[float], mask: int, *, away: bool) -> list[float]:
-    d = [0.0] * n
-    for i in _bits(mask):
-        d[i] = 1.0
-    if away:
-        return [ai - di for ai, di in zip(a, d)]
-    return [di - ai for di, ai in zip(d, a)]
-
-
-def _line_search(
-    probs: Sequence[float], a: Sequence[float], d: Sequence[float], gamma_max: float
-) -> float:
-    """Exact minimization of phi(g) = F(a + g d) on [0, gamma_max] by bisection."""
-    hi = gamma_max
-    for p, ai, di in zip(probs, a, d):
-        if p > 0 and di < 0:
-            bound = -ai / di
-            if bound < hi:
-                hi = bound
-    hi *= 1 - 1e-12
-    if hi <= 0:
-        return 0.0
-
-    def dphi(gamma: float) -> float:
-        acc = 0.0
-        for p, ai, di in zip(probs, a, d):
-            if p > 0 and di != 0.0:
-                acc -= p * di / (ai + gamma * di)
-        return acc
-
-    if dphi(hi) <= 0:
-        return hi
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if dphi(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+            hess = (sets * (r / a)) @ sets.T
+            scale = np.append(1.0 / np.sqrt(np.diag(hess)), 1.0)
+            kkt = np.ones((len(scale), len(scale)))
+            kkt[:-1, :-1] = hess
+            kkt[-1, -1] = 0.0
+            kkt *= np.outer(scale, scale)
+            rhs = scale * np.append(sets @ r - 1.0, 0.0)
+            d = (scale * np.linalg.lstsq(kkt, rhs, rcond=None)[0])[:-1]
+        ratio = np.divide(lam, -d, out=np.full(len(lam), math.inf), where=d < 0)
+        j = int(np.argmin(ratio))
+        alpha = min(1.0, float(ratio[j]))
+        start = phi(lam)
+        new = lam + alpha * d
+        if alpha == ratio[j]:
+            new[j] = 0.0
+        while phi(new) > start + 8 * sys.float_info.epsilon * max(1.0, abs(start)):
+            alpha *= 0.5
+            new = lam + alpha * d
+        keep = new > 0
+        sets, lam = sets[keep], new[keep] / new[keep].sum()
+    raise NoConvergence(f"no gap within {FW_GAP_TOL:g} bits after {FW_MAX_ITER} iterations")
 
 
 def chromatic_entropy(g: ProbGraph) -> EntropyResult:

@@ -356,11 +356,14 @@ def _draw(seed, n):
 # The two binary draws have interior optima whose last Newton decrements
 # fall where a quarter of the predicted gain is below the rounding of
 # barrier values; a line search that demands that gain stalls on them.
+# The 1e-10 diamond is the one input here that makes the line search halve
+# its step.
 @pytest.mark.parametrize(
     "model",
-    [_sum_diamond(4), _tiny_mass_diamond(1e-12), _tiny_mass_diamond(1e-15),
-     _draw(1001, 18), _draw(1004, 25)],
-    ids=["sum-q4", "tiny-mass-1e-12", "tiny-mass-1e-15", "binary-1001-18", "binary-1004-25"],
+    [_sum_diamond(4), _tiny_mass_diamond(1e-10), _tiny_mass_diamond(1e-12),
+     _tiny_mass_diamond(1e-15), _draw(1001, 18), _draw(1004, 25)],
+    ids=["sum-q4", "tiny-mass-1e-10", "tiny-mass-1e-12", "tiny-mass-1e-15", "binary-1001-18",
+         "binary-1004-25"],
 )
 def test_hard_models_get_certified_bounds(model):
     basic, improved, fixed = bounds.lower_bounds(model)

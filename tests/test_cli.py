@@ -159,6 +159,11 @@ def test_entropy_on_pentagon(capsys, paths):
         1.0 + math.log2(2.5) - 0.8, abs=1e-9
     )
     assert result["certificate"]["kind"] == "Opaque"
+    gap = result["certificate"]["gap"]
+    assert gap <= 1e-9
+    assert result["status"]["clique"] == f"ok (gap {gap:.3g} bits)"
+    assert result["status"]["graph"].startswith("ok (gap ")
+    assert result["status"]["chromatic"] == "ok"
 
 
 def _graph_file(base, name, vertices, edges):
@@ -204,6 +209,54 @@ def test_bad_side_information_block_exits_2(capsys, paths):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["bounds", "{diamond}", "--max-cut-size", "0"], None, "max_size must be in 1..6"),
+        (["chargraph", "{diamond}", "--cut", ","], None, "empty cut"),
+        (
+            ["chargraph", "{diamond}", "--cut", "e1,e2", "--blocks", "e1/e2"],
+            None,
+            "e1/e2 is not a strong partition of ('e1', 'e2')",
+        ),
+        (
+            ["bounds", "{diamond}", "--pairs", "{file}"],
+            {"cut": ["e5", "e6"], "blocks": [["e5"], ["e6"]]},
+            "--pairs file must hold a JSON list",
+        ),
+        (
+            ["entropy", "{file}"],
+            {"vertices": ["a", "b"], "edges": [["a", "b"]], "dist": [1.0]},
+            "distribution length does not match vertex count",
+        ),
+        (
+            ["entropy", "{file}"],
+            {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+            "malformed graph document: 'dist'",
+        ),
+        (["simulate", "--builtin", "nope"], None, "unknown builtin scheme 'nope'"),
+        (["simulate", "--code", "{file}"], {}, "simulate --code needs a model file"),
+    ],
+    ids=[
+        "max-cut-size-0",
+        "empty-cut",
+        "weak-blocks",
+        "pairs-not-a-list",
+        "short-dist",
+        "no-dist",
+        "unknown-builtin",
+        "code-without-model",
+    ],
+)
+def test_refused_arguments_exit_2(capsys, paths, argv, doc, message):
+    path = paths["base"] / "refused.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, *(a.format(diamond=paths["diamond"], file=path) for a in argv))
+    assert rc == 2 and out == ""
+    assert err.startswith(f"netfuncomp: UsageError: {message}")
+    assert err.count("\n") == 1
+
+
 def test_entropy_edge_with_three_ends_exits_2(capsys, paths):
     good = {"vertices": ["a", "b", "c"], "edges": [["a", "b"]], "dist": [0.5, 0.25, 0.25]}
     path = paths["base"] / "three_ends.json"
@@ -218,6 +271,9 @@ def test_entropy_edge_with_three_ends_exits_2(capsys, paths):
         assert rc == 2 and out == ""
         assert err.startswith("netfuncomp: UsageError: malformed graph document")
         assert err.count("\n") == 1
+
+
+_DIAMOND_EDGES = netmodel.model_to_dict(diamond_model())["edges"]
 
 
 def _model_file(base, name, **changes):
@@ -237,6 +293,19 @@ def _model_file(base, name, **changes):
         ({"distribution": [True] + [0.125] * 7}, "distribution entries must be numbers"),
         ({"function": "01121223"}, "function must be a list"),
         ({"sources": "s1"}, "sources must be a list"),
+        ({"alphabet": 1}, "alphabet size must be at least 2"),
+        ({"nodes": ["s1", "s2", "s3", "v1", "v2", "t", "s1"]}, "duplicate node names"),
+        ({"edges": _DIAMOND_EDGES + _DIAMOND_EDGES[:1]}, "duplicate edge ids"),
+        (
+            {"edges": _DIAMOND_EDGES + [{"id": "e7", "tail": "v1", "head": "x"}]},
+            "edge e7 references unknown node",
+        ),
+        ({"sources": []}, "at least one source is required"),
+        ({"sources": ["s1", "s2", "s2"]}, "duplicate sources"),
+        ({"sink": "x"}, "sources and sink must be nodes"),
+        ({"sources": ["s1", "s2", "x"]}, "sources and sink must be nodes"),
+        ({"sources": ["s1", "s2", "t"]}, "the sink cannot be a source"),
+        ({"distribution": [0.25] * 4}, "distribution must have 8 entries, got 4"),
     ],
     ids=[
         "list-function-entry",
@@ -246,6 +315,16 @@ def _model_file(base, name, **changes):
         "bool-distribution-entry",
         "string-function",
         "string-sources",
+        "unary-alphabet",
+        "duplicate-node",
+        "duplicate-edge-id",
+        "edge-to-unknown-node",
+        "no-sources",
+        "duplicate-source",
+        "sink-not-a-node",
+        "source-not-a-node",
+        "sink-as-source",
+        "short-distribution",
     ],
 )
 def test_malformed_model_document_exits_2(capsys, paths, changes, message):
@@ -355,6 +434,10 @@ def _fractional_k(doc):
     doc["k"] = 2.7
 
 
+def _encoders_list(doc):
+    doc["encoders"] = list(doc["encoders"].values())
+
+
 def _builtin_reference(doc):
     # The builtin scheme is named with --builtin; a code file holds tables only.
     doc.clear()
@@ -369,6 +452,7 @@ def _builtin_reference(doc):
         _bad_encoder_table,
         _bad_k,
         _fractional_k,
+        _encoders_list,
         _builtin_reference,
     ],
 )
