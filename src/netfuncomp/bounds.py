@@ -66,6 +66,7 @@ from .netmodel import (
     enumerate_strong_partitions,
     restrict_sources,
 )
+from .pgraph import _bits
 
 PairKey = tuple[tuple[str, ...], tuple[tuple[str, ...], ...]]
 
@@ -273,25 +274,23 @@ class _LayerObjective:
     H(C|F) + H(B|F,C,L) times the total mass is the sum of ``m log2 m`` over
     the fiber groups, minus it over the (fiber, class) groups, plus it over
     the (fiber, class, leftover) groups, minus it over the full-coordinate
-    groups.  A vertex set that is a group on two adjacent levels cancels and
-    is dropped.  With ``groups`` the vertex-by-group indicator matrix and
-    ``coef`` the signs, the group masses are ``m = p @ groups``.  Calling the
-    objective scores a whole batch of candidate rows with one matrix product.
+    groups, each group one distinct mask of :func:`chargraph.layer_masks`
+    at its depth.  A vertex set that is a group on two adjacent levels
+    cancels and is dropped.  With ``groups`` the vertex-by-group indicator
+    matrix and ``coef`` the signs, the group masses are ``m = p @ groups``.
+    Calling the objective scores a whole batch of candidate rows with one
+    matrix product.
     """
 
     def __init__(self, cg: chargraph.CharGraph):
-        signs: dict[tuple[int, ...], int] = {}
-        for depth, sign in enumerate((1, -1, 1, -1), start=1):
-            groups: dict[tuple, list[int]] = {}
-            for vid, coord in enumerate(cg.layers):
-                groups.setdefault(coord[:depth], []).append(vid)
-            for members in groups.values():
-                key = tuple(members)
-                signs[key] = signs.get(key, 0) + sign
-        kept = [(ids, c) for ids, c in signs.items() if c]
+        signs: dict[int, int] = {}
+        for masks, sign in zip(chargraph.layer_masks(cg.layers), (1, -1, 1, -1)):
+            for mask in dict.fromkeys(masks):
+                signs[mask] = signs.get(mask, 0) + sign
+        kept = [(mask, c) for mask, c in signs.items() if c]
         self.groups = np.zeros((len(cg.layers), len(kept)))
-        for col, (ids, _) in enumerate(kept):
-            self.groups[list(ids), col] = 1.0
+        for col, (mask, _) in enumerate(kept):
+            self.groups[list(_bits(mask)), col] = 1.0
         self.coef = np.array([c for _, c in kept], dtype=float)
 
     def __call__(self, p: np.ndarray) -> np.ndarray:

@@ -14,14 +14,16 @@ Any valid coloring of this graph is a lower bound witness for what the cut
 must carry, and its clique entropy divided by the cut size is the basic
 rate bound contributed by the pair.
 
-Construction routes every adjacency decision through the equivalence-class
-partitions, which also yields per-vertex layer coordinates: side
-information fiber, global class, leftover block, and the per-block class
-tuple (the bracket).  :func:`layer_report` re-derives the four-layer
-nesting from the finished adjacency alone, using only generic component
-machinery, and cross-checks it against those coordinates.  The paper's
-claim that the k-shot graph sits between the k-fold AND and OR powers of
-the single-shot graph is checked by the test oracles in ``tests/oracles.py``.
+Construction looks each vertex up in the equivalence-class partitions and
+records its layer coordinates: side-information fiber, class, leftover
+block, and the per-block class tuple (the bracket).  :func:`layer_masks`
+turns those coordinates into four nested vertex masks per vertex, and a
+vertex's adjacency is the rest of its fiber outside its class plus the
+rest of its leftover block outside its bracket.  :func:`layer_report`
+checks the finished adjacency against the same masks, one mask identity
+per layer property and vertex.  The paper's claim that the k-shot graph
+sits between the k-fold AND and OR powers of the single-shot graph is
+checked by the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from . import equiv, pgraph
 from .errors import TooLarge, UsageError
@@ -116,10 +118,9 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
     leftover_of_al = {a_l: li for li, a_l in enumerate(l_blocks)}
 
     layers: list[LayerCoord] = []
-    fibers: dict[int, list[int]] = {}
     class_index_of_fiber: dict[int, dict[Assignment, int]] = {}
     block_indices_of: dict[tuple[int, int], list[dict[Assignment, int]]] = {}
-    for vid, a in enumerate(assignments):
+    for a in assignments:
         a_j = tuple(a[p] for p in j_pos)
         a_l = tuple(a[p] for p in l_pos)
         b_i = tuple(a[p] for p in i_pos)
@@ -140,23 +141,29 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
             for ell in range(partition.m)
         )
         layers.append(LayerCoord(fi, class_index_of_fiber[fi][b_i], li, bracket))
-        fibers.setdefault(fi, []).append(vid)
 
-    edges = []
-    for members in fibers.values():
-        for ai in range(len(members)):
-            u = members[ai]
-            lu = layers[u]
-            for bi in range(ai + 1, len(members)):
-                v = members[bi]
-                lv = layers[v]
-                if lu.cls != lv.cls:
-                    edges.append((labels[u], labels[v]))
-                elif lu.leftover == lv.leftover and lu.bracket != lv.bracket:
-                    edges.append((labels[u], labels[v]))
-
-    graph = pgraph.ProbGraph(labels, edges, dist)
+    adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*layer_masks(layers))]
+    graph = pgraph.ProbGraph.from_masks(labels, adj, dist)
     return CharGraph(graph, partition, k, order, assignments, tuple(layers))
+
+
+def layer_masks(layers: Sequence[LayerCoord]) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex bitmasks of the four nested layers: (F, C, L, B).
+
+    ``F[v]`` holds the vertices in v's fiber, ``C[v]`` those that also share
+    its class, ``L[v]`` those that also share its leftover block and ``B[v]``
+    those that also share its bracket, so ``B[v] <= L[v] <= C[v] <= F[v]``
+    as vertex sets.  One pass per depth groups the vertices by coordinate
+    prefix.
+    """
+    out = []
+    for depth in range(1, 5):
+        groups: dict[tuple, int] = {}
+        for vid, coord in enumerate(layers):
+            key = coord[:depth]
+            groups[key] = groups.get(key, 0) | 1 << vid
+        out.append(tuple(groups[coord[:depth]] for coord in layers))
+    return tuple(out)
 
 
 def _marginal_fractions(
@@ -176,7 +183,7 @@ def _marginal_fractions(
 
 @dataclass(frozen=True)
 class LayerReport:
-    """Outcome of re-deriving the four-layer nesting from adjacency alone."""
+    """Which of the four-layer nesting properties the adjacency satisfies."""
 
     fibers_isolated: bool
     classes_completely_connected: bool
@@ -196,47 +203,24 @@ class LayerReport:
 
 
 def layer_report(cg: CharGraph) -> LayerReport:
-    """Verify the nested layer structure on the actual graph.
+    """Check the nested layer structure against the finished adjacency.
 
-    Levels are checked with generic graph machinery: fibers must be unions
-    of connected components; within a fiber, distinct classes must be fully
-    joined; within a class, distinct leftover blocks must be unjoined;
-    within a leftover block, distinct brackets must be fully joined and each
-    bracket must induce no edges at all.
+    With ``adj`` a vertex's adjacency mask and F, C, L, B its
+    :func:`layer_masks`, each property is one mask identity per vertex:
+    fibers are unjoined (``adj & ~F == 0``), distinct classes in a fiber are
+    fully joined (``F & ~C`` inside ``adj``), distinct leftover blocks in a
+    class are unjoined (``adj & C & ~L == 0``), distinct brackets in a
+    leftover block are fully joined (``L & ~B`` inside ``adj``) and a
+    bracket induces no edges (``adj & B == 0``).
     """
-    g = cg.graph
-    lay = cg.layers
-    adj = g.adjacency_masks()
-    n = g.n
-
-    fibers_ok = True
-    classes_ok = True
-    leftover_ok = True
-    brackets_ok = True
-    interiors_ok = True
-    for u in range(n):
-        for v in pgraph._bits(adj[u]):
-            if v <= u:
-                continue
-            if lay[u].fiber != lay[v].fiber:
-                fibers_ok = False
-            elif lay[u].cls == lay[v].cls:
-                if lay[u].leftover != lay[v].leftover:
-                    leftover_ok = False
-                elif lay[u].bracket == lay[v].bracket:
-                    interiors_ok = False
-    for u in range(n):
-        for v in range(u + 1, n):
-            if lay[u].fiber != lay[v].fiber:
-                continue
-            joined = bool(adj[u] >> v & 1)
-            if lay[u].cls != lay[v].cls:
-                if not joined:
-                    classes_ok = False
-            elif lay[u].leftover == lay[v].leftover and lay[u].bracket != lay[v].bracket:
-                if not joined:
-                    brackets_ok = False
-    return LayerReport(fibers_ok, classes_ok, leftover_ok, brackets_ok, interiors_ok)
+    rows = list(zip(cg.graph.adjacency_masks(), *layer_masks(cg.layers)))
+    return LayerReport(
+        fibers_isolated=all(a & ~f == 0 for a, f, _, _, _ in rows),
+        classes_completely_connected=all(f & ~c & ~a == 0 for a, f, c, _, _ in rows),
+        leftover_isolated=all(a & c & ~lo == 0 for a, _, c, lo, _ in rows),
+        brackets_completely_connected=all(lo & ~b & ~a == 0 for a, _, _, lo, b in rows),
+        bracket_interiors_empty=all(a & b == 0 for a, _, _, _, b in rows),
+    )
 
 
 def clique_number_via_decomposition(cg: CharGraph) -> int:

@@ -135,45 +135,46 @@ def _subgraph_masks(adj: Sequence[int], ids: Sequence[int]) -> list[int]:
 
 def _decompose(
     adj: Sequence[int],
+    co: Sequence[int],
     masses: Sequence,
-    ids: tuple[int, ...],
+    mask: int,
     cap: int,
 ) -> DecompositionTree:
+    """Decompose the subgraph that ``mask`` induces, in root coordinates.
+
+    ``adj`` and ``co`` are the root graph's adjacency and complement masks.
+    Every node intersects them with its own vertex mask, so the recursion
+    never re-indexes a subgraph: components of ``adj`` within ``mask`` are
+    an ``IsolatedSplit``, components of ``co`` within it a ``CCSplit``.
+    Only an ``Opaque`` node re-indexes, to hand its complement to the
+    Frank-Wolfe solve.
+    """
+    ids = tuple(_bits(mask))
     n = len(ids)
-    sub = _subgraph_masks(adj, ids)
-    edge_bits = sum(m.bit_count() for m in sub) // 2
+    edge_bits = sum((adj[i] & mask).bit_count() for i in ids) // 2
     if edge_bits == 0:
         return DecompositionTree("EmptyLeaf", ids, 0.0)
     if edge_bits == n * (n - 1) // 2:
         return DecompositionTree("CompleteLeaf", ids, _entropy_of_masses([masses[i] for i in ids]))
-    full = (1 << n) - 1
-    comps = _components(sub, full)
-    if len(comps) > 1:
-        return _split_node("IsolatedSplit", adj, masses, ids, comps, cap)
-    co = _complement_masks(sub)
-    comps = _components(co, full)
-    if len(comps) > 1:
-        return _split_node("CCSplit", adj, masses, ids, comps, cap)
+    for kind, graph in (("IsolatedSplit", adj), ("CCSplit", co)):
+        comps = _components(graph, mask)
+        if len(comps) > 1:
+            return _split_node(kind, adj, co, masses, ids, comps, cap)
     if n > cap:
         raise TooLarge(
             f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {cap}"
         )
     h = _entropy_of_masses([masses[i] for i in ids])
-    co_value, _, gap = _fw_min_log_mass(co, _normalized([masses[i] for i in ids]))
+    co_value, _, gap = _fw_min_log_mass(_subgraph_masks(co, ids), _normalized([masses[i] for i in ids]))
     return DecompositionTree("Opaque", ids, h - co_value, (), gap)
 
 
-def _split_node(kind, adj, masses, ids, comps, cap) -> DecompositionTree:
-    children = []
-    blocks = []
-    for comp in sorted(comps, key=lambda c: (c & -c).bit_length()):
-        block = tuple(ids[i] for i in _bits(comp))
-        blocks.append(block)
-        children.append(_decompose(adj, masses, block, cap))
+def _split_node(kind, adj, co, masses, ids, comps, cap) -> DecompositionTree:
+    children = [_decompose(adj, co, masses, comp, cap) for comp in comps]
     total = sum(masses[i] for i in ids)
     value = 0.0
-    for block, child in zip(blocks, children):
-        bm = sum(masses[i] for i in block)
+    for child in children:
+        bm = sum(masses[i] for i in child.vertex_ids)
         if bm == 0:
             continue
         ratio = float(bm / total) if isinstance(bm, Fraction) else float(bm) / float(total)
@@ -194,8 +195,9 @@ def clique_entropy(g: ProbGraph) -> EntropyResult:
     exact all the way to the final log.
     """
     masses = list(g.dist)
-    ids = tuple(i for i, m in enumerate(masses) if m > 0)
-    tree = _decompose(g.adjacency_masks(), masses, ids, FALLBACK_CAP)
+    adj = g.adjacency_masks()
+    support = sum(1 << i for i, m in enumerate(masses) if m > 0)
+    tree = _decompose(adj, _complement_masks(adj), masses, support, FALLBACK_CAP)
     method = METHOD_EXACT if tree.gap is None else METHOD_NUMERIC
     return EntropyResult(tree.value, method, tree)
 
@@ -211,17 +213,18 @@ def graph_entropy(g: ProbGraph) -> EntropyResult:
     if g.n > 20:
         raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
     masses = list(g.dist)
+    adj = g.adjacency_masks()
     ids = tuple(i for i, m in enumerate(masses) if m > 0)
-    co = _complement_masks(g.adjacency_masks())
+    support = sum(1 << i for i in ids)
     try:
         # With a cap of 0 every opaque subgraph raises, so a tree is exact.
-        tree = _decompose(co, masses, ids, 0)
+        tree = _decompose(_complement_masks(adj), adj, masses, support, 0)
     except TooLarge:
         tree = None
     if tree is not None:
         h = _entropy_of_masses([masses[i] for i in ids])
         return EntropyResult(h - tree.value, METHOD_EXACT, tree)
-    sub = _subgraph_masks(g.adjacency_masks(), ids)
+    sub = _subgraph_masks(adj, ids)
     probs = _normalized([masses[i] for i in ids])
     value, iters, gap = _fw_min_log_mass(sub, probs)
     return EntropyResult(value, METHOD_NUMERIC, FwTrace(iters, gap))

@@ -57,6 +57,15 @@ class ProbGraph:
             adj[j] |= 1 << i
         self._adj = tuple(adj)
 
+    @classmethod
+    def from_masks(
+        cls, vertices: Iterable[Label], masks: Iterable[int], dist: Sequence
+    ) -> "ProbGraph":
+        """A graph from one adjacency bitmask per vertex, symmetric and loop-free."""
+        g = cls(vertices, (), dist)
+        g._adj = tuple(masks)
+        return g
+
     # low-level views
 
     @property
@@ -105,6 +114,7 @@ def _complement_masks(adj: Sequence[int]) -> list[int]:
 
 
 def _components(adj: Sequence[int], mask: int) -> list[int]:
+    """Components of the subgraph that ``mask`` induces, by lowest vertex."""
     comps = []
     rest = mask
     while rest:

@@ -267,11 +267,11 @@ def test_acceptance_7_entropy_property_suite(capsys):
         )
     elapsed = time.perf_counter() - t0
     checks = [
-        ("complement identity < 2e-6", worst["identity"] < 2e-6),
-        ("entropy chain within 1e-5", worst["chain"] <= 1e-5),
+        ("complement identity < 2e-9", worst["identity"] < 2e-9),
+        ("entropy chain within 1e-9", worst["chain"] <= 1e-9),
         ("clique entropy under log clique number + 1e-9", worst["clique_cap"] <= 1e-9),
-        ("substitution within 1e-5", worst["subst"] <= 1e-5),
-        ("product additivity within 1e-5", worst["and"] <= 1e-5),
+        ("substitution within 3e-9", worst["subst"] <= 3e-9),
+        ("product additivity within 3e-9", worst["and"] <= 3e-9),
         ("empty and complete graphs exact", exact_special),
         ("runtime < 5 min", elapsed < 300.0),
     ]

@@ -4,11 +4,13 @@ The frozen anchor is the diamond sink cut under its nontrivial partition:
 the graph on {0,1}^3 whose classes are the sum levels, fully joined across
 classes, and joined inside a class only when the middle source agrees and a
 block differs (exactly 001-100 and 011-110).  Construction is also compared
-with the quantifier-based oracle on random models, the four-layer structure
-is re-derived from adjacency, and the k-shot graph is sandwiched between
-the conjunctive and disjunctive powers.
+with the quantifier-based oracle on random models, the four-layer check
+passes on built graphs and flags exactly the layer a one-edge change
+breaks, and the k-shot graph is sandwiched between the conjunctive and
+disjunctive powers.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -18,6 +20,7 @@ import pytest
 from conftest import brute_char_edges, brute_clique_number, random_model
 from netfuncomp import chargraph, errors, netmodel
 from netfuncomp.examples import diamond_model
+from netfuncomp.pgraph import ProbGraph
 from oracles import sandwich_check
 
 
@@ -107,6 +110,34 @@ def test_layer_report_holds_on_diamond(diamond, partitions):
             cg = chargraph.build(diamond, part, k)
             report = chargraph.layer_report(cg)
             assert report.ok, report
+
+
+@pytest.mark.parametrize(
+    "cut, blocks, u, v, broken",
+    [
+        (["e5"], 1, "00", "01", "fibers_isolated"),
+        (["e5"], 1, "00", "10", "classes_completely_connected"),
+        (["e5", "e6"], 2, "001", "010", "leftover_isolated"),
+        (["e5", "e6"], 2, "001", "100", "brackets_completely_connected"),
+        (["e5", "e6"], 1, "001", "010", "bracket_interiors_empty"),
+    ],
+    ids=["across-fibers", "between-classes", "between-leftovers", "between-brackets", "in-bracket"],
+)
+def test_layer_report_flags_exactly_the_broken_layer(diamond, cut, blocks, u, v, broken):
+    # Toggle one vertex pair: an added edge where a layer forbids one, or a
+    # removed edge where a layer requires one.  Only the cut e5,e6 graph
+    # with the single block e5,e6 has a bracket of more than one vertex.
+    part = next(
+        p for p in netmodel.enumerate_strong_partitions(diamond, cut) if len(p.blocks) == blocks
+    )
+    cg = chargraph.build(diamond, part)
+    assert chargraph.layer_report(cg).ok
+    g = cg.graph
+    edges = set(map(frozenset, g.edges())) ^ {frozenset((u, v))}
+    tampered = dataclasses.replace(cg, graph=ProbGraph(g.vertices, map(tuple, edges), g.dist))
+    report = chargraph.layer_report(tampered)
+    flags = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+    assert flags == {name: name != broken for name in flags}
 
 
 def test_layer_coordinates_partition_vertices(diamond, partitions):

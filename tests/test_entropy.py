@@ -8,8 +8,9 @@ cycle C_n the Koerner entropy is log2 of the fractional chromatic number,
 log2(2n/(n-1)) (Simonyi 1995), so the numeric fallback is held to its gap
 on C5 through C19.  Everything else is
 identities on random graphs: complement identity, the entropy chain, the
-clique-number ceiling, substitution on planted autonomous sets, and
-additivity over conjunctive products.
+clique-number ceiling, substitution on planted autonomous sets,
+additivity over conjunctive products, and that zero-mass vertices change
+neither a value nor the vertices a certificate names.
 """
 
 import itertools
@@ -23,6 +24,7 @@ from netfuncomp import errors
 from netfuncomp.entropy import (
     METHOD_EXACT,
     METHOD_NUMERIC,
+    DecompositionTree,
     chromatic_entropy,
     clique_entropy,
     graph_entropy,
@@ -193,6 +195,37 @@ def test_cographs_decompose_exactly():
         dist = [rng.uniform(0.1, 1.0) for _ in range(n)]
         dist = [d / sum(dist) for d in dist]
         assert clique_entropy(ProbGraph(verts, edges, dist)).method == METHOD_EXACT
+
+
+def _certificate_ids(node):
+    yield from node.vertex_ids
+    for child in node.children:
+        yield from _certificate_ids(child)
+
+
+def test_zero_mass_vertices_change_nothing():
+    rng = random.Random(59)
+    graphs = [_cycle(5), _cycle(7)] + [random_graph(rng, max_n=9, min_n=3) for _ in range(30)]
+    for g in graphs:
+        zero = set(rng.sample(range(g.n), rng.randint(1, g.n - 2)))
+        kept = [i for i in range(g.n) if i not in zero]
+        weights = [rng.uniform(0.1, 1.0) for _ in kept]
+        dist = [0.0] * g.n
+        for i, w in zip(kept, weights):
+            dist[i] = w / sum(weights)
+        padded = ProbGraph(g.vertices, g.edges(), dist)
+        labels = [g.vertices[i] for i in kept]
+        induced = ProbGraph(
+            labels,
+            [(u, v) for u, v in g.edges() if u in labels and v in labels],
+            [dist[i] for i in kept],
+        )
+        for entropy in (clique_entropy, graph_entropy):
+            res = entropy(padded)
+            want = entropy(induced)
+            assert (res.value, res.method) == (want.value, want.method)
+            if isinstance(res.certificate, DecompositionTree):
+                assert zero.isdisjoint(_certificate_ids(res.certificate))
 
 
 def test_size_caps():
