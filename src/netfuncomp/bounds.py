@@ -18,7 +18,9 @@ The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
 many pairs share one.  A run builds each distinct graph once; every pair
 with its key reuses the graph, its clique entropy and clique number and,
 for the improved bound, its marginal constraints, objective and optimum.
-A pair reports its graph's value divided by its cut size.
+A pair reports its graph's value divided by its cut size and the index of
+its graph in the report's ``graphs``, which lists each distinct graph once,
+in order of first appearance, with its key and its undivided details.
 
 A single-shot graph nests four layers per vertex: side-information fiber F,
 class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -105,7 +107,7 @@ class PairResult:
     blocks: tuple[tuple[str, ...], ...]
     value: float
     method: str
-    details: dict = field(compare=False)
+    graph: int  # index into the report's ``graphs``
 
     def key(self) -> PairKey:
         return (self.cut, self.blocks)
@@ -118,26 +120,7 @@ class BoundReport:
     witness_cut: tuple[str, ...]
     witness_blocks: tuple[tuple[str, ...], ...]
     pairs: tuple[PairResult, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "value": self.value,
-            "witness": {
-                "cut": list(self.witness_cut),
-                "blocks": [list(b) for b in self.witness_blocks],
-            },
-            "pairs": [
-                {
-                    "cut": list(p.cut),
-                    "blocks": [list(b) for b in p.blocks],
-                    "value": p.value,
-                    "method": p.method,
-                    **p.details,
-                }
-                for p in self.pairs
-            ],
-        }
+    graphs: tuple[dict, ...]  # per distinct graph: its key as source lists, and details
 
 
 def pair_key(partition: StrongPartition) -> PairKey:
@@ -165,7 +148,7 @@ def enumerate_pairs(
     return pairs
 
 
-def _report(kind: str, results: list[PairResult]) -> BoundReport:
+def _report(kind: str, results: list[PairResult], graphs: tuple[dict, ...]) -> BoundReport:
     if not results:
         raise UsageError("no cut/partition pairs to evaluate")
     top = max(r.value for r in results)
@@ -176,6 +159,7 @@ def _report(kind: str, results: list[PairResult]) -> BoundReport:
         witness_cut=witness.cut,
         witness_blocks=witness.blocks,
         pairs=tuple(results),
+        graphs=graphs,
     )
 
 
@@ -183,9 +167,7 @@ class _Graph:
     """One distinct single-shot characteristic graph of a run.
 
     Every pair with the same (I, J, L, I_1..I_m) shares it; what a bound
-    needs beyond the graph is derived on first use.  Its pairs also share
-    their ``details`` dicts: one per bound, and for the improved bound one
-    per cut size (``improved_details``).  Nothing mutates them.
+    needs beyond the graph is derived on first use.
     """
 
     def __init__(self, model: NetworkModel, partition: StrongPartition):
@@ -193,27 +175,14 @@ class _Graph:
         self.cg = chargraph.build(model, partition, 1)
         self.base = np.array([float(x) for x in self.cg.graph.dist])
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
-        self.improved_details: dict[int, dict] = {}
 
     @cached_property
     def clique(self) -> entropy.EntropyResult:
         return entropy.clique_entropy(self.cg.graph)
 
     @cached_property
-    def basic_details(self) -> dict:
-        tree = self.clique.certificate
-        return {
-            "clique_entropy": self.clique.value,
-            "leaf_counts": tree.leaf_counts() if tree is not None else {},
-        }
-
-    @cached_property
     def count(self) -> int:
         return chargraph.clique_number_via_decomposition(self.cg)
-
-    @cached_property
-    def fixed_details(self) -> dict:
-        return {"count": self.count}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -254,15 +223,16 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
 # -- basic bound --------------------------------------------------------------
 
 
-def _basic(pair: StrongPartition, graph: _Graph) -> PairResult:
-    res = graph.clique
-    return PairResult(
-        cut=pair.cut.cut,
-        blocks=pair.blocks,
-        value=res.value / len(pair.cut.cut),
-        method=res.method,
-        details=graph.basic_details,
-    )
+def _basic(graph: _Graph) -> tuple[float, str]:
+    return graph.clique.value, graph.clique.method
+
+
+def _basic_details(graph: _Graph) -> dict:
+    tree = graph.clique.certificate
+    return {
+        "clique_entropy": graph.clique.value,
+        "leaf_counts": tree.leaf_counts() if tree is not None else {},
+    }
 
 
 # -- improved bound -----------------------------------------------------------
@@ -274,17 +244,17 @@ class _LayerObjective:
     H(C|F) + H(B|F,C,L) times the total mass is the sum of ``m log2 m`` over
     the fiber groups, minus it over the (fiber, class) groups, plus it over
     the (fiber, class, leftover) groups, minus it over the full-coordinate
-    groups, each group one distinct mask of :func:`chargraph.layer_masks`
-    at its depth.  A vertex set that is a group on two adjacent levels
-    cancels and is dropped.  With ``groups`` the vertex-by-group indicator
-    matrix and ``coef`` the signs, the group masses are ``m = p @ groups``.
-    Calling the objective scores a whole batch of candidate rows with one
-    matrix product.
+    groups, each group one distinct mask of the graph's
+    :func:`chargraph.layer_masks` at its depth.  A vertex set that is a
+    group on two adjacent levels cancels and is dropped.  With ``groups``
+    the vertex-by-group indicator matrix and ``coef`` the signs, the group
+    masses are ``m = p @ groups``.  Calling the objective scores a whole
+    batch of candidate rows with one matrix product.
     """
 
     def __init__(self, cg: chargraph.CharGraph):
         signs: dict[int, int] = {}
-        for masks, sign in zip(chargraph.layer_masks(cg.layers), (1, -1, 1, -1)):
+        for masks, sign in zip(cg.masks, (1, -1, 1, -1)):
             for mask in dict.fromkeys(masks):
                 signs[mask] = signs.get(mask, 0) + sign
         kept = [(mask, c) for mask, c in signs.items() if c]
@@ -462,47 +432,55 @@ def _pair_text(graph: _Graph) -> str:
     return f"pair {json.dumps(entry)}"
 
 
-def _improved_details(graph: _Graph, size: int) -> dict:
+def _improved(graph: _Graph) -> tuple[float, str]:
+    return graph.optimum.value, "BarrierNewton" if graph.null.shape[1] else "FixedPoint"
+
+
+def _improved_details(graph: _Graph) -> dict:
     best = graph.optimum
     dim = graph.null.shape[1]
     details: dict = {
-        "base_value": float(graph.objective(graph.base)) / size,
+        "improved_value": best.value,
+        "base_value": float(graph.objective(graph.base)),
         "feasible_dimension": int(dim),
         "opt_dist": [float(x) for x in best.p],
     }
     if dim:
-        details["gap"] = best.gap / size
+        details["gap"] = best.gap
         details["marginal_residual"] = best.residual
     return details
-
-
-def _improved(pair: StrongPartition, graph: _Graph) -> PairResult:
-    size = len(pair.cut.cut)
-    details = graph.improved_details.get(size)
-    if details is None:
-        details = graph.improved_details[size] = _improved_details(graph, size)
-    method = "BarrierNewton" if graph.null.shape[1] else "FixedPoint"
-    return PairResult(pair.cut.cut, pair.blocks, graph.optimum.value / size, method, details)
 
 
 # -- fixed-length bound -------------------------------------------------------
 
 
-def _fixed(pair: StrongPartition, graph: _Graph) -> PairResult:
-    count = graph.count
-    value = math.log2(count) / len(pair.cut.cut)
-    return PairResult(
-        cut=pair.cut.cut,
-        blocks=pair.blocks,
-        value=value,
-        method="Counting",
-        details=graph.fixed_details,
-    )
+def _fixed(graph: _Graph) -> tuple[float, str]:
+    return math.log2(graph.count), "Counting"
+
+
+def _fixed_details(graph: _Graph) -> dict:
+    return {"count": graph.count}
 
 
 # -- entry points -------------------------------------------------------------
 
-_PAIR_RESULT = {"basic": _basic, "improved": _improved, "fixed_length": _fixed}
+# Per kind: the graph's undivided value and method, and its details.
+_KINDS = {
+    "basic": (_basic, _basic_details),
+    "improved": (_improved, _improved_details),
+    "fixed_length": (_fixed, _fixed_details),
+}
+
+
+def _key_lists(graph: _Graph) -> dict:
+    """A graph's key (I, J, L, I_1..I_m) as sorted source lists; I_1..I_m keep their order."""
+    partition = graph.cg.partition
+    return {
+        "i_set": sorted(partition.cut.i_set),
+        "j_set": sorted(partition.cut.j_set),
+        "l_set": sorted(partition.l_set),
+        "i_sets": [sorted(s) for s in partition.i_sets],
+    }
 
 
 def _bounds(
@@ -510,12 +488,19 @@ def _bounds(
 ) -> tuple[BoundReport, ...]:
     """One report per kind from one pass over the pairs and their distinct graphs."""
     graph_of = _graphs(model)
+    index: dict[_Graph, int] = {}  # distinct graphs in order of first appearance
     results: dict[str, list[PairResult]] = {kind: [] for kind in kinds}
     for pair in enumerate_pairs(model, search):
         graph = graph_of(pair)
+        n = index.setdefault(graph, len(index))
+        size = len(pair.cut.cut)
         for kind in kinds:
-            results[kind].append(_PAIR_RESULT[kind](pair, graph))
-    return tuple(_report(kind, results[kind]) for kind in kinds)
+            value, method = _KINDS[kind][0](graph)
+            results[kind].append(PairResult(pair.cut.cut, pair.blocks, value / size, method, n))
+    return tuple(
+        _report(kind, results[kind], tuple({**_key_lists(g), **_KINDS[kind][1](g)} for g in index))
+        for kind in kinds
+    )
 
 
 def lower_bounds(

@@ -17,11 +17,11 @@ rate bound contributed by the pair.
 Construction looks each vertex up in the equivalence-class partitions and
 records its layer coordinates: side-information fiber, class, leftover
 block, and the per-block class tuple (the bracket).  :func:`layer_masks`
-turns those coordinates into four nested vertex masks per vertex, and a
-vertex's adjacency is the rest of its fiber outside its class plus the
-rest of its leftover block outside its bracket.  :func:`layer_report`
-checks the finished adjacency against the same masks, one mask identity
-per layer property and vertex.  The paper's claim that the k-shot graph
+turns those coordinates into four nested vertex masks per vertex, kept on
+the graph for its consumers, and a vertex's adjacency is the rest of its
+fiber outside its class plus the rest of its leftover block outside its
+bracket.  :func:`layer_report` checks the finished adjacency against the
+same masks, one mask identity per layer property and vertex.  The paper's claim that the k-shot graph
 sits between the k-fold AND and OR powers of the single-shot graph is
 checked by the test oracles in ``tests/oracles.py``.
 """
@@ -66,6 +66,7 @@ class CharGraph:
     ``order`` lists the I and J sources in model order; every assignment is
     coordinate-aligned with it.  ``graph`` vertex labels are the canonical
     flattened strings of those assignments, in enumeration order.
+    ``masks`` is :func:`layer_masks` of ``layers``.
     """
 
     graph: pgraph.ProbGraph
@@ -74,6 +75,7 @@ class CharGraph:
     order: tuple[str, ...]
     assignments: tuple[Assignment, ...]
     layers: tuple[LayerCoord, ...]
+    masks: tuple[tuple[int, ...], ...]
 
     @property
     def cut(self) -> CutAnalysis:
@@ -142,9 +144,10 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
         )
         layers.append(LayerCoord(fi, class_index_of_fiber[fi][b_i], li, bracket))
 
-    adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*layer_masks(layers))]
+    masks = layer_masks(layers)
+    adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*masks)]
     graph = pgraph.ProbGraph.from_masks(labels, adj, dist)
-    return CharGraph(graph, partition, k, order, assignments, tuple(layers))
+    return CharGraph(graph, partition, k, order, assignments, tuple(layers), masks)
 
 
 def layer_masks(layers: Sequence[LayerCoord]) -> tuple[tuple[int, ...], ...]:
@@ -206,14 +209,14 @@ def layer_report(cg: CharGraph) -> LayerReport:
     """Check the nested layer structure against the finished adjacency.
 
     With ``adj`` a vertex's adjacency mask and F, C, L, B its
-    :func:`layer_masks`, each property is one mask identity per vertex:
-    fibers are unjoined (``adj & ~F == 0``), distinct classes in a fiber are
-    fully joined (``F & ~C`` inside ``adj``), distinct leftover blocks in a
-    class are unjoined (``adj & C & ~L == 0``), distinct brackets in a
-    leftover block are fully joined (``L & ~B`` inside ``adj``) and a
-    bracket induces no edges (``adj & B == 0``).
+    :func:`layer_masks` (``cg.masks``), each property is one mask identity
+    per vertex: fibers are unjoined (``adj & ~F == 0``), distinct classes in
+    a fiber are fully joined (``F & ~C`` inside ``adj``), distinct leftover
+    blocks in a class are unjoined (``adj & C & ~L == 0``), distinct
+    brackets in a leftover block are fully joined (``L & ~B`` inside
+    ``adj``) and a bracket induces no edges (``adj & B == 0``).
     """
-    rows = list(zip(cg.graph.adjacency_masks(), *layer_masks(cg.layers)))
+    rows = list(zip(cg.graph.adjacency_masks(), *cg.masks))
     return LayerReport(
         fibers_isolated=all(a & ~f == 0 for a, f, _, _, _ in rows),
         classes_completely_connected=all(f & ~c & ~a == 0 for a, f, c, _, _ in rows),

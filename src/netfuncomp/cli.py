@@ -6,7 +6,8 @@ can be reproduced from itself.  Floats are rounded to 15 significant digits
 and keys are sorted before printing; identical inputs and options therefore
 produce byte-identical reports.  Exit codes: 0 on success, 2 for any input
 or usage problem (with a one-line diagnostic on stderr), 3 when a size cap
-is exceeded.
+is exceeded, 141 (128 + SIGPIPE, no diagnostic) when the reader of stdout
+closes it early.
 
 The subcommands and their arguments are described once, in ``_COMMANDS``.
 A call with its long options spelled out in full is parsed from that table
@@ -69,14 +70,8 @@ def _key(key) -> str:
     return _encode_str(text)
 
 
-def _write(o, append, nl: str, parts: list[str], written: dict) -> None:
-    """Append the text of ``o`` to ``parts``; ``nl`` is the newline and indent of its line.
-
-    ``append`` is ``parts.append``.  ``written`` maps the (id, ``nl``) of
-    every nonempty dict written as the value of a key to the span of
-    ``parts`` that holds its text, or to that text once the dict recurs:
-    a dict that many rows share under a key is written once.
-    """
+def _write(o, append, nl: str) -> None:
+    """Pass the text of ``o`` to ``append``; ``nl`` is the newline and indent of its line."""
     if isinstance(o, str):
         append(_encode_str(o))
     elif o is None:
@@ -112,7 +107,7 @@ def _write(o, append, nl: str, parts: list[str], written: dict) -> None:
             for i, item in enumerate(o):
                 if i:
                     append(sep)
-                _write(item, append, inner, parts, written)
+                _write(item, append, inner)
         append(nl + "]")
     elif isinstance(o, dict):
         if not o:
@@ -125,22 +120,7 @@ def _write(o, append, nl: str, parts: list[str], written: dict) -> None:
             if i:
                 append(sep)
             append(_key(key) + ": ")
-            if not (isinstance(value, dict) and value):
-                _write(value, append, inner, parts, written)
-                continue
-            # Rows share dicts only under their keys (a graph's details), so
-            # list items skip the memo.  The caller's document keeps every
-            # dict alive, so ids do not recur.
-            memo = (id(value), inner)
-            done = written.get(memo)
-            if done is None:
-                start = len(parts)
-                _write(value, append, inner, parts, written)
-                written[memo] = (start, len(parts))
-                continue
-            if isinstance(done, tuple):
-                done = written[memo] = "".join(parts[done[0] : done[1]])
-            append(done)
+            _write(value, append, inner)
         append(nl + "}")
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
@@ -153,7 +133,7 @@ def _dumps(doc) -> str:
     one the pure-Python encoder (the only one that indents) would write.
     """
     parts: list[str] = []
-    _write(doc, parts.append, "\n", parts, {})
+    _write(doc, parts.append, "\n")
     return "".join(parts)
 
 
@@ -232,13 +212,19 @@ def _pair_entry(n: int, item) -> bounds.PairKey:
 
 
 def _bounds_result(model: NetworkModel, search: bounds.SearchConfig) -> dict:
+    """Each kind's value and witness, one row per pair, one entry per distinct graph.
+
+    A row holds its pair, the three values and the index of its graph's
+    entry; an entry holds the graph's key and every kind's details, which
+    are per graph and not divided by a cut size.
+    """
     reports = bounds.lower_bounds(model, search)
     rows = [
         {
             "cut": list(row[0].cut),
             "blocks": [list(b) for b in row[0].blocks],
             **{r.kind: p.value for r, p in zip(reports, row)},
-            "details": {r.kind: p.details for r, p in zip(reports, row)},
+            "graph": row[0].graph,
         }
         for row in zip(*(r.pairs for r in reports))
     ]
@@ -249,6 +235,7 @@ def _bounds_result(model: NetworkModel, search: bounds.SearchConfig) -> dict:
             for r in reports
         },
         "pairs": rows,
+        "graphs": [{**b, **i, **f} for b, i, f in zip(*(r.graphs for r in reports))],
     }
 
 
@@ -663,9 +650,15 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     try:
         args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at shutdown
     except NetfuncompError as exc:
         print(f"netfuncomp: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader is gone (``| head``).  Point stdout at devnull so the
+        # flush at shutdown writes nothing, as the ``signal`` docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as exc:
         print(f"netfuncomp: {exc}", file=sys.stderr)
         return 2

@@ -110,7 +110,7 @@ def test_acceptance_3_diamond_improved_bound(capsys, diamond, diamond_partitions
         for p in report.pairs
         if p.key() == (("e5", "e6"), (("e5",), ("e6",)))
     )
-    atoms = top.details["opt_dist"]
+    atoms = report.graphs[top.graph]["opt_dist"]
     atom_err = max(abs(a - b) for a, b in zip(atoms, OPT_ATOMS))
     parts = diamond_partitions
     grid_value, _ = grid_scan(bounds._graphs(diamond)(parts[1]))

@@ -59,7 +59,7 @@ def test_basic_bound_frozen(basic_report):
     assert basic_report.witness_blocks == WITNESS_BLOCKS
     top = next(p for p in basic_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS))
     assert top.method == "ExactDecomposition"
-    assert top.details["clique_entropy"] == pytest.approx(
+    assert basic_report.graphs[top.graph]["clique_entropy"] == pytest.approx(
         7 / 2 - (3 / 4) * math.log2(3), abs=1e-12
     )
 
@@ -76,8 +76,8 @@ def test_improved_bound_frozen(improved_report):
         p for p in improved_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS)
     )
     assert top.method == "BarrierNewton"
-    assert top.details["feasible_dimension"] == 2
-    got = top.details["opt_dist"]
+    assert improved_report.graphs[top.graph]["feasible_dimension"] == 2
+    got = improved_report.graphs[top.graph]["opt_dist"]
     assert max(abs(a - b) for a, b in zip(got, OPT_ATOMS)) < 1e-3
 
 
@@ -86,7 +86,9 @@ def test_improved_optimum_is_admissible(diamond, improved_report):
         p for p in improved_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS)
     )
     part = netmodel.enumerate_strong_partitions(diamond, WITNESS_CUT)[1]
-    assert is_pc_equivalent(top.details["opt_dist"], diamond, part, tol=1e-8)
+    assert is_pc_equivalent(
+        improved_report.graphs[top.graph]["opt_dist"], diamond, part, tol=1e-8
+    )
     assert is_pc_equivalent(OPT_ATOMS, diamond, part)
     skewed = [0.2, 0.05, 0.1, 0.15, 0.15, 0.1, 0.15, 0.1]
     assert not is_pc_equivalent(skewed, diamond, part)
@@ -108,7 +110,7 @@ def test_fixed_length_bound_frozen(fixed_report):
     assert fixed_report.witness_cut == WITNESS_CUT
     assert fixed_report.witness_blocks == WITNESS_BLOCKS
     top = next(p for p in fixed_report.pairs if p.key() == (WITNESS_CUT, WITNESS_BLOCKS))
-    assert top.details["count"] == 6
+    assert fixed_report.graphs[top.graph]["count"] == 6
 
 
 def test_ordering_on_every_diamond_pair(basic_report, improved_report, fixed_report):
@@ -160,7 +162,7 @@ def test_improved_is_deterministic(diamond):
     a = bounds.improved_lower_bound(diamond, search)
     b = bounds.improved_lower_bound(diamond, search)
     assert a.value == b.value
-    assert a.pairs[0].details["opt_dist"] == b.pairs[0].details["opt_dist"]
+    assert a.graphs[a.pairs[0].graph]["opt_dist"] == b.graphs[b.pairs[0].graph]["opt_dist"]
 
 
 def _distinct_graphs(model):
@@ -228,14 +230,6 @@ def test_ordering_on_random_models():
             assert i.value <= f.value + 1e-6
 
 
-def test_report_serialization(basic_report):
-    doc = basic_report.to_dict()
-    assert doc["kind"] == "basic"
-    assert doc["witness"]["cut"] == ["e5", "e6"]
-    assert len(doc["pairs"]) == 118
-    assert doc["pairs"][0].keys() >= {"cut", "blocks", "value", "method"}
-
-
 def _pair_graphs(model):
     for pair in bounds.enumerate_pairs(model):
         yield chargraph.build(model, pair, 1)
@@ -264,7 +258,7 @@ def test_layer_objective_matches_clique_entropy(diamond):
 
 
 def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
-    calls = {"build": 0, "clique_entropy": 0, "solve": 0}
+    calls = {"build": 0, "layer_masks": 0, "clique_entropy": 0, "solve": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -274,22 +268,21 @@ def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(chargraph, "build", counted("build", chargraph.build))
+    monkeypatch.setattr(chargraph, "layer_masks", counted("layer_masks", chargraph.layer_masks))
     monkeypatch.setattr(
         entropy, "clique_entropy", counted("clique_entropy", entropy.clique_entropy)
     )
     monkeypatch.setattr(bounds, "_solve", counted("solve", bounds._solve))
     basic, improved, _ = bounds.lower_bounds(diamond)
     assert len(basic.pairs) == len(improved.pairs) == 118
-    assert calls == {"build": 21, "clique_entropy": 21, "solve": 21}
+    assert calls == {"build": 21, "layer_masks": 21, "clique_entropy": 21, "solve": 21}
 
 
 def test_lower_bounds_matches_separate_bounds(
     diamond, basic_report, improved_report, fixed_report
 ):
     joint = bounds.lower_bounds(diamond)
-    assert [r.to_dict() for r in joint] == [
-        basic_report.to_dict(), improved_report.to_dict(), fixed_report.to_dict()
-    ]
+    assert joint == (basic_report, improved_report, fixed_report)
     rng = random.Random(89)
     for _ in range(3):
         model = random_model(rng)
@@ -299,7 +292,7 @@ def test_lower_bounds_matches_separate_bounds(
             bounds.fixed_length_bound(model),
         )
         joint = bounds.lower_bounds(model)
-        assert [r.to_dict() for r in joint] == [r.to_dict() for r in separate]
+        assert joint == separate
 
 
 def test_layer_count_matches_class_count_on_every_pair(diamond):
@@ -368,7 +361,7 @@ def _draw(seed, n):
 def test_hard_models_get_certified_bounds(model):
     basic, improved, fixed = bounds.lower_bounds(model)
     for b, i, f in zip(basic.pairs, improved.pairs, fixed.pairs):
-        assert i.details.get("gap", 0.0) <= 1e-9
+        assert improved.graphs[i.graph].get("gap", 0.0) <= 1e-9
         assert b.value <= i.value + 1e-9
         assert i.value <= f.value + 1e-9
 

@@ -380,6 +380,23 @@ def test_bounds_reports_are_byte_identical(capsys, paths):
     assert len(doc["result"]["pairs"]) == 118
 
 
+def test_bounds_report_lists_each_graph_once(capsys, paths):
+    rc, out, _ = run(capsys, "bounds", paths["diamond"])
+    assert rc == 0
+    result = json.loads(out)["result"]
+    rows, graphs = result["pairs"], result["graphs"]
+    assert len(rows) == 118 and len(graphs) == 21
+    keys = [(e["i_set"], e["j_set"], e["l_set"], e["i_sets"]) for e in graphs]
+    assert len(set(map(json.dumps, keys))) == 21
+    for row in rows:
+        assert 0 <= row["graph"] < len(graphs)
+        entry, size = graphs[row["graph"]], len(row["cut"])
+        assert abs(row["basic"] - entry["clique_entropy"] / size) <= 1e-12
+        assert abs(row["improved"] - entry["improved_value"] / size) <= 1e-12
+        assert abs(row["fixed_length"] - math.log2(entry["count"]) / size) <= 1e-12
+    assert all(entry.get("gap", 0.0) <= 1e-9 for entry in graphs)
+
+
 def test_simulate_builtin_scheme(capsys):
     rc, out, _ = run(capsys, "simulate", "--builtin", "diamond", "--k", "2")
     assert rc == 0
@@ -486,6 +503,21 @@ def test_python_dash_m_runs_the_cli(capsys):
     assert done.returncode == 0, done.stderr
     rc, out, _ = run(capsys, *argv)
     assert rc == 0 and done.stdout == out
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The layered-sum report (about 0.5 MB) outgrows a 64 KiB pipe buffer,
+    # so the writer is still writing when the reader goes away.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "netfuncomp", "example", "layered-sum", "--bounds"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141 and err == b""
 
 
 def test_traced_names_resolve():
