@@ -130,7 +130,11 @@ def pair_key(partition: StrongPartition) -> PairKey:
 def enumerate_pairs(
     model: NetworkModel, search: SearchConfig | None = None
 ) -> list[StrongPartition]:
-    """All (cut set, strong partition) pairs under the search limits."""
+    """All (cut set, strong partition) pairs under the search limits.
+
+    The cut sets stream, so a search of more than ``PAIR_CAP`` pairs is
+    refused as soon as the count passes the cap.
+    """
     search = search or SearchConfig()
     pairs: list[StrongPartition] = []
     for cut in enumerate_cut_sets(model, search.max_cut_size):

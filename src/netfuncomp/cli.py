@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
 import sys
@@ -275,8 +276,10 @@ def _cmd_validate(args) -> None:
 def _cmd_cuts(args) -> None:
     model = _load(args.model)
     doc = []
-    for analysis in netmodel.enumerate_cut_sets(model, args.max_cut_size):
-        parts = netmodel.enumerate_strong_partitions(model, analysis)
+    # Every cut set has its one-block partition, so grouping the pairs by
+    # cut lists every cut set, under the pair cap that ``bounds`` has.
+    pairs = bounds.enumerate_pairs(model, bounds.SearchConfig(max_cut_size=args.max_cut_size))
+    for analysis, parts in itertools.groupby(pairs, key=lambda p: p.cut):
         doc.append(
             {
                 "cut": list(analysis.cut),

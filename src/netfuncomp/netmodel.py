@@ -21,7 +21,18 @@ one topological order (Kahn's algorithm) and cached, answers every
 directed-graph question: building it is the acyclicity check, one backward
 pass finds the nodes that feed the sink, and it holds each edge's K as a
 source mask and computes I of an edge mask in one O(E) forward pass, cached
-by mask.  The strong-partition search assigns the cut's edges, in sorted id
+by mask.  It also shares one frozenset per source mask among all cut sets
+and partitions.  Cut sets stream: :func:`enumerate_cut_sets` checks its
+arguments and the edge cap at once, then yields each cut set as it is
+reached, so a consumer can stop, or refuse, before the rest is built.
+
+The strong-partition search emits the one-block partition first.  It
+looks for more only when two sources s != t of I(C) have disjoint carriers,
+where a source's carrier is the set of cut edges whose K holds it.  That
+test is sound: non-interference keeps a source of I(B_a) out of the other
+blocks' K, so every edge that carries it lies in B_a, and two blocks give
+two sources whose carriers lie in disjoint blocks.  When |I(C)| = 1 the test
+always fails.  The search then assigns the cut's edges, in sorted id
 order, to blocks by backtracking, which yields restricted-growth-string
 order.  It prunes a branch on three sound grounds:
 
@@ -382,7 +393,13 @@ class _Context:
         self._sink = pos[model.sink]
         reach = self._reach(0)
         self.k_edge = tuple(reach[pos[e.tail]] for e in model.edges)
+        # The carrier of source s: the edges whose K holds s.
+        self.carrier = tuple(
+            sum(1 << b for b, k in enumerate(self.k_edge) if k >> s & 1)
+            for s in range(len(model.sources))
+        )
         self._i_cache: dict[int, int] = {}
+        self._sets: dict[int, frozenset[str]] = {}
 
     def _reach(self, cut: int) -> list[int]:
         """Per node (topological index), the sources reaching it around ``cut``."""
@@ -409,16 +426,25 @@ class _Context:
         return i
 
     def source_set(self, mask: int) -> frozenset[str]:
-        return frozenset(s for b, s in enumerate(self.sources) if mask >> b & 1)
+        """The sources of a source mask, one shared frozenset per mask."""
+        sources = self._sets.get(mask)
+        if sources is None:
+            sources = self._sets[mask] = frozenset(
+                s for b, s in enumerate(self.sources) if mask >> b & 1
+            )
+        return sources
+
+    def splits(self, cut: int, i: int) -> bool:
+        """Whether two sources of ``i`` have disjoint carriers inside ``cut``."""
+        carriers = [c & cut for s, c in enumerate(self.carrier) if i >> s & 1]
+        return any(not a & b for a, b in itertools.combinations(carriers, 2))
 
     def analysis(self, ids: tuple[str, ...], k: int, i: int) -> CutAnalysis:
-        k_set = self.source_set(k)
-        i_set = self.source_set(i)
         return CutAnalysis(
             cut=ids,
-            k_set=k_set,
-            i_set=i_set,
-            j_set=k_set - i_set,
+            k_set=self.source_set(k),
+            i_set=self.source_set(i),
+            j_set=self.source_set(k & ~i),
             is_global=i == self.all_sources,
         )
 
@@ -449,11 +475,12 @@ def analyze_cut(model: NetworkModel, cut: Iterable[str]) -> CutAnalysis:
     return ctx.analysis(ids, k, ctx.i_mask(mask))
 
 
-def enumerate_cut_sets(model: NetworkModel, max_size: int | None = None) -> list[CutAnalysis]:
+def enumerate_cut_sets(model: NetworkModel, max_size: int | None = None) -> Iterator[CutAnalysis]:
     """All cut sets up to ``max_size`` edges, in lexicographic edge-id order.
 
+    The cut sets stream: each is analysed when the iterator reaches it.
     Enumeration is exponential in the edge count, so models with more than
-    ``EDGE_CAP`` edges are refused.
+    ``EDGE_CAP`` edges are refused, before the first cut set.
     """
     m = len(model.edges)
     if m > EDGE_CAP:
@@ -462,28 +489,38 @@ def enumerate_cut_sets(model: NetworkModel, max_size: int | None = None) -> list
         max_size = m
     if not 1 <= max_size <= m:
         raise UsageError(f"max_size must be in 1..{m}")
-    ctx = _context(model)
-    ids = sorted(ctx.bit)
-    bits = [1 << ctx.bit[eid] for eid in ids]
-    kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
-    chosen: list[str] = []
-    out: list[CutAnalysis] = []
+    return _cut_sets(_context(model), max_size)
 
+
+def _cut_sets(ctx: _Context, max_size: int) -> Iterator[CutAnalysis]:
     # Depth-first over subsets, children in increasing id order: a preorder
     # walk lists sorted id tuples lexicographically, prefixes first.
-    def extend(start: int, mask: int, k: int) -> None:
-        for j in range(start, m):
-            chosen.append(ids[j])
-            sub, sub_k = mask | bits[j], k | kbits[j]
-            i = ctx.i_mask(sub)
-            if i:
-                out.append(ctx.analysis(tuple(chosen), sub_k, i))
-            if len(chosen) < max_size:
-                extend(j + 1, sub, sub_k)
+    ids = sorted(ctx.bit)
+    m = len(ids)
+    bits = [1 << ctx.bit[eid] for eid in ids]
+    kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
+    chosen: list[int] = []  # positions in ids of the current subset
+    masks, ks = [0], [0]  # edge and K mask of each prefix of chosen
+    j = 0
+    while True:
+        if j == m:
+            if not chosen:
+                return
+            j = chosen.pop() + 1
+            masks.pop()
+            ks.pop()
+            continue
+        sub, sub_k = masks[-1] | bits[j], ks[-1] | kbits[j]
+        chosen.append(j)
+        i = ctx.i_mask(sub)
+        if i:
+            yield ctx.analysis(tuple(ids[p] for p in chosen), sub_k, i)
+        if len(chosen) < max_size:
+            masks.append(sub)
+            ks.append(sub_k)
+        else:
             chosen.pop()
-
-    extend(0, 0, 0)
-    return out
+        j += 1
 
 
 def enumerate_strong_partitions(
@@ -501,10 +538,14 @@ def enumerate_strong_partitions(
     if not cut.is_cut_set:
         raise NotACutSet(",".join(cut.cut))
     ctx = _context(model)
-    i_mask = ctx.i_mask
     ids = cut.cut
     n = len(ids)
     bits = [1 << ctx.bit[eid] for eid in ids]
+    out = [StrongPartition(cut=cut, blocks=(ids,), i_sets=(cut.i_set,), l_set=frozenset())]
+    whole = sum(bits)
+    if not ctx.splits(whole, ctx.i_mask(whole)):
+        return out
+    i_mask = ctx.i_mask
     kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
     unassigned = [0] * (n + 1)
     for j in range(n - 1, -1, -1):
@@ -512,7 +553,6 @@ def enumerate_strong_partitions(
     cap = len(cut.i_set)
     masks: list[int] = []  # edge mask of each open block
     ks: list[int] = []  # K mask of each open block
-    out: list[StrongPartition] = []
 
     def viable(b: int, free: int) -> bool:
         ib, kb = i_mask(masks[b]), ks[b]
@@ -542,9 +582,13 @@ def enumerate_strong_partitions(
             )
         )
 
+    # A single open block is always viable: it has no other block to
+    # interfere with, and with every edge it disconnects I(C).  The search
+    # therefore skips that check and the one-block leaf, emitted above.
     def extend(j: int) -> None:
         if j == n:
-            emit()
+            if len(masks) > 1:
+                emit()
             return
         opened = len(masks)
         for b in range(min(opened + 1, cap)):
@@ -555,7 +599,7 @@ def enumerate_strong_partitions(
                 saved = masks[b], ks[b]
                 masks[b] |= bits[j]
                 ks[b] |= kbits[j]
-            if viable(b, unassigned[j + 1]):
+            if len(masks) == 1 or viable(b, unassigned[j + 1]):
                 extend(j + 1)
             if b == opened:
                 masks.pop()

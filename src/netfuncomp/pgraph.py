@@ -86,11 +86,13 @@ class ProbGraph:
         return tuple(self.vertices[i] for i in _bits(m))
 
     def edges(self) -> list[tuple[Label, Label]]:
+        """Each edge once, as (u, v) with u before v, ordered by u then v."""
+        vs = self.vertices
         out = []
-        for i in range(self.n):
-            for j in _bits(self._adj[i]):
-                if j > i:
-                    out.append((self.vertices[i], self.vertices[j]))
+        for i, row in enumerate(self._adj):
+            u, above = vs[i], i + 1
+            # Only the bits above i: the shifted row is shorter to walk.
+            out.extend((u, vs[above + j]) for j in _bits(row >> above))
         return out
 
     def edge_count(self) -> int:

@@ -130,8 +130,14 @@ def set_partitions(items: list):
 def brute_strong_partitions(model: NetworkModel, cut_ids) -> set[frozenset[frozenset[str]]]:
     """The strong partitions of a cut set, by filtering every set partition."""
     out = set()
+    memo: dict[tuple[str, ...], tuple[set[str], set[str], set[str]]] = {}
     for blocks in set_partitions(sorted(cut_ids)):
-        analyses = [brute_cut_sets(model, b) for b in blocks]
+        analyses = []
+        for b in blocks:
+            key = tuple(b)
+            if key not in memo:
+                memo[key] = brute_cut_sets(model, key)
+            analyses.append(memo[key])
         if any(not i for _, i, _ in analyses):
             continue
         clash = False

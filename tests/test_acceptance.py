@@ -299,7 +299,7 @@ def test_acceptance_8_structural_suite(capsys, diamond, diamond_partitions):
     models_checked = 0
     while models_checked < 20:
         model = random_model(rng)
-        cuts = netmodel.enumerate_cut_sets(model, min(2, len(model.edges)))
+        cuts = list(netmodel.enumerate_cut_sets(model, min(2, len(model.edges))))
         if not cuts:
             continue
         pair_budget = 2

@@ -92,7 +92,7 @@ def test_construction_matches_quantifier_oracle_on_random_models():
     for _ in range(12):
         model = random_model(rng)
         cuts = netmodel.enumerate_cut_sets(model, min(2, len(model.edges)))
-        for cut in cuts[:3]:
+        for cut in itertools.islice(cuts, 3):
             for part in netmodel.enumerate_strong_partitions(model, cut)[:2]:
                 cg = chargraph.build(model, part, 1)
                 label = dict(zip(cg.graph.vertices, cg.assignments))
@@ -193,7 +193,7 @@ def test_vertex_masses_are_marginals():
     rng = random.Random(71)
     for _ in range(8):
         model = random_model(rng)
-        cut = netmodel.enumerate_cut_sets(model)[0]
+        cut = next(netmodel.enumerate_cut_sets(model))
         part = netmodel.enumerate_strong_partitions(model, cut)[0]
         cg = chargraph.build(model, part, 1)
         pos = [model.sources.index(s) for s in cg.order]

@@ -352,6 +352,44 @@ def test_cut_enumeration_over_the_edge_cap_exits_3(capsys, paths):
         assert err.count("\n") == 1
 
 
+def _grown_layered_doc(layers: int) -> dict:
+    """The layered sum with ``layers`` more fully meshed 2-relay layers before the sink.
+
+    Each layer adds four edges: two layers give 18 edges and 252,301 cut sets.
+    """
+    doc = netmodel.model_to_dict(layered_sum_model())
+    edges = [(e["tail"], e["head"]) for e in doc["edges"] if e["head"] != "t"]
+    relays = ["b"] + [chr(ord("c") + n) for n in range(layers)]
+    for x, y in zip(relays, relays[1:]):
+        edges += [(f"{x}{i}", f"{y}{j}") for i in (1, 2) for j in (1, 2)]
+    edges += [(f"{relays[-1]}{i}", "t") for i in (1, 2)]
+    doc["nodes"] = doc["nodes"][:-1] + [f"{x}{i}" for x in relays[1:] for i in (1, 2)] + ["t"]
+    doc["edges"] = [{"id": f"e{n}", "tail": a, "head": b} for n, (a, b) in enumerate(edges, 1)]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["bounds", "cuts"])
+def test_pair_search_over_the_cap_is_refused_before_the_work(capsys, monkeypatch, paths, command):
+    doc = _grown_layered_doc(2)
+    assert len(doc["edges"]) == 18
+    path = paths["base"] / "layered_18.json"
+    path.write_text(json.dumps(doc))
+    enumerated = []
+    partitions = bounds.enumerate_strong_partitions
+
+    def counted(model, cut):
+        parts = partitions(model, cut)
+        enumerated.append(len(parts))
+        return parts
+
+    monkeypatch.setattr(bounds, "enumerate_strong_partitions", counted)
+    rc, out, err = run(capsys, command, str(path))
+    assert rc == 3 and out == ""
+    assert err.startswith(f"netfuncomp: SearchSpaceExceeded: more than {bounds.PAIR_CAP} ")
+    assert err.count("\n") == 1
+    assert bounds.PAIR_CAP < sum(enumerated) <= bounds.PAIR_CAP + 1
+
+
 def test_grid_oracle_flag_is_gone(capsys, paths):
     for argv in (["bounds", paths["diamond"]], ["example", "diamond", "--bounds"]):
         with pytest.raises(SystemExit) as info:

@@ -166,7 +166,7 @@ def test_enumerate_cut_sets_orders_lexicographically():
 
 def test_enumerate_cut_sets_matches_oracle_on_diamond():
     model = diamond_model()
-    analyses = netmodel.enumerate_cut_sets(model)
+    analyses = list(netmodel.enumerate_cut_sets(model))
     for a in analyses:
         k, i, j = brute_cut_sets(model, a.cut)
         assert (a.k_set, a.i_set, a.j_set) == (k, i, j)
@@ -251,12 +251,23 @@ def test_strong_partitions_match_oracle_on_random_dags():
     assert checked > 50
 
 
+def _four_source_dags():
+    """(model, max cut size) for random DAGs with up to four sources and ten edges."""
+    rng = random.Random(33)
+    out = []
+    for _ in range(20):
+        model = random_model(rng, max_sources=4, max_edges=10)
+        out.append((model, min(5, len(model.edges))))
+    return out
+
+
 @pytest.mark.parametrize(
     "cases",
     [
         pytest.param(lambda: [(diamond_model(), None)], id="diamond"),
         pytest.param(lambda: [(layered_sum_model(), None)], id="layered-sum"),
         pytest.param(_random_dags, id="random-dags"),
+        pytest.param(_four_source_dags, id="four-source-dags"),
     ],
 )
 def test_strong_partitions_match_rgs_oracle_in_order(cases):
@@ -277,6 +288,42 @@ def _layered_12_edge_model():
     return netmodel.validate(dataclasses.replace(model, edges=model.edges + extra))
 
 
+def _root_test(model, analysis) -> bool:
+    """Whether the strong-partition search looks past the one-block partition."""
+    ctx = netmodel._context(model)
+    mask = sum(1 << ctx.bit[eid] for eid in analysis.cut)
+    return ctx.splits(mask, ctx.i_mask(mask))
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        pytest.param(lambda: [(diamond_model(), None)], id="diamond"),
+        # The brute oracle walks every set partition, so the layered models
+        # stop at five-edge cuts; the RGS test above covers every
+        # layered-sum cut.
+        pytest.param(lambda: [(layered_sum_model(), 5)], id="layered-sum"),
+        pytest.param(lambda: [(_layered_12_edge_model(), 5)], id="layered-12-edge"),
+        pytest.param(_random_dags, id="random-dags"),
+    ],
+)
+def test_every_splittable_cut_passes_the_root_test(cases):
+    splittable = 0
+    for model, cap in cases():
+        for analysis in netmodel.enumerate_cut_sets(model, max_size=cap):
+            if any(len(p) > 1 for p in brute_strong_partitions(model, analysis.cut)):
+                assert _root_test(model, analysis), analysis.cut
+                splittable += 1
+    assert splittable > 0
+
+
+def test_root_test_sends_106_layered_sum_cuts_to_the_search():
+    model = layered_sum_model()
+    cuts = list(netmodel.enumerate_cut_sets(model))
+    assert len(cuts) == 973
+    assert sum(_root_test(model, c) for c in cuts) == 106
+
+
 @pytest.mark.parametrize(
     "make, cuts, pairs",
     [(layered_sum_model, 973, 1134), (_layered_12_edge_model, 3461, 3486)],
@@ -284,7 +331,7 @@ def _layered_12_edge_model():
 )
 def test_layered_cut_and_pair_counts(make, cuts, pairs):
     model = make()
-    assert len(netmodel.enumerate_cut_sets(model)) == cuts
+    assert len(list(netmodel.enumerate_cut_sets(model))) == cuts
     assert len(bounds.enumerate_pairs(model)) == pairs
 
 
