@@ -493,34 +493,26 @@ def enumerate_cut_sets(model: NetworkModel, max_size: int | None = None) -> Iter
 
 
 def _cut_sets(ctx: _Context, max_size: int) -> Iterator[CutAnalysis]:
-    # Depth-first over subsets, children in increasing id order: a preorder
-    # walk lists sorted id tuples lexicographically, prefixes first.
     ids = sorted(ctx.bit)
     m = len(ids)
     bits = [1 << ctx.bit[eid] for eid in ids]
     kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
-    chosen: list[int] = []  # positions in ids of the current subset
-    masks, ks = [0], [0]  # edge and K mask of each prefix of chosen
-    j = 0
-    while True:
-        if j == m:
-            if not chosen:
-                return
-            j = chosen.pop() + 1
-            masks.pop()
-            ks.pop()
-            continue
-        sub, sub_k = masks[-1] | bits[j], ks[-1] | kbits[j]
-        chosen.append(j)
-        i = ctx.i_mask(sub)
-        if i:
-            yield ctx.analysis(tuple(ids[p] for p in chosen), sub_k, i)
-        if len(chosen) < max_size:
-            masks.append(sub)
-            ks.append(sub_k)
-        else:
+    chosen: list[str] = []
+
+    # Depth-first over subsets, children in increasing id order: a preorder
+    # walk lists sorted id tuples lexicographically, prefixes first.
+    def extend(start: int, mask: int, k: int) -> Iterator[CutAnalysis]:
+        for j in range(start, m):
+            chosen.append(ids[j])
+            sub, sub_k = mask | bits[j], k | kbits[j]
+            i = ctx.i_mask(sub)
+            if i:
+                yield ctx.analysis(tuple(chosen), sub_k, i)
+            if len(chosen) < max_size:
+                yield from extend(j + 1, sub, sub_k)
             chosen.pop()
-        j += 1
+
+    return extend(0, 0, 0)
 
 
 def enumerate_strong_partitions(
@@ -582,9 +574,7 @@ def enumerate_strong_partitions(
             )
         )
 
-    # A single open block is always viable: it has no other block to
-    # interfere with, and with every edge it disconnects I(C).  The search
-    # therefore skips that check and the one-block leaf, emitted above.
+    # The one-block partition was emitted above, so its leaf is skipped.
     def extend(j: int) -> None:
         if j == n:
             if len(masks) > 1:
@@ -599,7 +589,7 @@ def enumerate_strong_partitions(
                 saved = masks[b], ks[b]
                 masks[b] |= bits[j]
                 ks[b] |= kbits[j]
-            if len(masks) == 1 or viable(b, unassigned[j + 1]):
+            if viable(b, unassigned[j + 1]):
                 extend(j + 1)
             if b == opened:
                 masks.pop()

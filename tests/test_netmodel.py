@@ -159,7 +159,7 @@ def test_unknown_edge_id():
 
 def test_enumerate_cut_sets_orders_lexicographically():
     model = diamond_model()
-    analyses = netmodel.enumerate_cut_sets(model, max_size=1)
+    analyses = list(netmodel.enumerate_cut_sets(model, max_size=1))
     assert [a.cut for a in analyses] == [("e1",), ("e4",), ("e5",), ("e6",)]
     assert all(a.is_cut_set for a in analyses)
 
