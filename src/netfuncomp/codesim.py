@@ -23,14 +23,22 @@ paper's claims, is checked by a per-block test oracle in
 
 Every sweep walks the q^(k*s) blocks in one order, source 0 most
 significant and then shot 0, in numpy chunks of ``CHUNK_BLOCKS`` blocks
-(:func:`_sweep`).  Sweeps above ``MAX_BLOCKS`` blocks raise DomainTooLarge
-before any scheme call or allocation.  A code's tables become integer
-lookup arrays over word ids; a scheme's values become dense ids in order
-of first occurrence.  The block probability is multiplied shot by shot and
-every expected length and image mass is summed block by block in sweep
-order (``np.add.at``), so each float equals the one a per-block loop gives.
-Errors name the first failing block in sweep order and, within it, the
-first edge in topological order; an edge fails before the decoder.
+(:func:`_sweep`).  A sweep builds one ``(q^k, k)`` table of the digits of
+every source column; a chunk's source symbols and its per-shot row indices
+are gathers from that table and from per-source place-value tables.  Only
+when q^k exceeds ``CHUNK_BLOCKS`` (one source at large k) does each chunk
+divide its columns' digits out instead, so no table outgrows a chunk.
+Sweeps above ``MAX_BLOCKS`` blocks raise DomainTooLarge before any scheme
+call or allocation.  A code's tables become integer lookup arrays over
+word ids; a scheme's values become dense ids in order of first occurrence
+(:func:`_first_ids`: a direct-address table when a chunk's codes span at
+most ``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise).  The block
+probability is multiplied shot by shot.  Expected lengths are summed block
+by block in sweep order by a running ``np.cumsum`` that starts from the
+total so far, and image masses by ``np.add.at``, so each float equals the
+one a per-block loop gives.  Errors name the first failing block in sweep
+order and, within it, the first edge in topological order; an edge fails
+before the decoder.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ import dataclasses
 import heapq
 import itertools
 import math
+import operator
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -62,6 +71,9 @@ from .netmodel import (
 MAX_BLOCKS = 1 << 24
 # Blocks per numpy chunk of a sweep; bounds the sweep's working arrays.
 CHUNK_BLOCKS = 1 << 14
+# Widest code span, in chunks, that _first_ids tables directly; the diamond's
+# sink codes span 216^2 = 46,656 values at k = 6.
+SPAN_CHUNKS = 4
 
 
 def sardinas_patterson(words: Iterable[str]) -> bool:
@@ -71,7 +83,8 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
     by one codeword prefixing another, each round strips codewords from
     suffixes and suffixes from codewords; the set is uniquely decodable
     exactly when no round produces a codeword (equivalently, the empty
-    suffix).
+    suffix).  The first round reads the codewords in sorted order, where
+    the words that a word prefixes come right after it.
     """
     code = set(words)
     if not code:
@@ -85,12 +98,14 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
     def dangling(a: str, b: str) -> str | None:
         return b[len(a):] if b.startswith(a) and len(b) > len(a) else None
 
-    seen: set[str] = set()
+    ordered = sorted(code)
     frontier: set[str] = set()
-    for u, v in itertools.permutations(code, 2):
-        d = dangling(u, v)
-        if d is not None:
-            frontier.add(d)
+    for i, u in enumerate(ordered):
+        j = i + 1
+        while j < len(ordered) and ordered[j].startswith(u):
+            frontier.add(ordered[j][len(u):])
+            j += 1
+    seen: set[str] = set()
     while frontier:
         nxt: set[str] = set()
         for s in frontier:
@@ -225,10 +240,9 @@ def _digits(index: np.ndarray, q: int, k: int) -> np.ndarray:
 class _Chunk:
     """Consecutive blocks of a sweep as arrays over the block axis."""
 
-    q: int
-    k: int
+    symbols: Callable[[np.ndarray], np.ndarray]  # column indices to (n, k) digits
     cols: tuple[np.ndarray, ...]  # per source: column index in [0, q^k)
-    rows: tuple[np.ndarray, ...]  # per shot: row index into the model tables
+    rows: np.ndarray  # (k, n): per shot, row index into the model tables
     p: np.ndarray  # block probability
 
     @property
@@ -237,27 +251,49 @@ class _Chunk:
 
     def xs(self) -> tuple[np.ndarray, ...]:
         """Per source, the ``(n, k)`` symbols of each block's column."""
-        return tuple(_digits(c.astype(np.int64), self.q, self.k) for c in self.cols)
+        return tuple(self.symbols(c) for c in self.cols)
 
 
 def _sweep(model: NetworkModel, k: int) -> Iterator[_Chunk]:
     total = _block_count(model, k)
     q, s = model.alphabet_size, model.num_sources
     width = q**k
+    if width <= CHUNK_BLOCKS:
+        digits = _digits(np.arange(width, dtype=np.int64), q, k)
+        symbols = digits.__getitem__
+        # Per source, its share of each shot's row index: digit times place value.
+        places = [(digits.T * q ** (s - 1 - i)).astype(np.int32) for i in range(s)]
+
+        def shot_rows(cols: tuple[np.ndarray, ...]) -> np.ndarray:
+            rows = np.take(places[0], cols[0], axis=1)
+            for place, c in zip(places[1:], cols[1:]):
+                rows += np.take(place, c, axis=1)
+            return rows
+
+    else:
+        # More columns than a chunk has blocks (one source at large k): a
+        # table of them all would outgrow the chunks, so each is divided out.
+        def symbols(cols: np.ndarray) -> np.ndarray:
+            return _digits(cols.astype(np.int64), q, k)
+
+        def shot_rows(cols: tuple[np.ndarray, ...]) -> np.ndarray:
+            rows = np.zeros((k, len(cols[0])), dtype=np.int64)
+            for c in cols:
+                rows = rows * q + symbols(c).T
+            return rows
+
     dist = np.asarray(model.distribution, dtype=np.float64)
     for start in range(0, total, CHUNK_BLOCKS):
         block = np.arange(start, min(start + CHUNK_BLOCKS, total), dtype=np.int32)
         cols = tuple(block // width ** (s - 1 - i) % width for i in range(s))
-        rows = []
-        for r in range(k):
-            row = np.zeros(len(block), dtype=np.int32)
-            for c in cols:
-                row = row * q + c // q ** (k - 1 - r) % q
-            rows.append(row)
-        p = np.ones(len(block))
-        for row in rows:
-            p = p * dist[row]
-        yield _Chunk(q, k, cols, tuple(rows), p)
+        rows = shot_rows(cols)
+        # Shot by shot, as a per-block loop multiplies from 1.0 (1.0 times
+        # the first factor is exact).
+        shots = dist[rows]
+        p = shots[0]
+        for factor in shots[1:]:
+            p *= factor
+        yield _Chunk(symbols, cols, rows, p)
 
 
 def _stack(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -278,14 +314,42 @@ def _row_codes(rows: np.ndarray) -> np.ndarray:
         return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
     codes = np.zeros(n, dtype=np.int64)
     for j in range(d):
-        codes = codes * radix + (rows[:, j] - lo)
+        codes *= radix
+        codes += rows[:, j]
+        codes -= lo
     return codes
+
+
+def _first_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each distinct code first occurs, and every code's rank by that order.
+
+    ``first`` is increasing and ``codes[first[rank]] == codes``.  Codes that
+    span at most ``SPAN_CHUNKS * CHUNK_BLOCKS`` values are tabled directly;
+    wider ones are sorted.
+    """
+    lo = int(codes.min())
+    span = int(codes.max()) - lo + 1
+    if span > SPAN_CHUNKS * CHUNK_BLOCKS:
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty(len(first), dtype=np.int32)
+        rank[order] = np.arange(len(first), dtype=np.int32)
+        return first[order], rank[inverse.reshape(-1)]
+    n = len(codes)
+    at = codes - lo
+    pos = np.full(span, n, dtype=np.int32)
+    np.minimum.at(pos, at, np.arange(n, dtype=np.int32))
+    is_first = np.zeros(n, dtype=bool)
+    is_first[pos[pos < n]] = True
+    first = np.flatnonzero(is_first)
+    # The table now maps each code's offset to its rank; unseen offsets are never read.
+    pos[at[first]] = np.arange(len(first), dtype=np.int32)
+    return first, pos[at]
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an integer array, in order of first occurrence."""
-    _, first = np.unique(_row_codes(rows), return_index=True)
-    return rows[np.sort(first)]
+    return rows[_first_ids(_row_codes(rows))[0]]
 
 
 class _Interner:
@@ -295,18 +359,10 @@ class _Interner:
         self.ids: dict[tuple, int] = {}
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        _, first, inverse = np.unique(
-            _row_codes(rows), return_index=True, return_inverse=True
-        )
-        order = np.argsort(first)
+        first, rank = _first_ids(_row_codes(rows))
         ids = self.ids
-        found = [
-            ids.setdefault(row, len(ids))
-            for row in map(tuple, rows[first[order]].tolist())
-        ]
-        lut = np.empty(len(first), dtype=np.int32)
-        lut[order] = found
-        return lut[inverse.reshape(-1)]
+        found = [ids.setdefault(row, len(ids)) for row in map(tuple, rows[first].tolist())]
+        return np.array(found, dtype=np.int32)[rank]
 
 
 class _FirstValue:
@@ -322,7 +378,8 @@ class _FirstValue:
             grown = np.full(max(top, 2 * len(self.first)), -1, dtype=np.int32)
             grown[: len(self.first)] = self.first
             self.first = grown
-        uniq, at = np.unique(keys, return_index=True)
+        at = _first_ids(keys)[0]
+        uniq = keys[at]
         new = self.first[uniq] < 0
         self.first[uniq[new]] = values[at[new]]
         bad = np.flatnonzero(self.first[keys] != values)
@@ -374,7 +431,8 @@ class _WordLut:
         for j, words in enumerate(upstream):
             # A word the upstream edge never carries marks an unreachable entry.
             pos = {w: i for i, w in enumerate(words)}
-            col = np.array([pos.get(key[j], -1) for key in keys], dtype=np.int64)
+            column = map(operator.itemgetter(j), keys)
+            col = np.fromiter(map(pos.get, column, itertools.repeat(-1)), np.int64, len(keys))
             valid &= col >= 0
             at = at * len(words) + col
         kept = np.asarray(value_ids, dtype=np.int32)[np.asarray(fits, dtype=bool)]
@@ -419,7 +477,7 @@ class _Encoders:
             else:
                 self.luts[e.id] = _WordLut(
                     list(table),
-                    [wid(w) for w in table.values()],
+                    list(map(wid, table.values())),
                     [self.words[d] for d in self.in_ids[e.tail]],
                     f"edge {e.id}",
                 )
@@ -453,18 +511,21 @@ class _Encoders:
 
 def _output_ids(outputs: Iterable, target: Mapping[Hashable, int], k: int) -> np.ndarray:
     """Decoder outputs as ``(m, k)`` target-value ids, -1 where no value matches."""
-    known: dict[tuple, list[int]] = {}
-    rows = []
-    for out in outputs:
+    distinct: dict[tuple, int] = {}
+
+    def index(out: Iterable) -> int:
         out = tuple(out)
         try:
-            ids = known.get(out)
-            if ids is None:
-                ids = known[out] = [target.get(v, -1) for v in out]
+            return distinct.setdefault(out, len(distinct))
         except TypeError:  # an unhashable value equals no target value
-            ids = [-1] * k
-        rows.append(ids if len(ids) == k else [-1] * k)
-    return np.array(rows, dtype=np.int32).reshape(len(rows), k)
+            return -1
+
+    at = np.fromiter(map(index, outputs), dtype=np.intp)
+    rows = [[target.get(v, -1) for v in out] for out in distinct]
+    # Index -1 (an unhashable output) picks the appended last row, all -1;
+    # outputs of the wrong length read all -1 too.
+    rows = [ids if len(ids) == k else [-1] * k for ids in rows] + [[-1] * k]
+    return np.array(rows, dtype=np.int32).reshape(len(rows), k)[at]
 
 
 def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
@@ -486,7 +547,7 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
     sink_ids = enc.in_ids[model.sink]
     decoder = _WordLut(
         list(code.decoder),
-        range(len(code.decoder)),
+        np.arange(len(code.decoder)),
         [enc.words[d] for d in sink_ids],
         "decoder",
     )
@@ -498,7 +559,7 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
     word_len = {
         e.id: np.array([len(w) for w in enc.words[e.id]], dtype=np.int64) for e in edges
     }
-    lengths = {e.id: np.zeros(1) for e in model.edges}
+    lengths = {e.id: 0.0 for e in model.edges}
     admissible = True
     for chunk in _sweep(model, k):
         ids = enc.forward(chunk)
@@ -508,17 +569,18 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
             enc.raise_missing(chunk, ids, b)
             key = enc.key_words(ids, sink_ids, b)
             raise DomainMismatch(f"decoder has no entry for {key!r}")
-        slot = np.zeros(chunk.n, dtype=np.intp)
         for eid, w in ids.items():
-            np.add.at(lengths[eid], slot, chunk.p * word_len[eid][w])
-        truth = np.stack([row_target[row] for row in chunk.rows], axis=1)
+            # A running sum adds block by block, in sweep order.
+            running = chunk.p * word_len[eid][w]
+            running[0] += lengths[eid]
+            lengths[eid] = float(np.cumsum(running, out=running)[-1])
+        truth = row_target[chunk.rows].T
         admissible = admissible and bool((outputs[dec] == truth).all())
-    total = {eid: float(acc[0]) for eid, acc in lengths.items()}
-    rates = {eid: length / k for eid, length in total.items()}
+    rates = {eid: length / k for eid, length in lengths.items()}
     return RateReport(
         k=k,
         admissible=admissible,
-        edge_lengths=total,
+        edge_lengths=lengths,
         edge_rates=rates,
         max_rate=max(rates.values()),
         non_ud_edges=tuple(non_ud),
@@ -537,7 +599,7 @@ def _scheme_rows(value: object, n: int, what: str) -> np.ndarray:
 
 def _word_tuples(ids: np.ndarray, words: Sequence[Sequence[str]]) -> list[tuple]:
     """Each row of an ``(m, c)`` array of value ids as the tuple of the c edges' words."""
-    columns = [[ws[i] for i in ids[:, j].tolist()] for j, ws in enumerate(words)]
+    columns = [list(map(ws.__getitem__, ids[:, j].tolist())) for j, ws in enumerate(words)]
     return list(zip(*columns)) if columns else [()] * len(ids)
 
 

@@ -21,10 +21,11 @@ one topological order (Kahn's algorithm) and cached, answers every
 directed-graph question: building it is the acyclicity check, one backward
 pass finds the nodes that feed the sink, and it holds each edge's K as a
 source mask and computes I of an edge mask in one O(E) forward pass, cached
-by mask.  It also shares one frozenset per source mask among all cut sets
-and partitions.  Cut sets stream: :func:`enumerate_cut_sets` checks its
-arguments and the edge cap at once, then yields each cut set as it is
-reached, so a consumer can stop, or refuse, before the rest is built.
+by mask in a memo that is emptied at ``I_CACHE_CAP`` masks.  It also shares
+one frozenset per source mask among all cut sets and partitions.  Cut sets
+stream: :func:`enumerate_cut_sets` checks its arguments and the edge cap at
+once, then yields each cut set as it is reached, so a consumer can stop, or
+refuse, before the rest is built.
 
 The strong-partition search emits the one-block partition first.  It
 looks for more only when two sources s != t of I(C) have disjoint carriers,
@@ -367,6 +368,10 @@ def _topological_order(model: NetworkModel) -> tuple[str, ...]:
     raise CycleDetected(" -> ".join(cycle[first:] + cycle[:first]))
 
 
+# Most I values one model context keeps memoized.
+I_CACHE_CAP = 1 << 14
+
+
 class _Context:
     """Bitmask view of one model, built once from a topological order.
 
@@ -419,9 +424,16 @@ class _Context:
         return frozenset(n for n, f in zip(self.topo, feeds) if f)
 
     def i_mask(self, cut: int) -> int:
-        """I of an edge mask: the sources that no longer reach the sink."""
+        """I of an edge mask: the sources that no longer reach the sink.
+
+        Memoized: the cut walk stores I of every edge set it reaches and
+        the strong-partition search reads them back.  The memo is emptied
+        when it reaches ``I_CACHE_CAP`` masks.
+        """
         i = self._i_cache.get(cut)
         if i is None:
+            if len(self._i_cache) >= I_CACHE_CAP:
+                self._i_cache.clear()
             i = self._i_cache[cut] = self.all_sources & ~self._reach(cut)[self._sink]
         return i
 

@@ -20,7 +20,15 @@ import random
 import numpy as np
 
 from netfuncomp.errors import OptimizerFailed
-from netfuncomp.netmodel import CutAnalysis, Edge, NetworkModel, StrongPartition, validate
+from netfuncomp.examples import layered_sum_model
+from netfuncomp.netmodel import (
+    CutAnalysis,
+    Edge,
+    NetworkModel,
+    StrongPartition,
+    model_to_dict,
+    validate,
+)
 from netfuncomp.pgraph import ProbGraph
 
 
@@ -65,6 +73,22 @@ def random_model(rng: random.Random, max_sources: int = 3, max_edges: int = 8) -
             distribution=tuple(dist),
         )
     )
+
+
+def grown_layered_doc(layers: int) -> dict:
+    """The layered sum with ``layers`` more fully meshed 2-relay layers before the sink.
+
+    Each layer adds four edges: two layers give 18 edges and 252,301 cut sets.
+    """
+    doc = model_to_dict(layered_sum_model())
+    edges = [(e["tail"], e["head"]) for e in doc["edges"] if e["head"] != "t"]
+    relays = ["b"] + [chr(ord("c") + n) for n in range(layers)]
+    for x, y in zip(relays, relays[1:]):
+        edges += [(f"{x}{i}", f"{y}{j}") for i in (1, 2) for j in (1, 2)]
+    edges += [(f"{relays[-1]}{i}", "t") for i in (1, 2)]
+    doc["nodes"] = doc["nodes"][:-1] + [f"{x}{i}" for x in relays[1:] for i in (1, 2)] + ["t"]
+    doc["edges"] = [{"id": f"e{n}", "tail": a, "head": b} for n, (a, b) in enumerate(edges, 1)]
+    return doc
 
 
 def random_graph(rng: random.Random, max_n: int = 8, min_n: int = 1) -> ProbGraph:

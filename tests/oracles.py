@@ -11,6 +11,8 @@ states about the graphs it builds:
 * additivity of clique entropy over AND products;
 * admissibility of a distribution for the improved bound at one pair;
 * cut words that color the characteristic graph, by a per-block loop;
+* unique decodability by the Sardinas-Patterson test with an all-pairs
+  first round;
 * the JSON form of a code's tables, the inverse of
   ``codesim.code_from_dict``.
 
@@ -310,6 +312,41 @@ def ref_cut_coloring_check(
             raise UsageError("the cut analysis does not match the model")
     coloring = {lbl: colors[asg] for asg, lbl in zip(cg.assignments, cg.graph.vertices)}
     return all(coloring[u] != coloring[v] for u, v in cg.graph.edges())
+
+
+def ref_sardinas_patterson(words: Iterable[str]) -> bool:
+    """Whether a set of nonempty binary words is uniquely decodable.
+
+    Dangling suffixes start from every ordered pair of codewords where one
+    prefixes the other; the set is uniquely decodable exactly when no round
+    produces a codeword.
+    """
+    code = set(words)
+
+    def dangling(a: str, b: str) -> str | None:
+        return b[len(a):] if b.startswith(a) and len(b) > len(a) else None
+
+    seen: set[str] = set()
+    frontier: set[str] = set()
+    for u, v in itertools.permutations(code, 2):
+        d = dangling(u, v)
+        if d is not None:
+            frontier.add(d)
+    while frontier:
+        nxt: set[str] = set()
+        for s in frontier:
+            if s in code:
+                return False
+            for w in code:
+                d = dangling(s, w)
+                if d is not None:
+                    nxt.add(d)
+                d = dangling(w, s)
+                if d is not None:
+                    nxt.add(d)
+        seen |= frontier
+        frontier = nxt - seen
+    return True
 
 
 def code_to_dict(model: NetworkModel, code: codesim.UDCode) -> dict:

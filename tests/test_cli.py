@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_model
+from conftest import grown_layered_doc, random_model
 from netfuncomp import bounds, chargraph, cli, codesim, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 from oracles import code_to_dict
@@ -352,25 +352,9 @@ def test_cut_enumeration_over_the_edge_cap_exits_3(capsys, paths):
         assert err.count("\n") == 1
 
 
-def _grown_layered_doc(layers: int) -> dict:
-    """The layered sum with ``layers`` more fully meshed 2-relay layers before the sink.
-
-    Each layer adds four edges: two layers give 18 edges and 252,301 cut sets.
-    """
-    doc = netmodel.model_to_dict(layered_sum_model())
-    edges = [(e["tail"], e["head"]) for e in doc["edges"] if e["head"] != "t"]
-    relays = ["b"] + [chr(ord("c") + n) for n in range(layers)]
-    for x, y in zip(relays, relays[1:]):
-        edges += [(f"{x}{i}", f"{y}{j}") for i in (1, 2) for j in (1, 2)]
-    edges += [(f"{relays[-1]}{i}", "t") for i in (1, 2)]
-    doc["nodes"] = doc["nodes"][:-1] + [f"{x}{i}" for x in relays[1:] for i in (1, 2)] + ["t"]
-    doc["edges"] = [{"id": f"e{n}", "tail": a, "head": b} for n, (a, b) in enumerate(edges, 1)]
-    return doc
-
-
 @pytest.mark.parametrize("command", ["bounds", "cuts"])
 def test_pair_search_over_the_cap_is_refused_before_the_work(capsys, monkeypatch, paths, command):
-    doc = _grown_layered_doc(2)
+    doc = grown_layered_doc(2)
     assert len(doc["edges"]) == 18
     path = paths["base"] / "layered_18.json"
     path.write_text(json.dumps(doc))

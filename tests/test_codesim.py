@@ -14,6 +14,8 @@ the domain.
 
 import dataclasses
 import json
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ import pytest
 from netfuncomp import codesim, errors, netmodel
 from netfuncomp.codesim import FixedScheme, UDCode
 from netfuncomp.examples import diamond_model, single_edge_model
-from oracles import blocks, code_to_dict, ref_cut_coloring_check, ref_forward
+from oracles import (
+    blocks,
+    code_to_dict,
+    ref_cut_coloring_check,
+    ref_forward,
+    ref_sardinas_patterson,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +57,32 @@ def test_sardinas_patterson_rejects_bad_input():
         codesim.sardinas_patterson(set())
     with pytest.raises(errors.UsageError):
         codesim.sardinas_patterson({"0", "2"})
+
+
+def _random_word_sets(rng):
+    """Seeded binary word sets: random ones, Huffman codes, and long shared prefixes."""
+
+    def bits(n):
+        return "".join(rng.choice("01") for _ in range(n))
+
+    for _ in range(150):
+        yield {bits(rng.randint(1, 5)) for _ in range(rng.randint(1, 7))}
+    for _ in range(60):
+        dist = {i: rng.random() for i in range(rng.randint(1, 12))}
+        yield set(codesim._huffman(dist).values())
+    for _ in range(150):
+        stem = bits(rng.randint(8, 20))
+        words = {stem + bits(rng.randint(0, 3)) for _ in range(rng.randint(1, 5))}
+        words |= {stem[: rng.randint(1, len(stem))] for _ in range(rng.randint(0, 2))}
+        yield words | {bits(rng.randint(1, 4)) for _ in range(rng.randint(0, 3))}
+
+
+def test_sardinas_patterson_matches_the_all_pairs_oracle():
+    verdicts = []
+    for words in _random_word_sets(random.Random(18)):
+        verdicts.append(codesim.sardinas_patterson(words))
+        assert verdicts[-1] == ref_sardinas_patterson(words), sorted(words)
+    assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
 
 
 def test_diamond_scheme_rates_at_k2(diamond, diamond_code):
@@ -307,10 +341,11 @@ def skewed(diamond):
         (codesim.diamond_scheme(2), 5),
         (codesim.diamond_scheme(4), None),
         (codesim.diamond_scheme(4), 1000),
+        (codesim.diamond_scheme(4), 10),
         (_single_scheme(), None),
         (_single_scheme(), 3),
     ],
-    ids=["k2", "k2-chunk5", "k4", "k4-chunk1000", "single-k1", "single-k1-chunk3"],
+    ids=["k2", "k2-chunk5", "k4", "k4-chunk1000", "k4-chunk10", "single-k1", "single-k1-chunk3"],
 )
 def test_sweep_matches_the_per_block_loop(monkeypatch, diamond, skewed, scheme, chunk):
     if chunk is not None:
@@ -354,6 +389,75 @@ def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):
     assert code.decoder == want.decoder
     _same_report(codesim.evaluate(model, code), ref_evaluate(model, want))
     assert codesim.evaluate(model, code).admissible
+
+
+def _wide_scheme():
+    """The k = 2 split scheme with values scaled by -10^6 or 10^6 and shifted."""
+    w = 10**6
+
+    def e5(xs):
+        x1, x2 = xs[0], xs[1]
+        return np.concatenate([-(x1[:, :1] + x2[:, :1]) * w, x1[:, 1:] * w - 3], axis=1)
+
+    def e6(xs):
+        x2, x3 = xs[1], xs[2]
+        return np.concatenate([-x3[:, :1] * w, (x2[:, 1:] + x3[:, 1:]) * w + 11], axis=1)
+
+    def decode(values):
+        v5, v6 = values["e5"], values["e6"]
+        return np.stack(
+            [-v5[:, 0] // w - v6[:, 0] // w, (v5[:, 1] + 3) // w + (v6[:, 1] - 11) // w], axis=1
+        )
+
+    functions = {
+        "e1": lambda xs: -xs[0] * w - 5,
+        "e2": lambda xs: xs[1][:, :1],
+        "e3": lambda xs: xs[1][:, 1:] * -w,
+        "e4": lambda xs: xs[2],
+        "e5": e5,
+        "e6": e6,
+    }
+    return FixedScheme("diamond-wide", 2, functions, decode)
+
+
+@pytest.mark.parametrize("chunk", [5, 7])
+def test_sweep_matches_the_loop_on_wide_negative_values(monkeypatch, diamond, skewed, chunk):
+    # Narrow codes are tabled directly and wide ones sorted; chunks of 5 or 7
+    # of the 64 blocks make values first appear in a later chunk.
+    monkeypatch.setattr(codesim, "CHUNK_BLOCKS", chunk)
+    wide = []
+    first_ids = codesim._first_ids
+
+    def spied(codes):
+        span = int(codes.max()) - int(codes.min()) + 1
+        wide.append(span > codesim.SPAN_CHUNKS * codesim.CHUNK_BLOCKS)
+        return first_ids(codes)
+
+    monkeypatch.setattr(codesim, "_first_ids", spied)
+    for model in (skewed, diamond):
+        code = codesim.huffman_transform(model, _wide_scheme())
+        want = ref_huffman_transform(model, _wide_scheme())
+        assert code.encoders == want.encoders
+        # Both list the sink inputs in order of first occurrence.
+        assert list(code.decoder.items()) == list(want.decoder.items())
+        report = codesim.evaluate(model, code)
+        assert report.admissible
+        _same_report(report, ref_evaluate(model, want))
+    assert True in wide and False in wide
+
+
+@pytest.mark.parametrize("scale", [1, -(10**6)], ids=["tabled", "sorted"])
+def test_first_ids_list_first_occurrences_in_order(scale):
+    codes = np.random.default_rng(18).integers(-40, 40, size=500) * scale
+    span = int(codes.max()) - int(codes.min()) + 1
+    assert (span > codesim.SPAN_CHUNKS * codesim.CHUNK_BLOCKS) == (scale != 1)
+    first_at: dict[int, int] = {}
+    for i, c in enumerate(codes.tolist()):
+        first_at.setdefault(c, i)
+    rank = {c: r for r, c in enumerate(first_at)}
+    got_first, got_rank = codesim._first_ids(codes)
+    assert got_first.tolist() == list(first_at.values())
+    assert got_rank.tolist() == [rank[c] for c in codes.tolist()]
 
 
 def test_row_codes_separate_wide_rows():
@@ -427,6 +531,19 @@ def test_domain_mismatch_messages_match_the_loop(monkeypatch, diamond_code, skew
         assert messages[0] == "edge e3 has no entry for (1, 0)"
     if case == "unrealizable":
         assert messages[0] == "edge e6 value is not a function of its local input"
+
+
+def test_one_source_sweep_tables_no_more_than_a_chunk():
+    # 2^22 columns: a table of all their digits would take 739 MB.
+    tracemalloc.start()
+    try:
+        chunk = next(codesim._sweep(single_edge_model(), 22))
+        (symbols,) = chunk.xs()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert symbols.shape == (codesim.CHUNK_BLOCKS, 22)
+    assert peak < 32 << 20
 
 
 def test_sweep_cap_refuses_before_any_scheme_call(diamond):

@@ -19,7 +19,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import brute_cut_sets, brute_strong_partitions, random_model, rgs_strong_partitions
+from conftest import (
+    brute_cut_sets,
+    brute_strong_partitions,
+    grown_layered_doc,
+    random_model,
+    rgs_strong_partitions,
+)
 from netfuncomp import bounds, errors, netmodel
 from netfuncomp.examples import diamond_model, layered_sum_model
 from netfuncomp.netmodel import Edge, NetworkModel
@@ -354,6 +360,23 @@ def test_model_context_cache_stays_bounded():
         seen.add(model)
         netmodel.enumerate_cut_sets(model)
     assert netmodel._context.cache_info().currsize <= bound
+
+
+def test_i_memo_stays_under_its_cap():
+    # Streaming every cut set of the 18-edge model asks for I of all 2^18 - 1 masks.
+    model = netmodel.model_from_dict(grown_layered_doc(2))
+    assert sum(1 for _ in netmodel.enumerate_cut_sets(model)) == 252_301
+    assert 0 < len(netmodel._context(model)._i_cache) <= netmodel.I_CACHE_CAP
+
+
+def test_partition_search_is_unchanged_when_the_i_memo_empties(monkeypatch):
+    model = layered_sum_model()
+    want = bounds.enumerate_pairs(model)
+    memo = netmodel._context(model)._i_cache
+    memo.clear()
+    monkeypatch.setattr(netmodel, "I_CACHE_CAP", 5)
+    assert bounds.enumerate_pairs(model) == want
+    assert len(memo) <= 5
 
 
 # -- dependencies ------------------------------------------------------------------
