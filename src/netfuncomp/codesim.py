@@ -1,12 +1,16 @@
 """Concrete variable-length network codes and their simulation.
 
-A :class:`UDCode` stores one lookup table per edge mapping that edge's
-inputs (the tail source's k-shot column for a source edge, the upstream
-codewords otherwise) to binary words, plus a decoder table at the sink.
-:func:`evaluate` sweeps every input block, checks zero-error recovery of
-the target function, verifies each edge's image set with the
-Sardinas-Patterson test, and accumulates expected codeword lengths under
-the i.i.d. extension of the source distribution.
+A :class:`UDCode` is one table form of a code: each edge's distinct
+codewords, one integer array of word ids per edge (indexed by the tail
+source's k-column for a source edge, by the upstream word ids otherwise)
+and a decoder array at the sink that points to rows of target-value ids.
+:func:`evaluate` sweeps every input block through those arrays, checks
+zero-error recovery of the target function, verifies each edge's image set
+with the Sardinas-Patterson test, and accumulates expected codeword lengths
+under the i.i.d. extension of the source distribution.  Strings are parsed
+in one place, :func:`code_from_dict`, which reads the JSON form of a code:
+codewords must be JSON strings, and ``""`` is the key of an edge whose tail
+has no in-edges.
 
 Symbol-level strategies enter through :class:`FixedScheme`: batch edge
 functions of the source blocks together with a batch value decoder.
@@ -29,25 +33,24 @@ are gathers from that table and from per-source place-value tables.  Only
 when q^k exceeds ``CHUNK_BLOCKS`` (one source at large k) does each chunk
 divide its columns' digits out instead, so no table outgrows a chunk.
 Sweeps above ``MAX_BLOCKS`` blocks raise DomainTooLarge before any scheme
-call or allocation.  A code's tables become integer lookup arrays over
-word ids; a scheme's values become dense ids in order of first occurrence
-(:func:`_first_ids`: a direct-address table when a chunk's codes span at
-most ``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise).  The block
-probability is multiplied shot by shot.  Expected lengths are summed block
-by block in sweep order by a running ``np.cumsum`` that starts from the
-total so far, and image masses by ``np.add.at``, so each float equals the
-one a per-block loop gives.  Errors name the first failing block in sweep
-order and, within it, the first edge in topological order; an edge fails
-before the decoder.
+call or allocation.  A scheme's values become dense ids in order of first
+occurrence (:func:`_first_ids`: a direct-address table when a chunk's codes
+span at most ``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise); the
+value ids of an edge are its word ids.  The block probability is
+multiplied shot by shot.  Expected lengths are summed block by block in
+sweep order by a running ``np.cumsum`` that starts from the total so far,
+and image masses by ``np.add.at``, so each float equals the one a
+per-block loop gives.  Errors name the first failing block in sweep order
+and, within it, the first edge in topological order; an edge fails before
+the decoder.
 """
-
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import heapq
 import itertools
 import math
-import operator
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -79,12 +82,14 @@ SPAN_CHUNKS = 4
 def sardinas_patterson(words: Iterable[str]) -> bool:
     """True when the word set is uniquely decodable.
 
-    Iterates dangling suffixes: starting from the proper suffixes produced
-    by one codeword prefixing another, each round strips codewords from
-    suffixes and suffixes from codewords; the set is uniquely decodable
-    exactly when no round produces a codeword (equivalently, the empty
-    suffix).  The first round reads the codewords in sorted order, where
-    the words that a word prefixes come right after it.
+    Iterates dangling suffixes: the first round strips each codeword from
+    the codewords it prefixes, and each later round strips codewords from
+    the suffixes and the suffixes from codewords.  The set is uniquely
+    decodable exactly when no round produces a codeword (equivalently, the
+    empty suffix).  One routine serves every round: in sorted order the
+    codewords that a string properly prefixes form a run right after it,
+    and the codewords that properly prefix it are set lookups of its
+    prefixes at the codeword lengths.
     """
     code = set(words)
     if not code:
@@ -94,32 +99,27 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
             raise EmptyWord("codes must not contain the empty word")
         if set(w) - {"0", "1"}:
             raise UsageError(f"non-binary codeword {w!r}")
-
-    def dangling(a: str, b: str) -> str | None:
-        return b[len(a):] if b.startswith(a) and len(b) > len(a) else None
-
     ordered = sorted(code)
-    frontier: set[str] = set()
-    for i, u in enumerate(ordered):
-        j = i + 1
-        while j < len(ordered) and ordered[j].startswith(u):
-            frontier.add(ordered[j][len(u):])
+    lengths = sorted({len(w) for w in code})
+
+    def dangling(s: str) -> Iterator[str]:
+        j = bisect.bisect_right(ordered, s)
+        while j < len(ordered) and ordered[j].startswith(s):
+            yield ordered[j][len(s):]
             j += 1
+        for n in lengths:
+            if n >= len(s):
+                break
+            if s[:n] in code:
+                yield s[n:]
+
+    frontier = {d for w in code for d in dangling(w)}
     seen: set[str] = set()
     while frontier:
-        nxt: set[str] = set()
-        for s in frontier:
-            if s in code:
-                return False
-            for w in code:
-                d = dangling(s, w)
-                if d is not None:
-                    nxt.add(d)
-                d = dangling(w, s)
-                if d is not None:
-                    nxt.add(d)
+        if not frontier.isdisjoint(code):
+            return False
         seen |= frontier
-        frontier = nxt - seen
+        frontier = {d for s in frontier for d in dangling(s)} - seen
     return True
 
 
@@ -154,16 +154,25 @@ def _huffman(dist: Mapping[Hashable, float]) -> dict[Hashable, str]:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class UDCode:
-    """Tables for one variable-length code: per-edge encoders plus a decoder.
+    """Integer tables for one variable-length code: per-edge encoders plus a decoder.
 
-    Source-edge tables are keyed by the tail source's k-column; other edges
-    are keyed by the tuple of upstream words in ascending in-edge-id order,
-    which is also the decoder's key convention at the sink.
+    ``words[e]`` lists edge e's distinct codewords; a word id is a position
+    in it.  ``tables[e]`` is an int32 array of word ids, -1 where the table
+    has no entry.  A source edge's array is indexed by the tail source's
+    k-column (base q, shot 0 most significant).  Any other edge's array is
+    indexed by the mixed-radix index of its upstream word ids, in ascending
+    in-edge-id order with the first in-edge most significant.  ``decoder``
+    is indexed the same way by the sink's in-edges and holds row numbers of
+    ``outputs``, an ``(m, k)`` int32 array of target-value ids: the model's
+    function values numbered in order of first appearance in its table, -1
+    for a value the function never takes.
     """
 
     k: int
-    encoders: Mapping[str, Mapping]
-    decoder: Mapping[tuple, tuple]
+    words: Mapping[str, tuple[str, ...]]
+    tables: Mapping[str, np.ndarray]
+    decoder: np.ndarray
+    outputs: np.ndarray
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -176,8 +185,8 @@ class FixedScheme:
     integer array-like: row b is the edge's value in block b, compared and
     Huffman coded as a tuple of d ints.  The decoder receives a dict from
     each sink in-edge id to an ``(m, d)`` array of values, one row per
-    distinct sink input, and returns an ``(m, k)`` array-like of target
-    values.
+    distinct sink input, and returns an ``(m, k)`` integer array-like of
+    target values.
     """
 
     name: str
@@ -395,137 +404,84 @@ def _add_in_order(acc: np.ndarray, index: np.ndarray, values: np.ndarray) -> np.
     return acc
 
 
-def _first_missing(n: int, parts: Iterable[np.ndarray]) -> int | None:
-    """The first block at which any of the id arrays is -1."""
-    missing = np.zeros(n, dtype=bool)
-    for ids in parts:
-        missing |= ids < 0
-    return int(np.argmax(missing)) if missing.any() else None
+def _index(parts: Sequence[np.ndarray], radix: Sequence[int], n: int) -> np.ndarray:
+    """Mixed-radix index of n tuples of word ids, the first part most significant.
+
+    The index is -1 where any part is -1.
+    """
+    at = np.zeros(n, dtype=np.int64)
+    valid = np.ones(n, dtype=bool)
+    for ids, r in zip(parts, radix):
+        valid &= ids >= 0
+        at = at * r + ids
+    return np.where(valid, at, -1)
 
 
-class _WordLut:
-    """A table keyed by tuples of upstream words, as an array over word ids.
+def _word_table(
+    parts: Sequence[np.ndarray], ids: np.ndarray, radix: Sequence[int], what: str
+) -> np.ndarray:
+    """An int32 table over upstream word tuples: ``ids`` at each entry's index, -1 elsewhere.
 
-    Upstream word ids combine into one mixed-radix index; the array holds
-    the entry's value id where the table has an entry and -1 elsewhere.
-    Blocks whose upstream ids are already -1 stay -1.
+    Entries with a -1 part (a word the upstream edge never carries) are left out.
+    """
+    size = math.prod(radix)
+    if size > MAX_BLOCKS:
+        raise DomainTooLarge(
+            f"{what} keys span {size} upstream word tuples, above the cap of {MAX_BLOCKS}"
+        )
+    at = _index(parts, radix, len(ids))
+    keep = at >= 0
+    table = np.full(size, -1, dtype=np.int32)
+    table[at[keep]] = np.asarray(ids, dtype=np.int32)[keep]
+    return table
+
+
+def _lookup(
+    table: np.ndarray, parts: Sequence[np.ndarray], radix: Sequence[int], n: int
+) -> np.ndarray:
+    """Per block, the table entry at the upstream word ids; -1 where an upstream id is -1."""
+    at = _index(parts, radix, n)
+    return np.where(at >= 0, table[at], -1)
+
+
+def _target_ids(model: NetworkModel) -> dict[Hashable, int]:
+    """The model's function values, numbered in order of first appearance in its table."""
+    return {v: i for i, v in enumerate(dict.fromkeys(model.function_table))}
+
+
+def _check_table(table: object, shape: tuple[int, ...], top: int, what: str) -> None:
+    """Refuse a table that is not an integer array of ``shape`` with ids in [-1, top)."""
+    if (
+        not isinstance(table, np.ndarray)
+        or table.shape != shape
+        or table.dtype.kind not in "iu"
+        or (table.size and (table.min() < -1 or table.max() >= top))
+    ):
+        raise DomainMismatch(
+            f"{what} does not fit the model: it needs shape {shape} and ids in [-1, {top})"
+        )
+
+
+def _missing_entry(
+    model: NetworkModel, code: UDCode, chunk: _Chunk, ids: Mapping[str, np.ndarray], b: int
+) -> DomainMismatch:
+    """The error for the first table with no entry at block b.
+
+    Edges come in topological order, then the decoder.
     """
 
-    def __init__(
-        self,
-        keys: Sequence[Hashable],
-        value_ids: Sequence[int],
-        upstream: Sequence[Sequence[str]],
-        what: str,
-    ):
-        self.radix = [len(words) for words in upstream]
-        size = math.prod(self.radix)
-        if size > MAX_BLOCKS:
-            raise DomainTooLarge(
-                f"{what} keys span {size} upstream word tuples, above the cap of {MAX_BLOCKS}"
-            )
-        fits = [isinstance(key, tuple) and len(key) == len(upstream) for key in keys]
-        keys = list(itertools.compress(keys, fits))
-        at = np.zeros(len(keys), dtype=np.int64)
-        valid = np.ones(len(keys), dtype=bool)
-        for j, words in enumerate(upstream):
-            # A word the upstream edge never carries marks an unreachable entry.
-            pos = {w: i for i, w in enumerate(words)}
-            column = map(operator.itemgetter(j), keys)
-            col = np.fromiter(map(pos.get, column, itertools.repeat(-1)), np.int64, len(keys))
-            valid &= col >= 0
-            at = at * len(words) + col
-        kept = np.asarray(value_ids, dtype=np.int32)[np.asarray(fits, dtype=bool)]
-        self.lut = np.full(size, -1, dtype=np.int32)
-        self.lut[at[valid]] = kept[valid]
+    def key_words(node: str) -> tuple:
+        return tuple(code.words[d][ids[d][b]] for d in _in_ids(model, node))
 
-    def __call__(self, parts: Sequence[np.ndarray], n: int) -> np.ndarray:
-        at = np.zeros(n, dtype=np.int64)
-        valid = np.ones(n, dtype=bool)
-        for ids, radix in zip(parts, self.radix):
-            valid &= ids >= 0
-            at = at * radix + ids
-        return np.where(valid, self.lut[np.where(valid, at, 0)], -1)
-
-
-class _Encoders:
-    """A code's encoder tables as integer lookup arrays over word ids."""
-
-    def __init__(self, model: NetworkModel, code: UDCode):
-        q, k = model.alphabet_size, code.k
-        _block_count(model, k)
-        self.edges = _edges_in_topo_order(model)
-        self.source_pos = {s: i for i, s in enumerate(model.sources)}
-        self.in_ids = {n: _in_ids(model, n) for n in model.nodes}
-        self.words: dict[str, list[str]] = {}
-        self.luts: dict[str, np.ndarray | _WordLut] = {}
-        for e in self.edges:
-            table = code.encoders.get(e.id, {})
-            words = list(dict.fromkeys(table.values()))
-            wid = {w: i for i, w in enumerate(words)}.__getitem__
-            self.words[e.id] = words
-            if e.tail in self.source_pos:
-                lut = np.full(q**k, -1, dtype=np.int32)
-                for key, w in table.items():
-                    if (
-                        isinstance(key, tuple)
-                        and len(key) == k
-                        and all(isinstance(x, int) and 0 <= x < q for x in key)
-                    ):
-                        lut[model.arg_index(key)] = wid(w)
-                self.luts[e.id] = lut
-            else:
-                self.luts[e.id] = _WordLut(
-                    list(table),
-                    list(map(wid, table.values())),
-                    [self.words[d] for d in self.in_ids[e.tail]],
-                    f"edge {e.id}",
-                )
-
-    def forward(self, chunk: _Chunk) -> dict[str, np.ndarray]:
-        """Word id per block on every edge; -1 where a table has no entry."""
-        ids: dict[str, np.ndarray] = {}
-        for e in self.edges:
-            lut = self.luts[e.id]
-            if e.tail in self.source_pos:
-                ids[e.id] = lut[chunk.cols[self.source_pos[e.tail]]]
-            else:
-                ids[e.id] = lut([ids[d] for d in self.in_ids[e.tail]], chunk.n)
-        return ids
-
-    def key_words(self, ids: Mapping[str, np.ndarray], upstream: Sequence[str], b: int) -> tuple:
-        """The words the upstream edges carry at block b."""
-        return tuple(self.words[d][ids[d][b]] for d in upstream)
-
-    def raise_missing(self, chunk: _Chunk, ids: Mapping[str, np.ndarray], b: int) -> None:
-        """Raise for the first edge in topological order with no entry at block b."""
-        for e in self.edges:
-            if ids[e.id][b] >= 0:
-                continue
-            if e.tail in self.source_pos:
-                key = tuple(chunk.xs()[self.source_pos[e.tail]][b].tolist())
-            else:
-                key = self.key_words(ids, self.in_ids[e.tail], b)
-            raise DomainMismatch(f"edge {e.id} has no entry for {key!r}")
-
-
-def _output_ids(outputs: Iterable, target: Mapping[Hashable, int], k: int) -> np.ndarray:
-    """Decoder outputs as ``(m, k)`` target-value ids, -1 where no value matches."""
-    distinct: dict[tuple, int] = {}
-
-    def index(out: Iterable) -> int:
-        out = tuple(out)
-        try:
-            return distinct.setdefault(out, len(distinct))
-        except TypeError:  # an unhashable value equals no target value
-            return -1
-
-    at = np.fromiter(map(index, outputs), dtype=np.intp)
-    rows = [[target.get(v, -1) for v in out] for out in distinct]
-    # Index -1 (an unhashable output) picks the appended last row, all -1;
-    # outputs of the wrong length read all -1 too.
-    rows = [ids if len(ids) == k else [-1] * k for ids in rows] + [[-1] * k]
-    return np.array(rows, dtype=np.int32).reshape(len(rows), k)[at]
+    for e in _edges_in_topo_order(model):
+        if ids[e.id][b] >= 0:
+            continue
+        if e.tail in model.sources:
+            key = tuple(chunk.xs()[model.sources.index(e.tail)][b].tolist())
+        else:
+            key = key_words(e.tail)
+        return DomainMismatch(f"edge {e.id} has no entry for {key!r}")
+    return DomainMismatch(f"decoder has no entry for {key_words(model.sink)!r}")
 
 
 def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
@@ -533,49 +489,51 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
 
     Every source block in the k-shot domain is swept.  A non-UD edge image
     does not stop the sweep; the offending edges are reported in the result.
+    A code whose tables do not fit the model raises DomainMismatch.
     """
     k = code.k
-    if set(code.encoders) != {e.id for e in model.edges}:
-        raise DomainMismatch("code must define exactly one encoder per edge")
     edges = _edges_in_topo_order(model)
-    non_ud = []
+    if set(code.tables) != {e.id for e in edges} or set(code.words) != set(code.tables):
+        raise DomainMismatch("code must define exactly one encoder per edge")
+    _block_count(model, k)
+    source_pos = {s: i for i, s in enumerate(model.sources)}
+    in_ids = {n: _in_ids(model, n) for n in model.nodes}
+    radix = {n: [len(code.words[d]) for d in ids] for n, ids in in_ids.items()}
     for e in edges:
-        image = set(code.encoders[e.id].values())
-        if not sardinas_patterson(image):
-            non_ud.append(e.id)
-    enc = _Encoders(model, code)
-    sink_ids = enc.in_ids[model.sink]
-    decoder = _WordLut(
-        list(code.decoder),
-        np.arange(len(code.decoder)),
-        [enc.words[d] for d in sink_ids],
-        "decoder",
-    )
-    target: dict[Hashable, int] = {}
-    row_target = np.array(
-        [target.setdefault(v, len(target)) for v in model.function_table], dtype=np.int32
-    )
-    outputs = _output_ids(code.decoder.values(), target, k)
+        size = model.alphabet_size**k if e.tail in source_pos else math.prod(radix[e.tail])
+        _check_table(code.tables[e.id], (size,), len(code.words[e.id]), f"edge {e.id} table")
+    sink_ids = in_ids[model.sink]
+    target = _target_ids(model)
+    _check_table(code.decoder, (math.prod(radix[model.sink]),), len(code.outputs), "decoder table")
+    rows = np.shape(code.outputs)[:1]
+    _check_table(code.outputs, (*rows, k), len(target), "decoder output table")
+    non_ud = [e.id for e in edges if not sardinas_patterson(code.words[e.id])]
+    row_target = np.array([target[v] for v in model.function_table], dtype=np.int32)
     word_len = {
-        e.id: np.array([len(w) for w in enc.words[e.id]], dtype=np.int64) for e in edges
+        e.id: np.array([len(w) for w in code.words[e.id]], dtype=np.int64) for e in edges
     }
     lengths = {e.id: 0.0 for e in model.edges}
     admissible = True
     for chunk in _sweep(model, k):
-        ids = enc.forward(chunk)
-        dec = decoder([ids[d] for d in sink_ids], chunk.n)
-        b = _first_missing(chunk.n, [*ids.values(), dec])
-        if b is not None:
-            enc.raise_missing(chunk, ids, b)
-            key = enc.key_words(ids, sink_ids, b)
-            raise DomainMismatch(f"decoder has no entry for {key!r}")
+        ids: dict[str, np.ndarray] = {}
+        for e in edges:
+            table = code.tables[e.id]
+            if e.tail in source_pos:
+                ids[e.id] = table[chunk.cols[source_pos[e.tail]]]
+            else:
+                upstream = [ids[d] for d in in_ids[e.tail]]
+                ids[e.id] = _lookup(table, upstream, radix[e.tail], chunk.n)
+        dec = _lookup(code.decoder, [ids[d] for d in sink_ids], radix[model.sink], chunk.n)
+        missing = np.flatnonzero(np.min([*ids.values(), dec], axis=0) < 0)
+        if missing.size:
+            raise _missing_entry(model, code, chunk, ids, int(missing[0]))
         for eid, w in ids.items():
             # A running sum adds block by block, in sweep order.
             running = chunk.p * word_len[eid][w]
             running[0] += lengths[eid]
             lengths[eid] = float(np.cumsum(running, out=running)[-1])
         truth = row_target[chunk.rows].T
-        admissible = admissible and bool((outputs[dec] == truth).all())
+        admissible = admissible and bool((code.outputs[dec] == truth).all())
     rates = {eid: length / k for eid, length in lengths.items()}
     return RateReport(
         k=k,
@@ -595,12 +553,6 @@ def _scheme_rows(value: object, n: int, what: str) -> np.ndarray:
             f"{rows.shape} of {rows.dtype}"
         )
     return rows.astype(np.int64, copy=False)
-
-
-def _word_tuples(ids: np.ndarray, words: Sequence[Sequence[str]]) -> list[tuple]:
-    """Each row of an ``(m, c)`` array of value ids as the tuple of the c edges' words."""
-    columns = [list(map(ws.__getitem__, ids[:, j].tolist())) for j, ws in enumerate(words)]
-    return list(zip(*columns)) if columns else [()] * len(ids)
 
 
 def _scheme_images(
@@ -665,52 +617,45 @@ def huffman_transform(model: NetworkModel, scheme: FixedScheme) -> UDCode:
     in_ids = {n: _in_ids(model, n) for n in model.nodes}
     sink_ids = in_ids[model.sink]
     values, mass, keys, first, dec_keys = _scheme_images(model, scheme, k, source_pos, in_ids)
-    # Per edge, the Huffman word and the value row of each value id.
-    words: dict[str, list[str]] = {}
+    # Per edge, the Huffman word and the value row of each value id; a word
+    # id is therefore the value id.
+    words: dict[str, tuple[str, ...]] = {}
     value_rows: dict[str, np.ndarray] = {}
     for e in model.edges:
         dist = dict(zip(values[e.id].ids, mass[e.id].tolist()))
         huff = _huffman(dist)
-        words[e.id] = [huff[v] for v in dist]
+        words[e.id] = tuple(huff[v] for v in dist)
         value_rows[e.id] = np.array(list(dist), dtype=np.int64)
-    encoders: dict[str, dict] = {}
+    radix = {n: [len(words[d]) for d in ids] for n, ids in in_ids.items()}
+    tables: dict[str, np.ndarray] = {}
     for e in model.edges:
         seen = first[e.id].first
         if e.tail in source_pos:
-            cols = np.flatnonzero(seen >= 0)
-            encoders[e.id] = {
-                tuple(col): words[e.id][v]
-                for col, v in zip(_digits(cols, q, k).tolist(), seen[cols].tolist())
-            }
+            # The sweep sees every column; the array may have grown past them.
+            tables[e.id] = seen[: q**k]
         else:
-            upstream = in_ids[e.tail]
             rows = keys[e.id].ids
-            key_ids = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(upstream))
-            encoders[e.id] = dict(
-                zip(
-                    _word_tuples(key_ids, [words[d] for d in upstream]),
-                    [words[e.id][v] for v in seen[: len(rows)].tolist()],
-                )
-            )
+            key_ids = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(radix[e.tail]))
+            tables[e.id] = _word_table(key_ids.T, seen[: len(rows)], radix[e.tail], f"edge {e.id}")
+    m = len(dec_keys)
     outputs = np.asarray(
-        scheme.decoder(
-            {d: value_rows[d][dec_keys[:, j]] for j, d in enumerate(sink_ids)}
-        )
+        scheme.decoder({d: value_rows[d][dec_keys[:, j]] for j, d in enumerate(sink_ids)})
     )
-    if outputs.ndim != 2 or len(outputs) != len(dec_keys):
+    if outputs.shape != (m, k) or outputs.dtype.kind not in "iu":
         raise UsageError(
-            f"scheme decoder must give a ({len(dec_keys)}, k) array, got shape "
-            f"{outputs.shape}"
+            f"scheme decoder must give a ({m}, {k}) integer array, got shape "
+            f"{outputs.shape} of {outputs.dtype}"
         )
-    # Equal outputs share one tuple; slices keep the list form of the array small.
-    canon: dict[tuple, tuple] = {}
-    targets = [
-        canon.setdefault(out, out)
-        for start in range(0, len(outputs), CHUNK_BLOCKS)
-        for out in map(tuple, outputs[start : start + CHUNK_BLOCKS].tolist())
-    ]
-    decoder = dict(zip(_word_tuples(dec_keys, [words[d] for d in sink_ids]), targets))
-    return UDCode(k=k, encoders=encoders, decoder=decoder)
+    target = _target_ids(model)
+    at, rank = _first_ids(outputs.reshape(-1))
+    ids = [target.get(v, -1) for v in outputs.reshape(-1)[at].tolist()]
+    return UDCode(
+        k=k,
+        words=words,
+        tables=tables,
+        decoder=_word_table(dec_keys.T, np.arange(m), radix[model.sink], "decoder"),
+        outputs=np.array(ids, dtype=np.int32)[rank].reshape(m, k),
+    )
 
 
 def diamond_scheme(k: int) -> FixedScheme:
@@ -752,6 +697,17 @@ def diamond_scheme(k: int) -> FixedScheme:
 
 
 def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
+    """The code a JSON document describes, as tables over ``model``.
+
+    This is the only reader of codewords and table keys.  A source edge's
+    keys are k-columns written like ``format_assignment``.  Any other
+    edge's keys, and the decoder's, join the upstream words with commas in
+    ascending in-edge-id order; ``""`` is the empty key of an edge whose
+    tail has no in-edges.  Codewords must be strings, and each decoder
+    entry is a list of target values.  Entries whose key has the wrong
+    length or names a word the upstream edge never carries match no block
+    and are dropped.
+    """
     try:
         k = json_int(doc["k"], "code document: k")
         enc_doc = doc["encoders"]
@@ -764,27 +720,67 @@ def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
         raise UsageError("code document: encoders must be an object")
     if not isinstance(dec_doc, Mapping):
         raise UsageError("code document: decoder must be an object")
+
+    def word_key(key: str) -> tuple[str, ...]:
+        return tuple(key.split(",")) if key else ()
+
     q = model.alphabet_size
-    source_names = set(model.sources)
-    encoders: dict[str, dict] = {}
+    words: dict[str, tuple[str, ...]] = {}
+    keys: dict[str, list] = {}
     for e in model.edges:
         if e.id not in enc_doc:
             raise UsageError(f"code document is missing edge {e.id}")
         if not isinstance(enc_doc[e.id], Mapping):
             raise UsageError(f"code document: edge {e.id} table must be an object")
-        table = {}
+        keys[e.id] = []
         for key, w in enc_doc[e.id].items():
-            if e.tail in source_names:
+            if not isinstance(w, str):
+                raise UsageError(f"code document: edge {e.id} word {w!r} must be a string")
+            if e.tail in model.sources:
                 try:
-                    table[parse_assignment(key, q, 1, k)[0]] = str(w)
+                    keys[e.id].append(model.arg_index(parse_assignment(key, q, 1, k)[0]))
                 except UsageError as exc:
                     raise UsageError(f"edge {e.id}: source key {exc}") from None
             else:
-                table[tuple(key.split(","))] = str(w)
-        encoders[e.id] = table
-    decoder = {}
+                keys[e.id].append(word_key(key))
+        words[e.id] = tuple(dict.fromkeys(enc_doc[e.id].values()))
+    target = _target_ids(model)
+    rows: dict[tuple, int] = {}
+    dec_rows = []
     for key, out in dec_doc.items():
         if not isinstance(out, list):
             raise UsageError(f"code document: decoder entry {key!r} must be a list")
-        decoder[tuple(key.split(","))] = tuple(out)
-    return UDCode(k=k, encoders=encoders, decoder=decoder)
+        try:
+            ids = tuple(target.get(v, -1) for v in out)
+        except TypeError:  # an unhashable value equals no target value
+            ids = ()
+        dec_rows.append(rows.setdefault(ids if len(ids) == k else (-1,) * k, len(rows)))
+    _block_count(model, k)
+
+    def table(node: str, entries: Sequence[tuple], ids: Sequence[int], what: str) -> np.ndarray:
+        upstream = [words[d] for d in _in_ids(model, node)]
+        fits = [len(key) == len(upstream) for key in entries]
+        entries = list(itertools.compress(entries, fits))
+        parts = []
+        for j, ws in enumerate(upstream):
+            pos = {w: i for i, w in enumerate(ws)}
+            parts.append(np.array([pos.get(key[j], -1) for key in entries], dtype=np.int64))
+        kept = np.asarray(ids, dtype=np.int32)[np.asarray(fits, dtype=bool)]
+        return _word_table(parts, kept, [len(ws) for ws in upstream], what)
+
+    tables: dict[str, np.ndarray] = {}
+    for e in model.edges:
+        wid = {w: i for i, w in enumerate(words[e.id])}
+        ids = [wid[w] for w in enc_doc[e.id].values()]
+        if e.tail in model.sources:
+            tables[e.id] = np.full(q**k, -1, dtype=np.int32)
+            tables[e.id][keys[e.id]] = ids
+        else:
+            tables[e.id] = table(e.tail, keys[e.id], ids, f"edge {e.id}")
+    return UDCode(
+        k=k,
+        words=words,
+        tables=tables,
+        decoder=table(model.sink, list(map(word_key, dec_doc)), dec_rows, "decoder"),
+        outputs=np.array(list(rows), dtype=np.int32).reshape(len(rows), k),
+    )

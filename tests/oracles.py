@@ -13,8 +13,9 @@ states about the graphs it builds:
 * cut words that color the characteristic graph, by a per-block loop;
 * unique decodability by the Sardinas-Patterson test with an all-pairs
   first round;
-* the JSON form of a code's tables, the inverse of
-  ``codesim.code_from_dict``.
+* a code's integer tables expanded into dict tables, the form the
+  per-block references read, and the JSON form of those tables, the
+  inverse of ``codesim.code_from_dict``.
 
 Every failure raises ``UsageError``.
 """
@@ -276,7 +277,53 @@ def blocks(model: NetworkModel, k: int):
     return itertools.product(columns, repeat=model.num_sources)
 
 
-def ref_forward(model: NetworkModel, code: codesim.UDCode, xs) -> dict[str, str]:
+@dataclass(frozen=True)
+class CodeTables:
+    """A code as dict tables, the form the per-block references read.
+
+    ``encoders[e]`` maps a source edge's k-column, or any other edge's
+    tuple of upstream words in ascending in-edge-id order, to edge e's
+    word; ``decoder`` maps the tuple of sink input words to the k target
+    values.
+    """
+
+    k: int
+    encoders: dict
+    decoder: dict
+
+
+def code_tables(model: NetworkModel, code: codesim.UDCode) -> CodeTables:
+    """A code's integer tables expanded into dict tables.
+
+    Decoder entries are listed in order of the output row they point to,
+    and a target-value id of -1 (no value of the function) becomes None.
+    """
+    q, k = model.alphabet_size, code.k
+    # Index -1 picks the appended None.
+    values = [*dict.fromkeys(model.function_table), None]
+
+    def word_keys(node: str):
+        return itertools.product(*(code.words[d] for d in codesim._in_ids(model, node)))
+
+    encoders = {}
+    for e in model.edges:
+        if e.tail in model.sources:
+            keys = itertools.product(range(q), repeat=k)
+        else:
+            keys = word_keys(e.tail)
+        table = zip(keys, code.tables[e.id].tolist())
+        encoders[e.id] = {key: code.words[e.id][i] for key, i in table if i >= 0}
+    entries = [(row, key) for key, row in zip(word_keys(model.sink), code.decoder.tolist())]
+    outputs = code.outputs.tolist()
+    decoder = {
+        key: tuple(values[i] for i in outputs[row])
+        for row, key in sorted(entries, key=lambda entry: entry[0])
+        if row >= 0
+    }
+    return CodeTables(k, encoders, decoder)
+
+
+def ref_forward(model: NetworkModel, tables: CodeTables, xs) -> dict[str, str]:
     """The word on every edge for one source block, by table lookup."""
     edges = codesim._edges_in_topo_order(model)
     source_pos = {s: i for i, s in enumerate(model.sources)}
@@ -287,7 +334,7 @@ def ref_forward(model: NetworkModel, code: codesim.UDCode, xs) -> dict[str, str]
         else:
             key = tuple(y[d] for d in codesim._in_ids(model, e.tail))
         try:
-            y[e.id] = code.encoders[e.id][key]
+            y[e.id] = tables.encoders[e.id][key]
         except KeyError:
             raise DomainMismatch(f"edge {e.id} has no entry for {key!r}") from None
     return y
@@ -303,10 +350,11 @@ def ref_cut_coloring_check(
     """
     k, cut = code.k, partition.cut
     cg = chargraph.build(model, partition, k)
+    tables = code_tables(model, code)
     source_pos = {s: i for i, s in enumerate(model.sources)}
     colors = {}
     for xs in blocks(model, k):
-        y = ref_forward(model, code, xs)
+        y = ref_forward(model, tables, xs)
         word = tuple(y[eid] for eid in cut.cut)
         if colors.setdefault(tuple(xs[source_pos[s]] for s in cg.order), word) != word:
             raise UsageError("the cut analysis does not match the model")
@@ -349,18 +397,22 @@ def ref_sardinas_patterson(words: Iterable[str]) -> bool:
     return True
 
 
-def code_to_dict(model: NetworkModel, code: codesim.UDCode) -> dict:
-    """JSON form of a code; source-edge keys are written like ``format_assignment``."""
+def tables_to_dict(model: NetworkModel, tables: CodeTables) -> dict:
+    """JSON form of dict tables; source-edge keys are written like ``format_assignment``."""
     q = model.alphabet_size
-    source_names = set(model.sources)
     enc_doc: dict[str, dict] = {}
     for e in model.edges:
-        table = code.encoders[e.id]
-        if e.tail in source_names:
+        table = tables.encoders[e.id]
+        if e.tail in model.sources:
             enc_doc[e.id] = {
                 format_assignment((key,), q): w for key, w in sorted(table.items())
             }
         else:
             enc_doc[e.id] = {",".join(key): w for key, w in sorted(table.items())}
-    dec_doc = {",".join(key): list(out) for key, out in sorted(code.decoder.items())}
-    return {"k": code.k, "encoders": enc_doc, "decoder": dec_doc}
+    dec_doc = {",".join(key): list(out) for key, out in sorted(tables.decoder.items())}
+    return {"k": tables.k, "encoders": enc_doc, "decoder": dec_doc}
+
+
+def code_to_dict(model: NetworkModel, code: codesim.UDCode) -> dict:
+    """JSON form of a code, the inverse of ``codesim.code_from_dict``."""
+    return tables_to_dict(model, code_tables(model, code))

@@ -477,6 +477,11 @@ def _encoders_list(doc):
     doc["encoders"] = list(doc["encoders"].values())
 
 
+def _numeric_words(doc):
+    # JSON numbers are not codewords, even when their digits are binary.
+    doc["encoders"]["e1"] = {key: int(w) for key, w in doc["encoders"]["e1"].items()}
+
+
 def _builtin_reference(doc):
     # The builtin scheme is named with --builtin; a code file holds tables only.
     doc.clear()
@@ -492,6 +497,7 @@ def _builtin_reference(doc):
         _bad_k,
         _fractional_k,
         _encoders_list,
+        _numeric_words,
         _builtin_reference,
     ],
 )
@@ -505,6 +511,33 @@ def test_simulate_malformed_code_document_exits_2(capsys, paths, corrupt):
     assert rc == 2 and out == ""
     assert err.startswith("netfuncomp: UsageError: ")
     assert err.count("\n") == 1
+
+
+def test_simulate_code_with_numeric_words_names_the_edge(capsys, paths):
+    code_path = paths["base"] / "numeric_words.json"
+    doc = {"k": 1, "encoders": {"e1": {"0": 0, "1": 10}}, "decoder": {}}
+    code_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "simulate", paths["single"], "--code", str(code_path))
+    assert rc == 2 and out == ""
+    assert err == "netfuncomp: UsageError: code document: edge e1 word 0 must be a string\n"
+
+
+def test_simulate_code_for_another_alphabet_exits_2(capsys, paths):
+    # Built over {0, 1}, the k = 2 code has no word for a column holding a 2;
+    # the first such column in sweep order is the third source's (0, 2).
+    doc = netmodel.model_to_dict(diamond_model())
+    sums = [a + b + c for a in range(3) for b in range(3) for c in range(3)]
+    doc.update(alphabet=3, function=sums, distribution=[1 / 27] * 27)
+    model_path = paths["base"] / "ternary_diamond.json"
+    model_path.write_text(json.dumps(doc))
+    model = diamond_model()
+    code_path = paths["base"] / "binary_code.json"
+    code_path.write_text(
+        json.dumps(code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2))))
+    )
+    rc, out, err = run(capsys, "simulate", str(model_path), "--code", str(code_path))
+    assert rc == 2 and out == ""
+    assert err == "netfuncomp: DomainMismatch: edge e4 has no entry for (0, 2)\n"
 
 
 def test_simulate_over_the_block_cap_exits_3(capsys):

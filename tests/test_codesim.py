@@ -9,12 +9,15 @@ per-block coloring oracle in ``oracles.py``).
 The chunked numpy sweep is checked bit for bit against a per-block loop
 kept here as the reference: same floats, same tables, same verdicts and
 the same DomainMismatch messages, also when chunk boundaries fall inside
-the domain.
+the domain.  The reference reads and writes dict tables; a code's integer
+tables reach it through ``oracles.code_tables``, and dict tables become a
+code through the JSON document that ``codesim.code_from_dict`` reads.
 """
 
 import dataclasses
 import json
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -24,11 +27,14 @@ from netfuncomp import codesim, errors, netmodel
 from netfuncomp.codesim import FixedScheme, UDCode
 from netfuncomp.examples import diamond_model, single_edge_model
 from oracles import (
+    CodeTables,
     blocks,
+    code_tables,
     code_to_dict,
     ref_cut_coloring_check,
     ref_forward,
     ref_sardinas_patterson,
+    tables_to_dict,
 )
 
 
@@ -40,6 +46,11 @@ def diamond():
 @pytest.fixture(scope="module")
 def diamond_code(diamond):
     return codesim.huffman_transform(diamond, codesim.diamond_scheme(2))
+
+
+def _from_tables(model, tables):
+    """The code that dict tables describe, read back from their JSON form."""
+    return codesim.code_from_dict(model, tables_to_dict(model, tables))
 
 
 def test_sardinas_patterson_frozen_sets():
@@ -83,6 +94,18 @@ def test_sardinas_patterson_matches_the_all_pairs_oracle():
         verdicts.append(codesim.sardinas_patterson(words))
         assert verdicts[-1] == ref_sardinas_patterson(words), sorted(words)
     assert verdicts.count(True) >= 100 and verdicts.count(False) >= 100
+
+
+def test_sardinas_patterson_is_fast_on_a_code_that_is_not_prefix_free():
+    # Reversed Huffman words are suffix-free, so every round has suffixes to strip.
+    rng = random.Random(19)
+    huffman = codesim._huffman({i: rng.random() for i in range(16384)})
+    words = {w[::-1] for w in huffman.values()}
+    ordered = sorted(words)
+    assert any(v.startswith(u) for u, v in zip(ordered, ordered[1:]))
+    t0 = time.perf_counter()
+    assert codesim.sardinas_patterson(words)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_diamond_scheme_rates_at_k2(diamond, diamond_code):
@@ -135,10 +158,11 @@ def test_cut_coloring_check_rejects_cut_of_another_model(diamond, diamond_code):
 
 
 def test_corrupt_decoder_entry_breaks_admissibility(diamond, diamond_code):
-    decoder = dict(diamond_code.decoder)
+    tables = code_tables(diamond, diamond_code)
+    decoder = dict(tables.decoder)
     key = next(iter(decoder))
     decoder[key] = (99, 99)
-    bad = UDCode(k=2, encoders=diamond_code.encoders, decoder=decoder)
+    bad = _from_tables(diamond, dataclasses.replace(tables, decoder=decoder))
     report = codesim.evaluate(diamond, bad)
     assert not report.admissible
     assert report.non_ud_edges == ()
@@ -148,8 +172,10 @@ def test_non_ud_edge_is_reported_not_raised():
     model = single_edge_model()
     code = UDCode(
         k=1,
-        encoders={"e1": {(0,): "0", (1,): "00"}},
-        decoder={("0",): (0,), ("00",): (1,)},
+        words={"e1": ("0", "00")},
+        tables={"e1": np.array([0, 1], dtype=np.int32)},
+        decoder=np.array([0, 1], dtype=np.int32),
+        outputs=np.array([[0], [1]], dtype=np.int32),
     )
     report = codesim.evaluate(model, code)
     assert report.non_ud_edges == ("e1",)
@@ -158,10 +184,41 @@ def test_non_ud_edge_is_reported_not_raised():
 
 
 def test_evaluate_rejects_wrong_edge_set(diamond, diamond_code):
-    encoders = dict(diamond_code.encoders)
-    del encoders["e3"]
-    with pytest.raises(errors.DomainMismatch):
-        codesim.evaluate(diamond, UDCode(2, encoders, diamond_code.decoder))
+    tables = dict(diamond_code.tables)
+    del tables["e3"]
+    with pytest.raises(errors.DomainMismatch, match="one encoder per edge"):
+        codesim.evaluate(diamond, dataclasses.replace(diamond_code, tables=tables))
+
+
+@pytest.fixture(scope="module")
+def ternary_diamond(diamond):
+    """The diamond over the alphabet {0, 1, 2}."""
+    return netmodel.validate(
+        dataclasses.replace(
+            diamond,
+            alphabet_size=3,
+            function_table=tuple(a + b + c for a in range(3) for b in range(3) for c in range(3)),
+            distribution=(1 / 27,) * 27,
+        )
+    )
+
+
+def test_evaluate_refuses_tables_that_do_not_fit_the_model(diamond, ternary_diamond, diamond_code):
+    short = dict(diamond_code.words, e5=diamond_code.words["e5"][:1])
+    cases = [
+        (ternary_diamond, diamond_code, "edge e1 table does not fit the model"),
+        (diamond, dataclasses.replace(diamond_code, k=4), "edge e1 table does not fit the model"),
+        (diamond, dataclasses.replace(diamond_code, words=short), "edge e5 table does not fit"),
+        (
+            diamond,
+            dataclasses.replace(diamond_code, outputs=diamond_code.outputs[:, :1]),
+            "decoder output table does not fit",
+        ),
+    ]
+    for model, code, message in cases:
+        with pytest.raises(errors.DomainMismatch, match=message) as info:
+            codesim.evaluate(model, code)
+        assert info.value.exit_code == 2
 
 
 def test_scheme_for_other_edges_is_rejected(diamond):
@@ -202,11 +259,13 @@ def test_code_from_dict_rejects_missing_edge(diamond, diamond_code):
 
 def test_code_over_large_alphabet_round_trips_through_json():
     model = single_edge_model(q=12)
-    words = {i: format(i, "04b") for i in range(12)}
+    ids = np.arange(12, dtype=np.int32)
     code = UDCode(
         k=1,
-        encoders={"e1": {(i,): w for i, w in words.items()}},
-        decoder={(w,): (i,) for i, w in words.items()},
+        words={"e1": tuple(format(i, "04b") for i in range(12))},
+        tables={"e1": ids},
+        decoder=ids,
+        outputs=ids.reshape(12, 1),
     )
     doc = json.loads(json.dumps(code_to_dict(model, code)))
     assert "10" in doc["encoders"]["e1"]
@@ -235,11 +294,11 @@ def _block_prob(model, xs, k):
     return p
 
 
-def ref_evaluate(model, code):
-    k = code.k
+def ref_evaluate(model, tables):
+    k = tables.k
     edges = codesim._edges_in_topo_order(model)
     non_ud = tuple(
-        e.id for e in edges if not codesim.sardinas_patterson(set(code.encoders[e.id].values()))
+        e.id for e in edges if not codesim.sardinas_patterson(set(tables.encoders[e.id].values()))
     )
     sink_ids = codesim._in_ids(model, model.sink)
     lengths = {e.id: 0.0 for e in model.edges}
@@ -247,12 +306,12 @@ def ref_evaluate(model, code):
     for xs in blocks(model, k):
         p = _block_prob(model, xs, k)
         truth = model.f_rows(dict(zip(model.sources, xs)), k)
-        y = ref_forward(model, code, xs)
+        y = ref_forward(model, tables, xs)
         for eid, w in y.items():
             lengths[eid] += p * len(w)
         dec_key = tuple(y[d] for d in sink_ids)
         try:
-            got = code.decoder[dec_key]
+            got = tables.decoder[dec_key]
         except KeyError:
             raise errors.DomainMismatch(f"decoder has no entry for {dec_key!r}") from None
         if tuple(got) != tuple(truth):
@@ -301,7 +360,7 @@ def ref_huffman_transform(model, scheme):
         tuple(words[d][vd] for d, vd in zip(sink_ids, key)): out
         for key, out in dec_vals.items()
     }
-    return UDCode(k=k, encoders=encoders, decoder=decoder)
+    return CodeTables(k, encoders, decoder)
 
 
 def _same_report(got, want):
@@ -353,13 +412,12 @@ def test_sweep_matches_the_per_block_loop(monkeypatch, diamond, skewed, scheme, 
     for model in (skewed, diamond):
         code = codesim.huffman_transform(model, scheme)
         want = ref_huffman_transform(model, scheme)
-        assert code.encoders == want.encoders
-        assert code.decoder == want.decoder
+        assert code_tables(model, code) == want
         _same_report(codesim.evaluate(model, code), ref_evaluate(model, want))
 
 
-def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):
-    # v0 has no in-edges: its edge's table and the encoder keys above it hold ().
+def _inputless_relay():
+    """A sum network whose relay v0 has no in-edges, and a scheme for it at k = 2."""
     e = netmodel.Edge
     model = netmodel.NetworkModel(
         nodes=("s1", "s2", "v0", "v1", "t"),
@@ -382,13 +440,32 @@ def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):
         },
         lambda values: values["e4"],
     )
+    return model, scheme
+
+
+def test_sweep_matches_the_loop_with_a_relay_that_has_no_inputs(monkeypatch):
+    # v0 has no in-edges: its edge's table and the encoder keys above it hold ().
+    model, scheme = _inputless_relay()
     monkeypatch.setattr(codesim, "CHUNK_BLOCKS", 10)
     code = codesim.huffman_transform(model, scheme)
     want = ref_huffman_transform(model, scheme)
-    assert code.encoders == want.encoders and code.encoders["e3"] == {(): "0"}
-    assert code.decoder == want.decoder
+    got = code_tables(model, code)
+    assert got == want and got.encoders["e3"] == {(): "0"}
     _same_report(codesim.evaluate(model, code), ref_evaluate(model, want))
     assert codesim.evaluate(model, code).admissible
+
+
+def test_code_file_keys_a_relay_that_has_no_inputs_by_the_empty_string(tmp_path):
+    model, scheme = _inputless_relay()
+    code = codesim.huffman_transform(model, scheme)
+    doc = code_to_dict(model, code)
+    assert doc["encoders"]["e3"] == {"": "0"}
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(doc))
+    from_file = codesim.code_from_dict(model, netmodel.read_json(str(path)))
+    report = codesim.evaluate(model, from_file)
+    assert report.admissible
+    _same_report(report, codesim.evaluate(model, code))
 
 
 def _wide_scheme():
@@ -437,9 +514,10 @@ def test_sweep_matches_the_loop_on_wide_negative_values(monkeypatch, diamond, sk
     for model in (skewed, diamond):
         code = codesim.huffman_transform(model, _wide_scheme())
         want = ref_huffman_transform(model, _wide_scheme())
-        assert code.encoders == want.encoders
+        got = code_tables(model, code)
+        assert got.encoders == want.encoders
         # Both list the sink inputs in order of first occurrence.
-        assert list(code.decoder.items()) == list(want.decoder.items())
+        assert list(got.decoder.items()) == list(want.decoder.items())
         report = codesim.evaluate(model, code)
         assert report.admissible
         _same_report(report, ref_evaluate(model, want))
@@ -473,16 +551,17 @@ def test_row_codes_separate_wide_rows():
 
 def test_sweep_matches_the_loop_on_a_corrupt_code(monkeypatch, skewed):
     monkeypatch.setattr(codesim, "CHUNK_BLOCKS", 7)
-    code = codesim.huffman_transform(skewed, codesim.diamond_scheme(2))
-    decoder = dict(code.decoder)
+    tables = code_tables(skewed, codesim.huffman_transform(skewed, codesim.diamond_scheme(2)))
+    decoder = dict(tables.decoder)
     decoder[next(iter(decoder))] = (99, 99)
-    encoders = dict(code.encoders, e1={key: "0" + w for key, w in code.encoders["e1"].items()})
-    bad = UDCode(2, encoders, decoder)
-    report = codesim.evaluate(skewed, UDCode(2, code.encoders, decoder))
+    wrong = dataclasses.replace(tables, decoder=decoder)
+    e1 = {key: "0" + w for key, w in tables.encoders["e1"].items()}
+    bad = dataclasses.replace(wrong, encoders=dict(tables.encoders, e1=e1))
+    report = codesim.evaluate(skewed, _from_tables(skewed, wrong))
     assert not report.admissible
-    _same_report(report, ref_evaluate(skewed, UDCode(2, code.encoders, decoder)))
+    _same_report(report, ref_evaluate(skewed, wrong))
     with pytest.raises(errors.DomainMismatch) as got:
-        codesim.evaluate(skewed, bad)
+        codesim.evaluate(skewed, _from_tables(skewed, bad))
     with pytest.raises(errors.DomainMismatch) as want:
         ref_evaluate(skewed, bad)
     assert str(got.value) == str(want.value)
@@ -507,7 +586,8 @@ def _unrealizable_twice():
 def test_domain_mismatch_messages_match_the_loop(monkeypatch, diamond_code, skewed, case, chunk):
     if chunk is not None:
         monkeypatch.setattr(codesim, "CHUNK_BLOCKS", chunk)
-    enc, dec = diamond_code.encoders, diamond_code.decoder
+    tables = code_tables(skewed, diamond_code)
+    enc, dec = tables.encoders, tables.decoder
     if case == "unrealizable":
         calls = [
             lambda: codesim.huffman_transform(skewed, _unrealizable_twice()),
@@ -515,12 +595,15 @@ def test_domain_mismatch_messages_match_the_loop(monkeypatch, diamond_code, skew
         ]
     else:
         if case == "source":
-            bad = UDCode(2, dict(enc, e3=_drop(enc["e3"], 2)), dec)
+            bad = CodeTables(2, dict(enc, e3=_drop(enc["e3"], 2)), dec)
         elif case == "relay":
-            bad = UDCode(2, dict(enc, e5=_drop(enc["e5"], 7)), dec)
+            bad = CodeTables(2, dict(enc, e5=_drop(enc["e5"], 7)), dec)
         else:
-            bad = UDCode(2, enc, _drop(dec, 11))
-        calls = [lambda: codesim.evaluate(skewed, bad), lambda: ref_evaluate(skewed, bad)]
+            bad = CodeTables(2, enc, _drop(dec, 11))
+        calls = [
+            lambda: codesim.evaluate(skewed, _from_tables(skewed, bad)),
+            lambda: ref_evaluate(skewed, bad),
+        ]
     messages = []
     for call in calls:
         with pytest.raises(errors.DomainMismatch) as info:
@@ -558,7 +641,13 @@ def test_sweep_cap_refuses_before_any_scheme_call(diamond):
     with pytest.raises(errors.DomainTooLarge):
         codesim.huffman_transform(diamond, scheme)
     assert calls == []
+    one = np.zeros(1, dtype=np.int32)
+
+    def tiny(k):
+        words = {e.id: ("0",) for e in diamond.edges}
+        return UDCode(k, words, {e.id: one for e in diamond.edges}, one, np.zeros((1, k)))
+
     with pytest.raises(errors.DomainTooLarge):
-        codesim.evaluate(diamond, UDCode(9, {e.id: {(0,): "0"} for e in diamond.edges}, {}))
+        codesim.evaluate(diamond, tiny(9))
     with pytest.raises(errors.UsageError):
-        codesim.evaluate(diamond, UDCode(0, {e.id: {(): "0"} for e in diamond.edges}, {}))
+        codesim.evaluate(diamond, tiny(0))
