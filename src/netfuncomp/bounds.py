@@ -31,7 +31,22 @@ H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form f over
 the distributions p that keep every block's marginal and put at least a
 floor on every vertex, ``MIN_MASS`` or, when the base distribution has a
 smaller atom, half that atom: a polytope ``base + N t``, where N is an
-orthonormal basis of the null space of the marginal constraint matrix.
+orthonormal basis of the directions that keep every marginal.
+
+The vertices are the whole alphabet product over I | J, so the ANOVA
+decomposition (Bishop, Fienberg and Holland, *Discrete Multivariate
+Analysis*, 1975) gives N in closed form.  Its columns are the products,
+over the sources, of orthonormal Helmert rows: a contrast row on each
+source of a support S and the constant row elsewhere, for every S that lies
+in no block scope I_l | L | J.  Such a column sums to zero over a source of
+S outside the scope, so it keeps every marginal.  The products whose
+support lies in a scope have linearly independent marginals on it, so a
+direction that keeps every marginal has no component along them.  The
+feasible dimension d is therefore a count, (q - 1)^|S| per such S, with no
+rank tolerance, and N is built as n x d.  A rigid graph, with d = 0, has
+the base as its only feasible point: its improved value is its clique
+entropy, and it builds no objective, constraint rows or solve.
+
 Conditional entropy is concave in the joint distribution (Cover and Thomas,
 ch. 2) and both joints are linear in p, so f is concave.  One deterministic
 damped Newton solve on the log-barrier problem (Boyd and Vandenberghe,
@@ -66,7 +81,6 @@ from .netmodel import (
     StrongPartition,
     enumerate_cut_sets,
     enumerate_strong_partitions,
-    restrict_sources,
 )
 from .pgraph import _bits
 
@@ -99,6 +113,8 @@ _FULL_STEP = 1e-8
 _NEAR_FLOOR = 1e-6
 _CURVATURE_RTOL = 1e-13
 _EPS = float(np.finfo(float).eps)
+# Below this slack the first barrier weight's curvature mu / s^2 is no finite float.
+_MIN_SLACK = math.sqrt(_BARRIER_PATH[0] / float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -177,7 +193,8 @@ class _Graph:
     def __init__(self, model: NetworkModel, partition: StrongPartition):
         self.model = model
         self.cg = chargraph.build(model, partition, 1)
-        self.base = np.array([float(x) for x in self.cg.graph.dist])
+        g = self.cg.graph
+        self.base = np.array([m / g.scale for m in g.dist])
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
     @cached_property
@@ -189,12 +206,71 @@ class _Graph:
         return chargraph.clique_number_via_decomposition(self.cg)
 
     @cached_property
+    def scopes(self) -> tuple[int, ...]:
+        """Each block's scope I_l | L | J, as a bitmask over ``cg.order``."""
+        partition, order = self.cg.partition, self.cg.order
+        shared = partition.l_set | self.cg.cut.j_set
+        return tuple(
+            sum(1 << pos for pos, s in enumerate(order) if s in i_set or s in shared)
+            for i_set in partition.i_sets
+        )
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        """Every vertex's symbol, one row per source of ``cg.order``."""
+        return np.array(self.cg.assignments)[:, :, 0].T
+
+    @cached_property
     def rows(self) -> np.ndarray:
-        return _constraint_rows(self.model, self.cg)
+        """Indicator rows: one per (block scope, scope assignment) marginal.
+
+        A scope's assignments are numbered in mixed radix, first source most
+        significant, so its rows follow their sorted order.
+        """
+        q = self.model.alphabet_size
+        out = []
+        for scope in self.scopes:
+            index = np.zeros(self.symbols.shape[1], dtype=np.int64)
+            for pos, row in enumerate(self.symbols):
+                if scope >> pos & 1:
+                    index = index * q + row
+            out.append(np.arange(q ** scope.bit_count())[:, None] == index)
+        return np.vstack(out).astype(float)
+
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """Source sets, as bitmasks over ``cg.order``, that lie in no block scope."""
+        return tuple(
+            support
+            for support in range(1 << len(self.cg.order))
+            if all(support & ~scope for scope in self.scopes)
+        )
+
+    @cached_property
+    def dim(self) -> int:
+        """The feasible dimension: (q - 1)^|S| contrast tensors per support S."""
+        q = self.model.alphabet_size
+        return sum((q - 1) ** support.bit_count() for support in self.supports)
 
     @cached_property
     def null(self) -> np.ndarray:
-        return _null_space(self.rows)
+        """Orthonormal basis of the feasible directions, one column per contrast tensor.
+
+        Each column is a product over the sources of one row of the
+        orthonormal Helmert matrix, read at the vertex's symbol: the
+        constant row off the support, a contrast row on it.
+        """
+        q, symbols = self.model.alphabet_size, self.symbols
+        contrasts = _helmert(q)[1:]
+        n = symbols.shape[1]
+        columns = [np.zeros((0, n))]
+        for support in self.supports:
+            block = np.full((1, n), q ** ((support.bit_count() - len(symbols)) / 2))
+            for pos, row in enumerate(symbols):
+                if support >> pos & 1:
+                    block = (block[:, None, :] * contrasts[:, row]).reshape(-1, n)
+            columns.append(block)
+        return np.vstack(columns).T
 
     @cached_property
     def objective(self) -> _LayerObjective:
@@ -278,37 +354,19 @@ class _LayerObjective:
         return self.groups @ (self.coef * (np.log2(p @ self.groups) + 1 / math.log(2)))
 
 
-def _constraint_rows(
-    model: NetworkModel, cg: chargraph.CharGraph
-) -> np.ndarray:
-    """Indicator rows: one per (block scope, scope assignment) marginal."""
-    partition = cg.partition
-    order = cg.order
-    rows: list[np.ndarray] = []
-    for ell in range(partition.m):
-        scope = restrict_sources(
-            model,
-            set(partition.i_sets[ell]) | set(partition.l_set) | set(cg.cut.j_set),
-        )
-        pos = [order.index(s) for s in scope]
-        groups: dict[tuple, list[int]] = {}
-        for vid, a in enumerate(cg.assignments):
-            key = tuple(a[p] for p in pos)
-            groups.setdefault(key, []).append(vid)
-        for key in sorted(groups):
-            row = np.zeros(len(cg.assignments))
-            row[groups[key]] = 1.0
-            rows.append(row)
-    return np.array(rows)
+def _helmert(q: int) -> np.ndarray:
+    """The orthonormal Helmert matrix: a constant row, then q - 1 contrast rows.
 
-
-def _null_space(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return np.eye(m.shape[1])
-    _, s, vh = np.linalg.svd(m)
-    tol = max(m.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > tol))
-    return vh[rank:].T.copy()
+    Contrast row j is 1 on the first j symbols and -j on symbol j, scaled to
+    unit length (Bishop, Fienberg and Holland, 1975).
+    """
+    h = np.zeros((q, q))
+    h[0] = 1 / math.sqrt(q)
+    for j in range(1, q):
+        h[j, :j] = 1.0
+        h[j, j] = -j
+        h[j] /= math.sqrt(j * (j + 1))
+    return h
 
 
 @dataclass(frozen=True)
@@ -407,13 +465,17 @@ def _solve(graph: _Graph) -> _Optimum:
     last barrier weight, each from the previous point, resume the progress;
     every pass's point is checked for feasibility before it is certified.
     A failure names the pair that built the graph as a ``--pairs`` entry.
+    A rigid graph, of dimension 0, has the base as its only feasible point:
+    its optimum is the clique entropy, with no objective, rows or solve.
     """
+    if not graph.dim:
+        return _Optimum(graph.clique.value, graph.base, 0.0, 0.0)
     base, floor = graph.base, graph.floor
-    objective = graph.objective
-    null = graph.null
-    if null.shape[1] == 0:
-        return _Optimum(float(objective(base)), base, 0.0, 0.0)
-    rows = graph.rows
+    if float(base.min()) - floor < _MIN_SLACK:
+        raise OptimizerFailed(
+            f"{_pair_text(graph)}: atom {float(base.min()):.3g} is too small for the barrier"
+        )
+    objective, null, rows = graph.objective, graph.null, graph.rows
     p = _maximize(graph, base)
     for restart in range(_RESTARTS + 1):
         if restart:
@@ -437,19 +499,18 @@ def _pair_text(graph: _Graph) -> str:
 
 
 def _improved(graph: _Graph) -> tuple[float, str]:
-    return graph.optimum.value, "BarrierNewton" if graph.null.shape[1] else "FixedPoint"
+    return graph.optimum.value, "BarrierNewton" if graph.dim else "FixedPoint"
 
 
 def _improved_details(graph: _Graph) -> dict:
     best = graph.optimum
-    dim = graph.null.shape[1]
     details: dict = {
         "improved_value": best.value,
-        "base_value": float(graph.objective(graph.base)),
-        "feasible_dimension": int(dim),
+        "base_value": graph.clique.value,
+        "feasible_dimension": graph.dim,
         "opt_dist": [float(x) for x in best.p],
     }
-    if dim:
+    if graph.dim:
         details["gap"] = best.gap
         details["marginal_residual"] = best.residual
     return details

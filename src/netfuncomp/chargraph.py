@@ -2,7 +2,9 @@
 
 Vertices are the k-shot blocks over the separated sources I and the
 side-information sources J, weighted by the i.i.d. extension of the source
-distribution marginalized to those sources.  Two distinct blocks sharing
+distribution marginalized to those sources.  The weights are exact: integer
+numerators over the graph's ``scale``, the k-th power of the common
+power-of-two denominator of the model's floats.  Two distinct blocks sharing
 the same side information are joined when a code crossing the cut must
 tell them apart:
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import equiv, pgraph
@@ -104,12 +105,12 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
         for iset in partition.i_sets
     ]
 
-    marginal = _marginal_fractions(model, order)
+    marginal, denominator = _marginal_numerators(model, order)
     assignments = tuple(enumerate_assignments(q, len(order), k))
     labels = tuple(format_assignment(a, q) for a in assignments)
     dist = []
     for a in assignments:
-        p = Fraction(1)
+        p = 1
         for r in range(k):
             p *= marginal[tuple(col[r] for col in a)]
         dist.append(p)
@@ -146,7 +147,7 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
 
     masks = layer_masks(layers)
     adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*masks)]
-    graph = pgraph.ProbGraph.from_masks(labels, adj, dist)
+    graph = pgraph.ProbGraph.from_masks(labels, adj, dist, denominator**k)
     return CharGraph(graph, partition, k, order, assignments, tuple(layers), masks)
 
 
@@ -169,19 +170,24 @@ def layer_masks(layers: Sequence[LayerCoord]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _marginal_fractions(
+def _marginal_numerators(
     model: NetworkModel, order: tuple[str, ...]
-) -> dict[tuple[int, ...], Fraction]:
-    """Exact single-shot marginal of the source distribution on ``order``."""
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """Exact single-shot marginal on ``order``: integer numerators and their denominator.
+
+    Every float is an integer over a power of two, so the largest of those
+    powers is a common denominator of the whole distribution.
+    """
+    ratios = [p.as_integer_ratio() for p in model.distribution]
+    denominator = max(d for _, d in ratios)
     pos = [model.sources.index(s) for s in order]
-    out: dict[tuple[int, ...], Fraction] = {}
-    dist = model.distribution_fractions()
-    for idx, xs in enumerate(
-        itertools.product(model.symbols, repeat=model.num_sources)
+    out: dict[tuple[int, ...], int] = {}
+    for (n, d), xs in zip(
+        ratios, itertools.product(model.symbols, repeat=model.num_sources)
     ):
         key = tuple(xs[p] for p in pos)
-        out[key] = out.get(key, Fraction(0)) + dist[idx]
-    return out
+        out[key] = out.get(key, 0) + n * (denominator // d)
+    return out, denominator
 
 
 @dataclass(frozen=True)

@@ -357,7 +357,7 @@ def _cmd_chargraph(args) -> None:
             "graph": {
                 "vertices": list(g.vertices),
                 "edges": [list(e) for e in g.edges()],
-                "dist": [float(p) for p in g.dist],
+                "dist": [p / g.scale for p in g.dist],
             },
             "order": list(cg.order),
             "layers": [

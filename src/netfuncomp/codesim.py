@@ -86,10 +86,11 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
     the codewords it prefixes, and each later round strips codewords from
     the suffixes and the suffixes from codewords.  The set is uniquely
     decodable exactly when no round produces a codeword (equivalently, the
-    empty suffix).  One routine serves every round: in sorted order the
-    codewords that a string properly prefixes form a run right after it,
-    and the codewords that properly prefix it are set lookups of its
-    prefixes at the codeword lengths.
+    empty suffix).  In sorted order the codewords that a string properly
+    prefixes form a run right after it, and the codewords that properly
+    prefix it are set lookups of its prefixes at the codeword lengths.
+    Later rounds use both; the first uses the runs alone, since the lookup
+    from the longer word of a pair would find the pair again.
     """
     code = set(words)
     if not code:
@@ -102,18 +103,23 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
     ordered = sorted(code)
     lengths = sorted({len(w) for w in code})
 
-    def dangling(s: str) -> Iterator[str]:
+    def extensions(s: str) -> Iterator[str]:
+        """What is left of each codeword that ``s`` properly prefixes."""
         j = bisect.bisect_right(ordered, s)
         while j < len(ordered) and ordered[j].startswith(s):
             yield ordered[j][len(s):]
             j += 1
+
+    def dangling(s: str) -> Iterator[str]:
+        yield from extensions(s)
         for n in lengths:
             if n >= len(s):
                 break
             if s[:n] in code:
                 yield s[n:]
 
-    frontier = {d for w in code for d in dangling(w)}
+    # Between two codewords, the run after the shorter one finds the pair.
+    frontier = {d for w in code for d in extensions(w)}
     seen: set[str] = set()
     while frontier:
         if not frontier.isdisjoint(code):
@@ -121,6 +127,14 @@ def sardinas_patterson(words: Iterable[str]) -> bool:
         seen |= frontier
         frontier = {d for s in frontier for d in dangling(s)} - seen
     return True
+
+
+def _is_ud(eid: str, words: Sequence[str]) -> bool:
+    """:func:`sardinas_patterson` on one edge's words; a rejected set names the edge."""
+    try:
+        return sardinas_patterson(words)
+    except (EmptyWord, UsageError) as exc:
+        raise type(exc)(f"edge {eid}: {exc}") from None
 
 
 def _huffman(dist: Mapping[Hashable, float]) -> dict[Hashable, str]:
@@ -185,8 +199,8 @@ class FixedScheme:
     integer array-like: row b is the edge's value in block b, compared and
     Huffman coded as a tuple of d ints.  The decoder receives a dict from
     each sink in-edge id to an ``(m, d)`` array of values, one row per
-    distinct sink input, and returns an ``(m, k)`` integer array-like of
-    target values.
+    distinct sink input (at most ``CHUNK_BLOCKS`` of them per call), and
+    returns an ``(m, k)`` integer array-like of target values.
     """
 
     name: str
@@ -292,17 +306,24 @@ def _sweep(model: NetworkModel, k: int) -> Iterator[_Chunk]:
             return rows
 
     dist = np.asarray(model.distribution, dtype=np.float64)
-    for start in range(0, total, CHUNK_BLOCKS):
+
+    def chunk(start: int) -> _Chunk:
         block = np.arange(start, min(start + CHUNK_BLOCKS, total), dtype=np.int32)
         cols = tuple(block // width ** (s - 1 - i) % width for i in range(s))
         rows = shot_rows(cols)
         # Shot by shot, as a per-block loop multiplies from 1.0 (1.0 times
-        # the first factor is exact).
+        # the first factor is exact).  A copy, so the chunk keeps one shot
+        # of probabilities rather than all k.
         shots = dist[rows]
-        p = shots[0]
+        p = shots[0].copy()
         for factor in shots[1:]:
             p *= factor
-        yield _Chunk(symbols, cols, rows, p)
+        return _Chunk(symbols, cols, rows, p)
+
+    # Each chunk is built in a call, so between chunks the sweep holds none
+    # of its arrays.
+    for start in range(0, total, CHUNK_BLOCKS):
+        yield chunk(start)
 
 
 def _stack(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
@@ -507,7 +528,7 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
     _check_table(code.decoder, (math.prod(radix[model.sink]),), len(code.outputs), "decoder table")
     rows = np.shape(code.outputs)[:1]
     _check_table(code.outputs, (*rows, k), len(target), "decoder output table")
-    non_ud = [e.id for e in edges if not sardinas_patterson(code.words[e.id])]
+    non_ud = [e.id for e in edges if not _is_ud(e.id, code.words[e.id])]
     row_target = np.array([target[v] for v in model.function_table], dtype=np.int32)
     word_len = {
         e.id: np.array([len(w) for w in code.words[e.id]], dtype=np.int64) for e in edges
@@ -534,6 +555,8 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
             lengths[eid] = float(np.cumsum(running, out=running)[-1])
         truth = row_target[chunk.rows].T
         admissible = admissible and bool((code.outputs[dec] == truth).all())
+        # Free this chunk's arrays before the sweep builds the next one.
+        del chunk, ids, dec, truth
     rates = {eid: length / k for eid, length in lengths.items()}
     return RateReport(
         k=k,
@@ -580,10 +603,10 @@ def _scheme_images(
         vids: dict[str, np.ndarray] = {}
         failed: tuple[int, str] | None = None
         for e in edges:
-            rows = _scheme_rows(
-                scheme.edge_functions[e.id](xs), chunk.n, f"edge function {e.id}"
+            # One expression, so no name keeps the scheme's rows past their interning.
+            vid = vids[e.id] = values[e.id](
+                _scheme_rows(scheme.edge_functions[e.id](xs), chunk.n, f"edge function {e.id}")
             )
-            vid = vids[e.id] = values[e.id](rows)
             if e.tail in source_pos:
                 key = chunk.cols[source_pos[e.tail]]
             else:
@@ -597,6 +620,8 @@ def _scheme_images(
                 f"edge {failed[1]} value is not a function of its local input"
             )
         sink.append(_distinct_rows(_stack([vids[d] for d in in_ids[model.sink]], chunk.n)))
+        # Free this chunk's arrays before the sweep builds the next one.
+        del chunk, xs, vids
     return values, mass, keys, first, _distinct_rows(np.concatenate(sink))
 
 
@@ -638,23 +663,31 @@ def huffman_transform(model: NetworkModel, scheme: FixedScheme) -> UDCode:
             key_ids = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(radix[e.tail]))
             tables[e.id] = _word_table(key_ids.T, seen[: len(rows)], radix[e.tail], f"edge {e.id}")
     m = len(dec_keys)
-    outputs = np.asarray(
-        scheme.decoder({d: value_rows[d][dec_keys[:, j]] for j, d in enumerate(sink_ids)})
-    )
-    if outputs.shape != (m, k) or outputs.dtype.kind not in "iu":
-        raise UsageError(
-            f"scheme decoder must give a ({m}, {k}) integer array, got shape "
-            f"{outputs.shape} of {outputs.dtype}"
-        )
     target = _target_ids(model)
-    at, rank = _first_ids(outputs.reshape(-1))
-    ids = [target.get(v, -1) for v in outputs.reshape(-1)[at].tolist()]
+    outputs = np.empty((m, k), dtype=np.int32)
+    # The decoder sees the sink inputs a chunk at a time, as the edge
+    # functions see the blocks, so no array it is given or returns
+    # outgrows a chunk.
+    for start in range(0, m, CHUNK_BLOCKS):
+        batch = dec_keys[start : start + CHUNK_BLOCKS]
+        n = len(batch)
+        got = np.asarray(
+            scheme.decoder({d: value_rows[d][batch[:, j]] for j, d in enumerate(sink_ids)})
+        )
+        if got.shape != (n, k) or got.dtype.kind not in "iu":
+            raise UsageError(
+                f"scheme decoder must give a ({n}, {k}) integer array, got shape "
+                f"{got.shape} of {got.dtype}"
+            )
+        at, rank = _first_ids(got.reshape(-1))
+        ids = [target.get(v, -1) for v in got.reshape(-1)[at].tolist()]
+        outputs[start : start + n] = np.array(ids, dtype=np.int32)[rank].reshape(n, k)
     return UDCode(
         k=k,
         words=words,
         tables=tables,
         decoder=_word_table(dec_keys.T, np.arange(m), radix[model.sink], "decoder"),
-        outputs=np.array(ids, dtype=np.int32)[rank].reshape(m, k),
+        outputs=outputs,
     )
 
 

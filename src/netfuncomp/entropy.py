@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -115,7 +114,7 @@ def _entropy_of_masses(masses: Sequence) -> float:
     acc = 0.0
     for m in masses:
         if m > 0:
-            r = float(m / total) if isinstance(m, Fraction) else float(m) / float(total)
+            r = m / total
             acc -= r * math.log2(r)
     return acc
 
@@ -177,7 +176,7 @@ def _split_node(kind, adj, co, masses, ids, comps, cap) -> DecompositionTree:
         bm = sum(masses[i] for i in child.vertex_ids)
         if bm == 0:
             continue
-        ratio = float(bm / total) if isinstance(bm, Fraction) else float(bm) / float(total)
+        ratio = bm / total
         value += ratio * child.value
         if kind == "CCSplit":
             value -= ratio * math.log2(ratio)
@@ -191,8 +190,9 @@ def clique_entropy(g: ProbGraph) -> EntropyResult:
     Zero-mass vertices are dropped up front; they cannot change the value.
     The method is exact when the recursion bottoms out in empty and complete
     leaves only, and a numeric fallback otherwise; an opaque subgraph above
-    ``FALLBACK_CAP`` vertices raises TooLarge.  Fraction masses are kept
-    exact all the way to the final log.
+    ``FALLBACK_CAP`` vertices raises TooLarge.  A characteristic graph's
+    masses are integers over its scale: they stay exact until each ratio
+    ``m / total``, one correctly rounded division.
     """
     masses = list(g.dist)
     adj = g.adjacency_masks()
@@ -232,7 +232,7 @@ def graph_entropy(g: ProbGraph) -> EntropyResult:
 
 def _normalized(masses: Sequence) -> list[float]:
     total = sum(masses)
-    return [float(m / total) if isinstance(m, Fraction) else float(m) / float(total) for m in masses]
+    return [m / total for m in masses]
 
 
 def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float, int, float]:
@@ -311,7 +311,7 @@ def chromatic_entropy(g: ProbGraph) -> EntropyResult:
     color).  Every partition of the remaining vertices into independent sets
     is enumerated, so the graph is capped at 12 vertices.
     """
-    masses = [p for p in g.dist]
+    masses = [p / g.scale for p in g.dist]
     ids = [i for i, m in enumerate(masses) if m > 0]
     if len(ids) > 12:
         raise TooLarge(f"{len(ids)} positive-mass vertices; coloring search is capped at 12")

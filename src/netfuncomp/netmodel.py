@@ -53,7 +53,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -144,10 +143,6 @@ class NetworkModel:
         return tuple(
             self.function_table[self.arg_index([c[r] for c in cols])] for r in range(k)
         )
-
-    def distribution_fractions(self) -> tuple[Fraction, ...]:
-        """The joint distribution lifted to exact rationals."""
-        return tuple(Fraction(p) for p in self.distribution)
 
 
 @dataclass(frozen=True)

@@ -24,17 +24,23 @@ Label = Hashable
 class ProbGraph:
     """Simple undirected graph plus a probability mass per vertex.
 
-    Masses may be floats or exact Fractions; they must be nonnegative and
-    sum to one within 1e-12.  Loops are rejected; parallel edges collapse.
+    A vertex's probability is its mass over ``scale``.
+    :func:`chargraph.build` gives integer masses over a power-of-two
+    ``scale``, so products of source probabilities stay exact; other graphs
+    use floats or Fractions with the default ``scale`` of 1.  The masses
+    must be nonnegative and sum to ``scale`` within a relative 1e-12, an
+    exact test for integer masses.  Loops are rejected; parallel edges
+    collapse.
     """
 
-    __slots__ = ("vertices", "dist", "_index", "_adj")
+    __slots__ = ("vertices", "dist", "scale", "_index", "_adj")
 
     def __init__(
         self,
         vertices: Iterable[Label],
         edges: Iterable[tuple[Label, Label]],
         dist: Sequence,
+        scale: int = 1,
     ):
         self.vertices = tuple(vertices)
         if not self.vertices:
@@ -45,9 +51,12 @@ class ProbGraph:
         self.dist = tuple(dist)
         if len(self.dist) != len(self.vertices):
             raise UsageError("distribution length does not match vertex count")
+        self.scale = scale
         total = sum(self.dist)
-        if any(p < 0 for p in self.dist) or abs(total - 1) > 1e-12:
-            raise UsageError(f"vertex masses must be nonnegative and sum to 1, got {float(total)!r}")
+        if any(p < 0 for p in self.dist) or abs(total - scale) * 10**12 > scale:
+            raise UsageError(
+                f"vertex masses must be nonnegative and sum to 1, got {float(total / scale)!r}"
+            )
         adj = [0] * len(self.vertices)
         for u, v in edges:
             i, j = self._index[u], self._index[v]
@@ -59,10 +68,10 @@ class ProbGraph:
 
     @classmethod
     def from_masks(
-        cls, vertices: Iterable[Label], masks: Iterable[int], dist: Sequence
+        cls, vertices: Iterable[Label], masks: Iterable[int], dist: Sequence, scale: int = 1
     ) -> "ProbGraph":
         """A graph from one adjacency bitmask per vertex, symmetric and loop-free."""
-        g = cls(vertices, (), dist)
+        g = cls(vertices, (), dist, scale)
         g._adj = tuple(masks)
         return g
 
@@ -169,7 +178,7 @@ def to_dot(g: ProbGraph, name: str = "G") -> str:
     """Graphviz form with masses as vertex labels."""
     lines = [f"graph {name} {{"]
     for i, v in enumerate(g.vertices):
-        lines.append(f'  n{i} [label="{v} ({float(g.dist[i]):.6g})"];')
+        lines.append(f'  n{i} [label="{v} ({float(g.dist[i] / g.scale):.6g})"];')
     for u, v in g.edges():
         lines.append(f"  n{g.index(u)} -- n{g.index(v)};")
     lines.append("}")

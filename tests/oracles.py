@@ -5,11 +5,13 @@ states about the graphs it builds:
 
 * graph operations: complement, the AND/OR products of probabilistic
   graphs, projection onto a vertex subset and contraction of an autonomous
-  set to one vertex (the substitution lemma);
+  set to one vertex (the substitution lemma), and each vertex's exact
+  probability, its mass over the graph's scale;
 * the sandwich: the k-shot characteristic graph sits between the k-fold
   AND and OR powers of the single-shot graph;
 * additivity of clique entropy over AND products;
-* admissibility of a distribution for the improved bound at one pair;
+* admissibility of a distribution for the improved bound at one pair, and
+  the null space of its marginal constraints by SVD;
 * cut words that color the characteristic graph, by a per-block loop;
 * unique decodability by the Sardinas-Patterson test with an all-pairs
   first round;
@@ -25,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,7 +44,12 @@ from netfuncomp.pgraph import ProbGraph, _bits, _complement_masks
 def complement(g: ProbGraph) -> ProbGraph:
     co = _complement_masks(g.adjacency_masks())
     edges = [(g.vertices[i], g.vertices[j]) for i in range(g.n) for j in _bits(co[i]) if j > i]
-    return ProbGraph(g.vertices, edges, g.dist)
+    return ProbGraph(g.vertices, edges, g.dist, g.scale)
+
+
+def probabilities(g: ProbGraph) -> list[Fraction]:
+    """Each vertex's exact probability: its mass over the graph's scale."""
+    return [Fraction(m) / g.scale for m in g.dist]
 
 
 def _product(graphs: Sequence[ProbGraph], conjunctive: bool) -> ProbGraph:
@@ -75,7 +83,7 @@ def _product(graphs: Sequence[ProbGraph], conjunctive: bool) -> ProbGraph:
                     edges.append((verts[a], verts[b]))
             elif hit:
                 edges.append((verts[a], verts[b]))
-    return ProbGraph(verts, edges, dist)
+    return ProbGraph(verts, edges, dist, math.prod(g.scale for g in graphs))
 
 
 def and_product(graphs: Sequence[ProbGraph]) -> ProbGraph:
@@ -145,7 +153,7 @@ def replace(g: ProbGraph, subset: Iterable, new_label) -> ProbGraph:
             dist.append(g.dist[i])
     edges = [(u, v) for u, v in g.edges() if u not in inside and v not in inside]
     edges.extend((new_label, u) for u in common)
-    return ProbGraph(verts, edges, dist)
+    return ProbGraph(verts, edges, dist, g.scale)
 
 
 # -- entropies ------------------------------------------------------------------
@@ -266,6 +274,20 @@ def is_pc_equivalent(
         return False
     m = graph.rows
     return bool(np.max(np.abs(m @ p - m @ graph.base)) <= tol)
+
+
+def null_space(rows: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of ``rows``, by a full SVD.
+
+    The reference for ``bounds._Graph.null``: the rank counts the singular
+    values above the usual tolerance, ``max(shape) * eps * s_max``.
+    """
+    if rows.size == 0:
+        return np.eye(rows.shape[1])
+    _, s, vh = np.linalg.svd(rows)
+    tol = max(rows.shape) * np.finfo(float).eps * (s[0] if s.size else 1.0)
+    rank = int(np.sum(s > tol))
+    return vh[rank:].T.copy()
 
 
 # -- codes ------------------------------------------------------------------------

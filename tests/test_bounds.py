@@ -19,7 +19,7 @@ from conftest import GRID_MAX_DIM, grid_scan, random_model
 from netfuncomp import bounds, chargraph, entropy, equiv, errors, netmodel, pgraph
 from netfuncomp.bounds import SearchConfig
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
-from oracles import is_pc_equivalent
+from oracles import is_pc_equivalent, null_space, probabilities
 
 BASIC = 7 / 4 - (3 / 8) * math.log2(3)
 IMPROVED = 0.5 * math.log2(5)
@@ -244,7 +244,7 @@ def test_layer_objective_matches_clique_entropy(diamond):
         for cg in _pair_graphs(model):
             g = cg.graph
             objective = bounds._LayerObjective(cg)
-            base = np.array([float(p) for p in g.dist])
+            base = np.array([float(p) for p in probabilities(g)])
             assert objective(base) == pytest.approx(entropy.clique_entropy(g).value, abs=1e-12)
             batch = masses_rng.uniform(0.05, 1.0, (3, g.n))
             batch /= batch.sum(axis=1, keepdims=True)
@@ -377,3 +377,45 @@ def test_tiny_mass_lowers_only_its_graphs_floor():
     assert basic.value == pytest.approx(1.07781953113394, abs=1e-12)
     assert improved.value == pytest.approx(1.19919318798019, abs=1e-12)
     assert fixed.value == pytest.approx(FIXED, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def suite(diamond):
+    """The diamond and the 50 draws of the acceptance-6 suite (seed 601)."""
+    rng = random.Random(601)
+    return [diamond] + [random_model(rng) for _ in range(50)]
+
+
+def test_contrast_basis_spans_the_svd_null_space(suite):
+    # Every distinct graph of the suite, then of the uniform sum diamonds.
+    counts = []
+    for models in (suite, [_sum_diamond(q) for q in (3, 4, 5)]):
+        graphs = [g for model in models for g in _distinct_graphs(model)]
+        for graph in graphs:
+            null, rows = graph.null, graph.rows
+            assert null.shape == null_space(rows).shape == (graph.base.size, graph.dim)
+            assert np.abs(null.T @ null - np.eye(graph.dim)).max(initial=0.0) <= 1e-12
+            assert np.abs(rows @ null).max(initial=0.0) <= 1e-12
+        counts.append((len(graphs), sum(g.dim == 0 for g in graphs)))
+    assert counts[0] == (503, 278)
+
+
+def test_rigid_pairs_report_the_basic_value(suite):
+    rigid = 0
+    for model in suite:
+        basic, improved, _ = bounds.lower_bounds(model)
+        for b, i in zip(basic.pairs, improved.pairs):
+            if improved.graphs[i.graph]["feasible_dimension"] == 0:
+                assert (i.value, i.method) == (b.value, "FixedPoint")
+                rigid += 1
+    assert rigid > 0
+
+
+def test_subnormal_cell_bounds_without_overflow():
+    # Masses over 2^1074 are exact integers; only the barrier refuses the atom.
+    model = _tiny_mass_diamond(5e-324)
+    near = bounds.basic_lower_bound(_tiny_mass_diamond(1e-30)).value
+    assert bounds.basic_lower_bound(model).value == pytest.approx(near, abs=1e-12)
+    assert bounds.fixed_length_bound(model).value == pytest.approx(FIXED, abs=1e-12)
+    with pytest.raises(errors.OptimizerFailed, match="atom 4.94e-324 is too small for the barrier"):
+        bounds.improved_lower_bound(model)

@@ -12,6 +12,7 @@ disjunctive powers.
 
 import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from conftest import brute_char_edges, brute_clique_number, random_model
 from netfuncomp import chargraph, errors, netmodel
 from netfuncomp.examples import diamond_model
 from netfuncomp.pgraph import ProbGraph
-from oracles import sandwich_check
+from oracles import probabilities, sandwich_check
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +46,7 @@ def test_diamond_nontrivial_graph_is_frozen(diamond, partitions):
     assert cg.graph.vertices == tuple(
         f"{a}{b}{c}" for a in "01" for b in "01" for c in "01"
     )
-    assert all(p == Fraction(1, 8) for p in cg.graph.dist)
+    assert all(p == Fraction(1, 8) for p in probabilities(cg.graph))
 
     classes = [["000"], ["001", "010", "100"], ["011", "101", "110"], ["111"]]
     expected = set()
@@ -72,7 +73,7 @@ def test_side_information_cut_splits_into_fibers(diamond):
     cg = chargraph.build(diamond, part)
     assert cg.order == ("s1", "s2")
     assert _edge_labels(cg) == {frozenset(("00", "10")), frozenset(("01", "11"))}
-    assert [float(p) for p in cg.graph.dist] == [0.25] * 4
+    assert [float(p) for p in probabilities(cg.graph)] == [0.25] * 4
 
 
 def test_construction_matches_quantifier_oracle_on_diamond(diamond, partitions):
@@ -134,7 +135,9 @@ def test_layer_report_flags_exactly_the_broken_layer(diamond, cut, blocks, u, v,
     assert chargraph.layer_report(cg).ok
     g = cg.graph
     edges = set(map(frozenset, g.edges())) ^ {frozenset((u, v))}
-    tampered = dataclasses.replace(cg, graph=ProbGraph(g.vertices, map(tuple, edges), g.dist))
+    tampered = dataclasses.replace(
+        cg, graph=ProbGraph(g.vertices, map(tuple, edges), g.dist, g.scale)
+    )
     report = chargraph.layer_report(tampered)
     flags = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
     assert flags == {name: name != broken for name in flags}
@@ -197,7 +200,7 @@ def test_vertex_masses_are_marginals():
         part = netmodel.enumerate_strong_partitions(model, cut)[0]
         cg = chargraph.build(model, part, 1)
         pos = [model.sources.index(s) for s in cg.order]
-        for a, mass in zip(cg.assignments, cg.graph.dist):
+        for a, mass in zip(cg.assignments, probabilities(cg.graph)):
             want = sum(
                 p
                 for xs, p in zip(
@@ -207,3 +210,37 @@ def test_vertex_masses_are_marginals():
                 if all(xs[p_] == a[ci][0] for ci, p_ in enumerate(pos))
             )
             assert float(mass) == pytest.approx(want, abs=1e-12)
+
+
+def _fraction_masses(model, cg):
+    """Each vertex's probability as the product of exact Fraction marginals."""
+    pos = [model.sources.index(s) for s in cg.order]
+    marginal = {}
+    for xs, p in zip(
+        itertools.product(model.symbols, repeat=model.num_sources), model.distribution
+    ):
+        key = tuple(xs[i] for i in pos)
+        marginal[key] = marginal.get(key, 0) + Fraction(p)
+    return [
+        math.prod((marginal[tuple(col[r] for col in a)] for r in range(cg.k)), start=Fraction(1))
+        for a in cg.assignments
+    ]
+
+
+def test_integer_masses_equal_the_fraction_products(diamond):
+    # A subnormal cell puts the common denominator at 2^1074 (2^2148 at k = 2).
+    tiny = netmodel.validate(dataclasses.replace(
+        diamond, distribution=(0.25, 5e-324) + diamond.distribution[2:]
+    ))
+    rng = random.Random(211)
+    models = [diamond, tiny] + [random_model(rng) for _ in range(6)]
+    for model in models:
+        for cut in list(netmodel.enumerate_cut_sets(model))[:3]:
+            part = netmodel.enumerate_strong_partitions(model, cut)[-1]
+            for k in (1, 2):
+                cg = chargraph.build(model, part, k)
+                assert probabilities(cg.graph) == _fraction_masses(model, cg)
+                assert all(isinstance(m, int) for m in cg.graph.dist)
+    cg = chargraph.build(tiny, netmodel.enumerate_strong_partitions(tiny, ["e5", "e6"])[0], 2)
+    assert cg.graph.scale == 2**2148
+    assert min(probabilities(cg.graph)) == Fraction(5e-324) ** 2

@@ -522,6 +522,39 @@ def test_simulate_code_with_numeric_words_names_the_edge(capsys, paths):
     assert err == "netfuncomp: UsageError: code document: edge e1 word 0 must be a string\n"
 
 
+def _empty_e3_table(doc):
+    doc["encoders"]["e3"] = {}
+
+
+def _first_e5_word_as(word):
+    def corrupt(doc):
+        table = doc["encoders"]["e5"]
+        old = next(iter(table.values()))
+        doc["encoders"]["e5"] = {key: word if w == old else w for key, w in table.items()}
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_empty_e3_table, "UsageError: edge e3: empty code"),
+        (_first_e5_word_as("2"), "UsageError: edge e5: non-binary codeword '2'"),
+        (_first_e5_word_as(""), "EmptyWord: edge e5: codes must not contain the empty word"),
+    ],
+    ids=["empty-code", "non-binary-word", "empty-word"],
+)
+def test_simulate_code_check_names_the_edge(capsys, paths, corrupt, message):
+    model = diamond_model()
+    doc = code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    corrupt(doc)
+    code_path = paths["base"] / "bad_words.json"
+    code_path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
+    assert rc == 2 and out == ""
+    assert err == f"netfuncomp: {message}\n"
+
+
 def test_simulate_code_for_another_alphabet_exits_2(capsys, paths):
     # Built over {0, 1}, the k = 2 code has no word for a column holding a 2;
     # the first such column in sweep order is the third source's (0, 2).

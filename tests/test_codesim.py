@@ -629,6 +629,47 @@ def test_one_source_sweep_tables_no_more_than_a_chunk():
     assert peak < 32 << 20
 
 
+def test_k6_diamond_simulation_holds_one_chunk_at_a_time(diamond):
+    # 2^18 blocks and 46,656 sink inputs.  A sweep that holds two chunks'
+    # arrays at a chunk boundary, with a decoder given every sink input in
+    # one call, traces 9.5 MB in huffman_transform and 5.1 MB in evaluate.
+    tracemalloc.start()
+    try:
+        code = codesim.huffman_transform(diamond, codesim.diamond_scheme(6))
+        build = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        codesim.evaluate(diamond, code)
+        sweep = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build < 7 << 20
+    assert sweep < 4.5 * (1 << 20)
+
+
+def test_decoder_sees_sink_inputs_a_chunk_at_a_time(monkeypatch, diamond):
+    base = codesim.diamond_scheme(4)
+    whole = codesim.huffman_transform(diamond, base)
+    batches = []
+
+    def decoder(values):
+        batches.append(len(values["e5"]))
+        return base.decoder(values)
+
+    monkeypatch.setattr(codesim, "CHUNK_BLOCKS", 10)
+    counted = FixedScheme("counted", 4, base.edge_functions, decoder)
+    code = codesim.huffman_transform(diamond, counted)
+    assert max(batches) == 10 and sum(batches) == len(whole.outputs) > 10
+    assert np.array_equal(code.outputs, whole.outputs)
+    assert np.array_equal(code.decoder, whole.decoder)
+
+    def wide(values):
+        return np.zeros((len(values["e5"]), 5), dtype=np.int64)
+
+    message = r"must give a \(10, 4\) integer array, got shape \(10, 5\)"
+    with pytest.raises(errors.UsageError, match=message):
+        codesim.huffman_transform(diamond, FixedScheme("wide", 4, base.edge_functions, wide))
+
+
 def test_sweep_cap_refuses_before_any_scheme_call(diamond):
     calls = []
     base = codesim.diamond_scheme(10)
