@@ -465,6 +465,10 @@ def _solve(graph: _Graph) -> _Optimum:
     last barrier weight, each from the previous point, resume the progress;
     every pass's point is checked for feasibility before it is certified.
     A failure names the pair that built the graph as a ``--pairs`` entry.
+    When the float objective at the certified point falls below the exact
+    clique entropy of the base, the base is the optimum reported, so the
+    improved value is never below the basic one; the gap found at the point
+    still certifies it, since max f <= f(p) + gap <= f(base) + gap.
     A rigid graph, of dimension 0, has the base as its only feasible point:
     its optimum is the clique entropy, with no objective, rows or solve.
     """
@@ -488,7 +492,11 @@ def _solve(graph: _Graph) -> _Optimum:
             )
         gap = _certificate(objective, p, null, floor)
         if gap <= MAX_GAP:
-            return _Optimum(float(objective(p)), p, gap, residual)
+            value = float(objective(p))
+            if value < graph.clique.value:
+                # Rounding put p a few ulps below the feasible base.
+                return _Optimum(graph.clique.value, base, gap, 0.0)
+            return _Optimum(value, p, gap, residual)
     raise OptimizerFailed(f"{_pair_text(graph)}: optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
 
 

@@ -16,23 +16,32 @@ Any valid coloring of this graph is a lower bound witness for what the cut
 must carry, and its clique entropy divided by the cut size is the basic
 rate bound contributed by the pair.
 
-Construction looks each vertex up in the equivalence-class partitions and
-records its layer coordinates: side-information fiber, class, leftover
-block, and the per-block class tuple (the bracket).  :func:`layer_masks`
-turns those coordinates into four nested vertex masks per vertex, kept on
-the graph for its consumers, and a vertex's adjacency is the rest of its
-fiber outside its class plus the rest of its leftover block outside its
-bracket.  :func:`layer_report` checks the finished adjacency against the
-same masks, one mask identity per layer property and vertex.  The paper's claim that the k-shot graph
-sits between the k-fold AND and OR powers of the single-shot graph is
-checked by the test oracles in ``tests/oracles.py``.
+Construction records each vertex's layer coordinates: side-information
+fiber, class, leftover block, and the per-block class tuple (the bracket).
+They come from passes over the vertices in enumeration order, not from the
+class partitions of :mod:`equiv`, which define them and serve as the
+reference (``ref_layers`` in ``tests/oracles.py``).  The fiber and leftover
+passes key each vertex by its J and L block.  The class pass keys it by
+its fiber and its target values over every completion of the sources
+outside I and J.  One bracket pass per partition block keys it by its fiber,
+its leftover block and the classes of the vertices that replace the other
+blocks' separated sources by each choice.  Each pass numbers the keys by
+first appearance, which is the partitions' least-member order because the
+vertices enumerate lexicographically.  :func:`layer_masks` turns those
+coordinates into four nested vertex masks per vertex, kept on the graph
+for its consumers, and a vertex's adjacency is the rest of its fiber
+outside its class plus the rest of its leftover block outside its bracket.
+:func:`layer_report` checks the finished adjacency against the same masks,
+one mask identity per layer property and vertex.  The paper's claim that
+the k-shot graph sits between the k-fold AND and OR powers of the
+single-shot graph is checked by the test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from . import equiv, pgraph
 from .errors import TooLarge, UsageError
@@ -49,6 +58,9 @@ from .netmodel import (
 
 VERTEX_CAP = 2**14
 """Most vertices a characteristic graph may have."""
+
+REPORT_EDGE_CAP = 2**20
+"""Most edges a ``chargraph`` report or DOT export may list."""
 
 
 class LayerCoord(NamedTuple):
@@ -84,26 +96,20 @@ class CharGraph:
 
 
 def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGraph:
-    """Construct the k-shot characteristic graph of a strong partition of a cut."""
+    """Construct the k-shot characteristic graph of a strong partition of a cut.
+
+    Graphs of more than ``VERTEX_CAP`` vertices are refused first, then
+    models whose k-shot domain exceeds ``equiv.DOMAIN_CAP`` blocks, both
+    before any vertex is enumerated.
+    """
     if k < 1:
         raise UsageError("k must be at least 1")
-    cut = partition.cut
+    order = restrict_sources(model, partition.cut.i_set | partition.cut.j_set)
     q = model.alphabet_size
-    i_tuple = restrict_sources(model, cut.i_set)
-    j_tuple = restrict_sources(model, cut.j_set)
-    l_tuple = restrict_sources(model, partition.l_set)
-    order = restrict_sources(model, cut.i_set | cut.j_set)
     n_vertices = assignment_count(q, len(order), k)
     if n_vertices > VERTEX_CAP:
         raise TooLarge(f"{n_vertices} vertices exceed the cap of {VERTEX_CAP}")
-
-    i_pos = [order.index(s) for s in i_tuple]
-    j_pos = [order.index(s) for s in j_tuple]
-    l_pos = [order.index(s) for s in l_tuple]
-    ell_pos = [
-        [order.index(s) for s in restrict_sources(model, iset)]
-        for iset in partition.i_sets
-    ]
+    equiv.check_domain(model, k)
 
     marginal, denominator = _marginal_numerators(model, order)
     assignments = tuple(enumerate_assignments(q, len(order), k))
@@ -115,40 +121,99 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
             p *= marginal[tuple(col[r] for col in a)]
         dist.append(p)
 
-    j_blocks = list(enumerate_assignments(q, len(j_tuple), k))
-    fiber_of_aj = {a_j: fi for fi, a_j in enumerate(j_blocks)}
-    l_blocks = list(enumerate_assignments(q, len(l_tuple), k))
-    leftover_of_al = {a_l: li for li, a_l in enumerate(l_blocks)}
-
-    layers: list[LayerCoord] = []
-    class_index_of_fiber: dict[int, dict[Assignment, int]] = {}
-    block_indices_of: dict[tuple[int, int], list[dict[Assignment, int]]] = {}
-    for a in assignments:
-        a_j = tuple(a[p] for p in j_pos)
-        a_l = tuple(a[p] for p in l_pos)
-        b_i = tuple(a[p] for p in i_pos)
-        fi = fiber_of_aj[a_j]
-        li = leftover_of_al[a_l]
-        if fi not in class_index_of_fiber:
-            class_index_of_fiber[fi] = equiv.i_aj_classes(
-                model, i_tuple, j_tuple, a_j, k
-            ).class_index()
-        key = (fi, li)
-        if key not in block_indices_of:
-            block_indices_of[key] = [
-                equiv.il_al_aj_classes(model, partition, ell, a_l, a_j, k).class_index()
-                for ell in range(partition.m)
-            ]
-        bracket = tuple(
-            block_indices_of[key][ell][tuple(a[p] for p in ell_pos[ell])]
-            for ell in range(partition.m)
-        )
-        layers.append(LayerCoord(fi, class_index_of_fiber[fi][b_i], li, bracket))
-
+    layers = _layer_coords(model, partition, order, k)
     masks = layer_masks(layers)
     adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*masks)]
     graph = pgraph.ProbGraph.from_masks(labels, adj, dist, denominator**k)
-    return CharGraph(graph, partition, k, order, assignments, tuple(layers), masks)
+    return CharGraph(graph, partition, k, order, assignments, layers, masks)
+
+
+def _layer_coords(
+    model: NetworkModel, partition: StrongPartition, order: tuple[str, ...], k: int
+) -> tuple[LayerCoord, ...]:
+    """Every vertex's layer coordinates, in passes over positional digit tables.
+
+    A vertex is n = |I | J| digits in base q^k, one k-shot column per source
+    of ``order``, and its index is those digits read most significant
+    first.  Each pass is a table over the vertices in that order, built by
+    summing per-digit values.  The fiber and leftover tables hold the index
+    of the vertex's J and L block.
+
+    A vertex's class within its fiber is keyed by its target values over
+    every completion of the sources outside I and J.  Completions range
+    over each shot independently, so the key is the tuple of per-shot ids of
+    the single-shot value rows.  Its bracket entry for a partition block is
+    keyed by the classes of the vertices that keep its digits off the other
+    blocks' separated sources and take each choice on them: index offsets
+    from its base, the vertex with those digits zero.
+
+    Classes and brackets are numbered by first appearance.  The vertices
+    enumerate lexicographically, so the first vertex with a given block on
+    some of the sources is zero on the others, and blocks first appear in
+    lexicographic order: the least-member order of the ``equiv`` partitions
+    that define these coordinates.
+    """
+    q, n, width = model.alphabet_size, len(order), model.alphabet_size**k
+    cut = partition.cut
+    index = {s: i for i, s in enumerate(order)}
+
+    def table(value: Callable[[int, int], int]) -> list[int]:
+        """Per vertex, the sum of ``value(position, digit)`` over its digits."""
+        digits = ([value(p, d) for d in range(width)] for p in range(n))
+        return list(map(sum, itertools.product(*digits)))
+
+    def block_index(sources: Iterable[str]) -> list[int]:
+        pos = sorted(index[s] for s in sources)
+        weight = {p: width ** (len(pos) - 1 - i) for i, p in enumerate(pos)}
+        return table(lambda p, d: d * weight.get(p, 0))
+
+    fibers = block_index(cut.j_set)
+    leftovers = block_index(partition.l_set)
+
+    at = {s: q ** (model.num_sources - 1 - i) for i, s in enumerate(model.sources)}
+
+    def rows_at(sources: Iterable[str]) -> Iterable[int]:
+        """Row offsets in ``model.function_table`` of every block on ``sources``."""
+        return map(sum, itertools.product(*([x * at[s] for x in range(q)] for s in sources)))
+
+    function_table = model.function_table
+    starts = list(rows_at(order))
+    completions = rows_at(s for s in model.sources if s not in index)
+    value_rows = zip(*([function_table[b + c] for b in starts] for c in completions))
+    row_ids: dict[tuple, int] = {}
+    shot_ids = [row_ids.setdefault(row, len(row_ids)) for row in value_rows]
+    shots = [
+        table(lambda p, d: d // q ** (k - 1 - r) % q * q ** (n - 1 - p)) for r in range(k)
+    ]
+    classes = _ranks(fibers, zip(*(map(shot_ids.__getitem__, shot) for shot in shots)))
+
+    place = [width ** (n - 1 - p) for p in range(n)]
+    brackets = []
+    for iset in partition.i_sets:
+        others = sorted(index[s] for s in cut.i_set - iset - partition.l_set)
+        base_of = table(lambda p, d: 0 if p in others else d * place[p])
+        offsets = list(
+            map(sum, itertools.product(*([d * place[p] for d in range(width)] for p in others)))
+        )
+        bases = [v for v, base in enumerate(base_of) if v == base]
+        ranks = _ranks(
+            ((fibers[v], leftovers[v]) for v in bases),
+            (tuple(classes[v + off] for off in offsets) for v in bases),
+        )
+        brackets.append(map(dict(zip(bases, ranks)).__getitem__, base_of))
+    return tuple(map(LayerCoord, fibers, classes, leftovers, zip(*brackets)))
+
+
+def _ranks(groups: Iterable[Hashable], keys: Iterable[Hashable]) -> list[int]:
+    """Each key's rank among the distinct keys of its group, by first appearance."""
+    ids: dict[tuple, int] = {}
+    first = [ids.setdefault(pair, len(ids)) for pair in zip(groups, keys)]
+    counts: dict[Hashable, int] = {}
+    rank = []
+    for group, _ in ids:
+        rank.append(counts.get(group, 0))
+        counts[group] = rank[-1] + 1
+    return [rank[i] for i in first]
 
 
 def layer_masks(layers: Sequence[LayerCoord]) -> tuple[tuple[int, ...], ...]:

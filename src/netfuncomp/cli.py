@@ -336,8 +336,11 @@ def _cmd_chargraph(args) -> None:
     cut = _parse_cut(model, args.cut)
     partition = _parse_partition(model, cut, args.blocks)
     cg = chargraph.build(model, partition, args.k)
-    report = chargraph.layer_report(cg)
     g = cg.graph
+    n_edges = g.edge_count()
+    if n_edges > chargraph.REPORT_EDGE_CAP:
+        raise TooLarge(f"{n_edges} edges exceed the report cap of {chargraph.REPORT_EDGE_CAP}")
+    report = chargraph.layer_report(cg)
     if args.dot:
         os.makedirs(args.dot, exist_ok=True)
         name = "chargraph_" + "_".join(cut.cut) + f"_k{args.k}"

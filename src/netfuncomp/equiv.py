@@ -21,6 +21,12 @@ summed over Cl, and maximized over side information, that count is the
 clique number of the single-shot characteristic graph.  The bound layer
 reads that clique number off the graph's layer nesting; :func:`n_C` is the
 reference it is tested against.
+
+This module is the definition-level reference, not the bound path:
+``chargraph.build`` numbers the same classes in passes over its vertices
+and calls only :func:`check_domain` here, and the tests compare its layers
+with these partitions.  :func:`i_aj_classes` is also the backend of the
+``classes`` command.
 """
 
 from __future__ import annotations
@@ -70,7 +76,8 @@ class EquivPartition:
         return len(self.classes)
 
 
-def _check_domain(model: NetworkModel, k: int) -> None:
+def check_domain(model: NetworkModel, k: int) -> None:
+    """Refuse k below 1 and k-shot domains of more than ``DOMAIN_CAP`` blocks."""
     if k < 1:
         raise UsageError("k must be at least 1")
     if assignment_count(model.alphabet_size, model.num_sources, k) > DOMAIN_CAP:
@@ -116,7 +123,7 @@ def i_aj_classes(
     if set(i_tuple) & set(j_tuple):
         raise OverlappingSets("I and J share sources")
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    _check_domain(model, k)
+    check_domain(model, k)
     return _i_aj_cached(model, i_tuple, j_tuple, a_j, k)
 
 
@@ -170,7 +177,7 @@ def il_al_aj_classes(
     l_tuple = restrict_sources(model, partition.l_set)
     _check_aj(l_tuple, a_l, k, model.alphabet_size)
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    _check_domain(model, k)
+    check_domain(model, k)
     return _il_cached(model, partition, block_index, a_l, a_j, k)
 
 

@@ -7,6 +7,9 @@ states about the graphs it builds:
   graphs, projection onto a vertex subset and contraction of an autonomous
   set to one vertex (the substitution lemma), and each vertex's exact
   probability, its mass over the graph's scale;
+* the layer coordinates of a characteristic graph, looked up in the
+  equivalence-class partitions of ``equiv``, one per fiber and one per
+  (fiber, leftover block, partition block);
 * the sandwich: the k-shot characteristic graph sits between the k-fold
   AND and OR powers of the single-shot graph;
 * additivity of clique entropy over AND products;
@@ -32,9 +35,15 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from netfuncomp import bounds, chargraph, codesim, entropy
+from netfuncomp import bounds, chargraph, codesim, entropy, equiv
 from netfuncomp.errors import DomainMismatch, UsageError
-from netfuncomp.netmodel import NetworkModel, StrongPartition, format_assignment
+from netfuncomp.netmodel import (
+    NetworkModel,
+    StrongPartition,
+    enumerate_assignments,
+    format_assignment,
+    restrict_sources,
+)
 from netfuncomp.pgraph import ProbGraph, _bits, _complement_masks
 
 
@@ -182,6 +191,59 @@ def clique_entropy_product_check(graphs: Sequence[ProbGraph]) -> dict:
 
 
 # -- characteristic graphs and bounds ----------------------------------------------
+
+
+def ref_layers(
+    model: NetworkModel, partition: StrongPartition, k: int
+) -> tuple[chargraph.LayerCoord, ...]:
+    """Each vertex's layer coordinates from the class partitions of ``equiv``.
+
+    The reference for the vertex passes of ``chargraph.build``: a vertex's
+    class is its I block's index in ``i_aj_classes`` for its J block, and
+    its bracket holds, per partition block, the index of its sub-block in
+    ``il_al_aj_classes`` for its L and J blocks.  Fibers and leftover
+    blocks are the J and L blocks' enumeration indices.
+    """
+    cut = partition.cut
+    q = model.alphabet_size
+    i_tuple = restrict_sources(model, cut.i_set)
+    j_tuple = restrict_sources(model, cut.j_set)
+    l_tuple = restrict_sources(model, partition.l_set)
+    order = restrict_sources(model, cut.i_set | cut.j_set)
+    i_pos = [order.index(s) for s in i_tuple]
+    j_pos = [order.index(s) for s in j_tuple]
+    l_pos = [order.index(s) for s in l_tuple]
+    ell_pos = [
+        [order.index(s) for s in restrict_sources(model, iset)]
+        for iset in partition.i_sets
+    ]
+    fiber_of_aj = {a_j: fi for fi, a_j in enumerate(enumerate_assignments(q, len(j_tuple), k))}
+    leftover_of_al = {a_l: li for li, a_l in enumerate(enumerate_assignments(q, len(l_tuple), k))}
+
+    layers = []
+    class_index_of_fiber: dict = {}
+    block_indices_of: dict = {}
+    for a in enumerate_assignments(q, len(order), k):
+        a_j = tuple(a[p] for p in j_pos)
+        a_l = tuple(a[p] for p in l_pos)
+        fi = fiber_of_aj[a_j]
+        li = leftover_of_al[a_l]
+        if fi not in class_index_of_fiber:
+            class_index_of_fiber[fi] = equiv.i_aj_classes(
+                model, i_tuple, j_tuple, a_j, k
+            ).class_index()
+        if (fi, li) not in block_indices_of:
+            block_indices_of[fi, li] = [
+                equiv.il_al_aj_classes(model, partition, ell, a_l, a_j, k).class_index()
+                for ell in range(partition.m)
+            ]
+        bracket = tuple(
+            index[tuple(a[p] for p in pos)]
+            for index, pos in zip(block_indices_of[fi, li], ell_pos)
+        )
+        cls = class_index_of_fiber[fi][tuple(a[p] for p in i_pos)]
+        layers.append(chargraph.LayerCoord(fi, cls, li, bracket))
+    return tuple(layers)
 
 
 @dataclass(frozen=True)

@@ -400,15 +400,53 @@ def test_contrast_basis_spans_the_svd_null_space(suite):
     assert counts[0] == (503, 278)
 
 
-def test_rigid_pairs_report_the_basic_value(suite):
+@pytest.fixture(scope="module")
+def suite_reports(suite):
+    return [bounds.lower_bounds(model) for model in suite]
+
+
+def test_rigid_pairs_report_the_basic_value(suite_reports):
     rigid = 0
-    for model in suite:
-        basic, improved, _ = bounds.lower_bounds(model)
+    for basic, improved, _ in suite_reports:
         for b, i in zip(basic.pairs, improved.pairs):
             if improved.graphs[i.graph]["feasible_dimension"] == 0:
                 assert (i.value, i.method) == (b.value, "FixedPoint")
                 rigid += 1
     assert rigid > 0
+
+
+def test_improved_is_never_below_basic_on_the_suite(suite, suite_reports):
+    # On 29 pairs of draws 12 and 22 the float objective at the certified
+    # point fell a few ulps below the exact clique entropy; those graphs now
+    # report the base, with the gap found at the point.
+    pairs = 0
+    for basic, improved, _ in suite_reports:
+        for b, i in zip(basic.pairs, improved.pairs):
+            assert i.value >= b.value
+            pairs += 1
+    assert pairs == 3603
+    basic, improved, _ = suite_reports[12]
+    b, i = basic.pairs[2], improved.pairs[2]
+    assert b.key() == (("e1", "e2"), (("e1",), ("e2",)))
+    assert i.value == b.value == 0.49987895735041354
+    details = improved.graphs[i.graph]
+    assert details["improved_value"] == details["base_value"]
+    assert 0 < details["gap"] <= bounds.MAX_GAP
+    assert details["marginal_residual"] == 0.0
+    graph = bounds._Graph(suite[12], bounds.enumerate_pairs(suite[12])[2])
+    assert details["opt_dist"] == graph.base.tolist()
+
+
+def test_lower_bounds_builds_no_class_partitions(diamond, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound path asked equiv for a class partition")
+
+    monkeypatch.setattr(equiv, "i_aj_classes", refuse)
+    monkeypatch.setattr(equiv, "il_al_aj_classes", refuse)
+    basic, improved, fixed = bounds.lower_bounds(diamond)
+    assert basic.value == pytest.approx(BASIC, abs=1e-12)
+    assert improved.value == pytest.approx(IMPROVED, abs=1e-6)
+    assert fixed.value == pytest.approx(FIXED, abs=1e-12)
 
 
 def test_subnormal_cell_bounds_without_overflow():

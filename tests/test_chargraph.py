@@ -7,7 +7,8 @@ block differs (exactly 001-100 and 011-110).  Construction is also compared
 with the quantifier-based oracle on random models, the four-layer check
 passes on built graphs and flags exactly the layer a one-edge change
 breaks, and the k-shot graph is sandwiched between the conjunctive and
-disjunctive powers.
+disjunctive powers.  The layer coordinates of the vertex passes equal the
+ones looked up in the class partitions of ``equiv`` (``ref_layers``).
 """
 
 import dataclasses
@@ -19,10 +20,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import brute_char_edges, brute_clique_number, random_model
-from netfuncomp import chargraph, errors, netmodel
+from netfuncomp import bounds, chargraph, errors, netmodel
 from netfuncomp.examples import diamond_model
 from netfuncomp.pgraph import ProbGraph
-from oracles import probabilities, sandwich_check
+from oracles import probabilities, ref_layers, sandwich_check
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,38 @@ def test_construction_matches_quantifier_oracle_on_random_models():
                 assert got == brute_char_edges(model, part, 1)
                 checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_layers_match_the_class_partitions_on_diamond(diamond, k):
+    pairs = bounds.enumerate_pairs(diamond)
+    assert len(pairs) == 118
+    for part in pairs:
+        assert chargraph.build(diamond, part, k).layers == ref_layers(diamond, part, k)
+
+
+def _ternary_diamond(seed):
+    """The diamond over alphabet 3 with a seeded random target table."""
+    rng = random.Random(seed)
+    rows = list(itertools.product(range(3), repeat=3))
+    return netmodel.validate(dataclasses.replace(
+        diamond_model(),
+        alphabet_size=3,
+        function_table=tuple(rng.randrange(3) for _ in rows),
+        distribution=(1 / len(rows),) * len(rows),
+    ))
+
+
+def test_layers_match_the_class_partitions_on_random_models():
+    rng = random.Random(229)
+    models = [random_model(rng) for _ in range(12)] + [_ternary_diamond(5)]
+    checked = 0
+    for model in models:
+        for part in bounds.enumerate_pairs(model)[:8]:
+            for k in (1, 2):
+                assert chargraph.build(model, part, k).layers == ref_layers(model, part, k)
+            checked += 1
+    assert checked >= 40
 
 
 def test_layer_report_holds_on_diamond(diamond, partitions):

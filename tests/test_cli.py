@@ -141,12 +141,54 @@ def test_chargraph_layers_and_dot_export(capsys, paths):
     assert os.path.exists(os.path.join(dot_dir, "chargraph_e5_e6_k1.dot"))
 
 
-def test_chargraph_size_cap_exits_3(capsys, paths):
-    rc, _, err = run(
+def _forbid_vertex_passes(monkeypatch):
+    def vertex_pass(*args):
+        raise AssertionError("a vertex pass ran before the caps")
+
+    for name in ("_marginal_numerators", "enumerate_assignments", "_layer_coords"):
+        monkeypatch.setattr(chargraph, name, vertex_pass)
+
+
+def test_chargraph_size_cap_exits_3(capsys, monkeypatch, paths):
+    _forbid_vertex_passes(monkeypatch)
+    rc, out, err = run(
         capsys, "chargraph", paths["diamond"], "--cut", "e5,e6", "--k", "8"
     )
-    assert rc == 3
-    assert err.startswith("netfuncomp: TooLarge:")
+    assert (rc, out) == (3, "")
+    assert err == "netfuncomp: TooLarge: 16777216 vertices exceed the cap of 16384\n"
+
+
+def test_chargraph_domain_cap_refuses_before_any_vertex_pass(capsys, monkeypatch, paths):
+    # Cut e5 at k = 7 has exactly VERTEX_CAP vertices, over 2^21 blocks.
+    assert netmodel.assignment_count(2, 2, 7) == chargraph.VERTEX_CAP
+    _forbid_vertex_passes(monkeypatch)
+    rc, out, err = run(capsys, "chargraph", paths["diamond"], "--cut", "e5", "--k", "7")
+    assert (rc, out) == (3, "")
+    assert err == "netfuncomp: DomainTooLarge: 2^(7*3) blocks exceed the cap of 1048576\n"
+
+
+def test_chargraph_report_edge_cap_exits_3(capsys, paths):
+    # k = 4 on the sink cut has 8,316,928 edges; k = 3 has 127,680.
+    dot_dir = paths["base"] / "dots_k4"
+    for extra in ([], ["--dot", str(dot_dir)]):
+        rc, out, err = run(
+            capsys, "chargraph", paths["diamond"], "--cut", "e5,e6", "--blocks", "e5/e6",
+            "--k", "4", *extra,
+        )
+        assert (rc, out) == (3, "")
+        assert err == "netfuncomp: TooLarge: 8316928 edges exceed the report cap of 1048576\n"
+    assert not dot_dir.exists()
+
+
+def test_chargraph_report_edge_cap_is_inclusive(capsys, monkeypatch, paths):
+    # The sink cut's two-block graph has 24 edges.
+    argv = ["chargraph", paths["diamond"], "--cut", "e5,e6", "--blocks", "e5/e6"]
+    monkeypatch.setattr(chargraph, "REPORT_EDGE_CAP", 24)
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and len(json.loads(out)["result"]["graph"]["edges"]) == 24
+    monkeypatch.setattr(chargraph, "REPORT_EDGE_CAP", 23)
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out, err) == (3, "", "netfuncomp: TooLarge: 24 edges exceed the report cap of 23\n")
 
 
 def test_entropy_on_pentagon(capsys, paths):
