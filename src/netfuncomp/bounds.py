@@ -4,7 +4,7 @@ Three bounds are computed, each as a maximum over (cut set, strong
 partition) pairs:
 
 * basic: clique entropy of the pair's single-shot characteristic graph
-  divided by the cut size;
+  divided by the cut size, read off the graph's layer nesting;
 * improved: the same quantity maximized over every full-support
   distribution with the original marginals on each block's scope (the
   separated set of the block, the leftover set, and the side information);
@@ -16,8 +16,8 @@ partition) pairs:
 
 The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
 many pairs share one.  A run builds each distinct graph once; every pair
-with its key reuses the graph, its clique entropy and clique number and,
-for the improved bound, its marginal constraints, objective and optimum.
+with its key reuses the graph, its objective, clique entropy and clique
+number and, for the improved bound, its marginal constraints and optimum.
 A pair reports its graph's value divided by its cut size and the index of
 its graph in the report's ``graphs``, which lists each distinct graph once,
 in order of first appearance, with its key and its undivided details.
@@ -27,11 +27,15 @@ class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
 fiber fully joined, leftover blocks in a class unjoined, and brackets in a
 leftover block fully joined with no edges inside (see
 :func:`chargraph.layer_report`), so the clique entropy is
-H(C|F) + H(B|F,C,L).  The improved bound maximizes that closed form f over
-the distributions p that keep every block's marginal and put at least a
-floor on every vertex, ``MIN_MASS`` or, when the base distribution has a
-smaller atom, half that atom: a polytope ``base + N t``, where N is an
-orthonormal basis of the directions that keep every marginal.
+H(C|F) + H(B|F,C,L).  That nesting is an exact decomposition, disjoint
+unions at fibers and leftover blocks and joins at classes and brackets, so
+the basic bound is this closed form f at the base distribution; the
+recursive decomposition of :mod:`entropy` is the reference it is tested
+against.  The improved bound maximizes f over the distributions p that
+keep every block's marginal and put at least a floor on every vertex,
+``MIN_MASS`` or, when the base distribution has a smaller atom, half that
+atom: a polytope ``base + N t``, where N is an orthonormal basis of the
+directions that keep every marginal.
 
 The vertices are the whole alphabet product over I | J, so the ANOVA
 decomposition (Bishop, Fienberg and Holland, *Discrete Multivariate
@@ -44,8 +48,8 @@ support lies in a scope have linearly independent marginals on it, so a
 direction that keeps every marginal has no component along them.  The
 feasible dimension d is therefore a count, (q - 1)^|S| per such S, with no
 rank tolerance, and N is built as n x d.  A rigid graph, with d = 0, has
-the base as its only feasible point: its improved value is its clique
-entropy, and it builds no objective, constraint rows or solve.
+the base as its only feasible point: its improved value is its basic
+value, and it builds no constraint rows or solve.
 
 Conditional entropy is concave in the joint distribution (Cover and Thomas,
 ch. 2) and both joints are linear in p, so f is concave.  One deterministic
@@ -198,8 +202,9 @@ class _Graph:
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
     @cached_property
-    def clique(self) -> entropy.EntropyResult:
-        return entropy.clique_entropy(self.cg.graph)
+    def basic(self) -> float:
+        """The clique entropy: the layer objective at the base distribution."""
+        return float(self.objective(self.base))
 
     @cached_property
     def count(self) -> int:
@@ -304,14 +309,15 @@ def _graphs(model: NetworkModel) -> Callable[[StrongPartition], _Graph]:
 
 
 def _basic(graph: _Graph) -> tuple[float, str]:
-    return graph.clique.value, graph.clique.method
+    # The layer nesting is itself an exact decomposition of the graph.
+    return graph.basic, entropy.METHOD_EXACT
 
 
 def _basic_details(graph: _Graph) -> dict:
-    tree = graph.clique.certificate
+    levels = ("fibers", "classes", "leftover_blocks", "brackets")
     return {
-        "clique_entropy": graph.clique.value,
-        "leaf_counts": tree.leaf_counts() if tree is not None else {},
+        "clique_entropy": graph.basic,
+        "layer_counts": {name: len(set(level)) for name, level in zip(levels, graph.cg.masks)},
     }
 
 
@@ -465,15 +471,15 @@ def _solve(graph: _Graph) -> _Optimum:
     last barrier weight, each from the previous point, resume the progress;
     every pass's point is checked for feasibility before it is certified.
     A failure names the pair that built the graph as a ``--pairs`` entry.
-    When the float objective at the certified point falls below the exact
-    clique entropy of the base, the base is the optimum reported, so the
-    improved value is never below the basic one; the gap found at the point
-    still certifies it, since max f <= f(p) + gap <= f(base) + gap.
-    A rigid graph, of dimension 0, has the base as its only feasible point:
-    its optimum is the clique entropy, with no objective, rows or solve.
+    The value reported is max(f(p), f(base)), the base being the basic
+    value's point and winning ties, so the improved value is never below
+    the basic one; when the base wins, the gap found at p still certifies
+    it, since max f <= f(p) + gap <= f(base) + gap.  A rigid graph, of
+    dimension 0, has the base as its only feasible point: its optimum is the
+    basic value, with no constraint rows or solve.
     """
     if not graph.dim:
-        return _Optimum(graph.clique.value, graph.base, 0.0, 0.0)
+        return _Optimum(graph.basic, graph.base, 0.0, 0.0)
     base, floor = graph.base, graph.floor
     if float(base.min()) - floor < _MIN_SLACK:
         raise OptimizerFailed(
@@ -493,9 +499,9 @@ def _solve(graph: _Graph) -> _Optimum:
         gap = _certificate(objective, p, null, floor)
         if gap <= MAX_GAP:
             value = float(objective(p))
-            if value < graph.clique.value:
-                # Rounding put p a few ulps below the feasible base.
-                return _Optimum(graph.clique.value, base, gap, 0.0)
+            if value <= graph.basic:
+                # Rounding put p at or a few ulps below the feasible base.
+                return _Optimum(graph.basic, base, gap, 0.0)
             return _Optimum(value, p, gap, residual)
     raise OptimizerFailed(f"{_pair_text(graph)}: optimality gap {gap:.3g} exceeds {MAX_GAP:g}")
 
@@ -514,7 +520,7 @@ def _improved_details(graph: _Graph) -> dict:
     best = graph.optimum
     details: dict = {
         "improved_value": best.value,
-        "base_value": graph.clique.value,
+        "base_value": graph.basic,
         "feasible_dimension": graph.dim,
         "opt_dist": [float(x) for x in best.p],
     }

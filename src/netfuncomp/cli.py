@@ -303,6 +303,7 @@ def _cmd_classes(args) -> None:
     model = _load(args.model)
     i_sources = tuple(x.strip() for x in args.i.split(",") if x.strip())
     j_sources = tuple(x.strip() for x in args.j.split(",") if x.strip()) if args.j else ()
+    equiv.check_domain(model, args.k)
     a_j = ()
     if args.aj:
         try:

@@ -74,17 +74,6 @@ class DecompositionTree:
     children: tuple["DecompositionTree", ...] = ()
     gap: float | None = None
 
-    def leaf_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-
-        def walk(node: "DecompositionTree") -> None:
-            counts[node.kind] = counts.get(node.kind, 0) + 1
-            for c in node.children:
-                walk(c)
-
-        walk(self)
-        return counts
-
     def to_dict(self, labels: Sequence) -> dict:
         """JSON form, naming each vertex by ``labels[vertex id]``."""
         shown = [labels[i] for i in self.vertex_ids]

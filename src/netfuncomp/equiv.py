@@ -26,14 +26,14 @@ This module is the definition-level reference, not the bound path:
 ``chargraph.build`` numbers the same classes in passes over its vertices
 and calls only :func:`check_domain` here, and the tests compare its layers
 with these partitions.  :func:`i_aj_classes` is also the backend of the
-``classes`` command.
+``classes`` command, which computes one partition per process, so nothing
+here is cached: every call recomputes its partition from the definition.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import DomainTooLarge, NotAClass, OverlappingSets, UsageError
@@ -48,11 +48,6 @@ from .netmodel import (
 
 DOMAIN_CAP = 2**20
 """Most k-shot blocks over all sources a class computation may range over."""
-
-# Entries per class cache.  One CLI bounds call on the benchmark models fills
-# at most 1,234; the bound keeps a long-lived process from growing without
-# limit.
-CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -124,17 +119,6 @@ def i_aj_classes(
         raise OverlappingSets("I and J share sources")
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
     check_domain(model, k)
-    return _i_aj_cached(model, i_tuple, j_tuple, a_j, k)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _i_aj_cached(
-    model: NetworkModel,
-    i_tuple: tuple[str, ...],
-    j_tuple: tuple[str, ...],
-    a_j: Assignment,
-    k: int,
-) -> EquivPartition:
     q = model.alphabet_size
     rest = tuple(s for s in model.sources if s not in set(i_tuple) | set(j_tuple))
     completions = list(enumerate_assignments(q, len(rest), k))
@@ -178,29 +162,13 @@ def il_al_aj_classes(
     _check_aj(l_tuple, a_l, k, model.alphabet_size)
     _check_aj(j_tuple, a_j, k, model.alphabet_size)
     check_domain(model, k)
-    return _il_cached(model, partition, block_index, a_l, a_j, k)
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _il_cached(
-    model: NetworkModel,
-    partition: StrongPartition,
-    block_index: int,
-    a_l: Assignment,
-    a_j: Assignment,
-    k: int,
-) -> EquivPartition:
-    cut = partition.cut
     q = model.alphabet_size
-    i_tuple = restrict_sources(model, cut.i_set)
-    j_tuple = restrict_sources(model, cut.j_set)
-    l_tuple = restrict_sources(model, partition.l_set)
     ell_tuple = restrict_sources(model, partition.i_sets[block_index])
     others = restrict_sources(
         model,
         set(i_tuple) - set(ell_tuple) - set(l_tuple),
     )
-    base = _i_aj_cached(model, i_tuple, j_tuple, a_j, k)
+    base = i_aj_classes(model, i_tuple, j_tuple, a_j, k)
     base_index = base.class_index()
     choices = list(enumerate_assignments(q, len(others), k))
     pinned = dict(zip(l_tuple, a_l))

@@ -53,7 +53,8 @@ class ProbGraph:
             raise UsageError("distribution length does not match vertex count")
         self.scale = scale
         total = sum(self.dist)
-        if any(p < 0 for p in self.dist) or abs(total - scale) * 10**12 > scale:
+        # Written so that a NaN mass, false under every comparison, fails.
+        if not all(p >= 0 for p in self.dist) or not abs(total - scale) * 10**12 <= scale:
             raise UsageError(
                 f"vertex masses must be nonnegative and sum to 1, got {float(total / scale)!r}"
             )

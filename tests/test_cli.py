@@ -252,6 +252,18 @@ def test_bad_side_information_block_exits_2(capsys, paths):
 
 
 @pytest.mark.parametrize(
+    "k,rc,message",
+    [
+        ("0", 2, "UsageError: k must be at least 1"),
+        ("30", 3, "DomainTooLarge: 2^(30*3) blocks exceed the cap of 1048576"),
+    ],
+)
+def test_classes_checks_k_before_the_side_information_block(capsys, paths, k, rc, message):
+    argv = ("classes", paths["diamond"], "--i", "s1", "--j", "s2", "--aj", "0", "--k", k)
+    assert run(capsys, *argv) == (rc, "", f"netfuncomp: {message}\n")
+
+
+@pytest.mark.parametrize(
     "argv,doc,message",
     [
         (["bounds", "{diamond}", "--max-cut-size", "0"], None, "max_size must be in 1..6"),
@@ -276,6 +288,11 @@ def test_bad_side_information_block_exits_2(capsys, paths):
             {"vertices": ["a", "b"], "edges": [["a", "b"]]},
             "malformed graph document: 'dist'",
         ),
+        (
+            ["entropy", "{file}"],
+            {"vertices": [1, 2], "edges": [], "dist": [float("nan"), 1]},
+            "vertex masses must be nonnegative and sum to 1, got nan",
+        ),
         (["simulate", "--builtin", "nope"], None, "unknown builtin scheme 'nope'"),
         (["simulate", "--code", "{file}"], {}, "simulate --code needs a model file"),
     ],
@@ -286,6 +303,7 @@ def test_bad_side_information_block_exits_2(capsys, paths):
         "pairs-not-a-list",
         "short-dist",
         "no-dist",
+        "nan-mass",
         "unknown-builtin",
         "code-without-model",
     ],

@@ -160,4 +160,4 @@ def test_package_caches_are_bounded():
             if callable(getattr(obj, "cache_parameters", None)):
                 cached.append(name)
                 assert obj.cache_parameters()["maxsize"] is not None, name
-    assert {"_i_aj_cached", "_il_cached"} <= set(cached)
+    assert "_context" in cached
