@@ -163,8 +163,6 @@ def _split_node(kind, adj, co, masses, ids, comps, cap) -> DecompositionTree:
     value = 0.0
     for child in children:
         bm = sum(masses[i] for i in child.vertex_ids)
-        if bm == 0:
-            continue
         ratio = bm / total
         value += ratio * child.value
         if kind == "CCSplit":
@@ -243,13 +241,11 @@ def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float,
 
     A step stops where a weight reaches 0, and that set leaves.  The
     backtracking accepts a step within ``8 eps`` of the start value, as a
-    smaller change is rounding.  ``probs`` must be positive.
+    smaller change is rounding.  ``probs`` must be non-empty and positive.
 
     Returns (value in bits, iterations used, final gap).
     """
     n = len(probs)
-    if n == 0:
-        return 0.0, 0, 0.0
     p = np.asarray(probs, dtype=float)
     sets = np.eye(n)
     lam = np.full(n, 1.0 / n)
@@ -304,8 +300,6 @@ def chromatic_entropy(g: ProbGraph) -> EntropyResult:
     ids = [i for i, m in enumerate(masses) if m > 0]
     if len(ids) > 12:
         raise TooLarge(f"{len(ids)} positive-mass vertices; coloring search is capped at 12")
-    if not ids:
-        return EntropyResult(0.0, METHOD_BRUTE, ())
     adj = g.adjacency_masks()
     best = math.inf
     best_blocks: tuple[tuple[int, ...], ...] = ()

@@ -17,15 +17,17 @@ that can feed another block); those partitions are what the bound machinery
 iterates over.
 
 Both enumerations work on bitmasks.  A per-model context, built once from
-one topological order (Kahn's algorithm) and cached, answers every
-directed-graph question: building it is the acyclicity check, one backward
-pass finds the nodes that feed the sink, and it holds each edge's K as a
-source mask and computes I of an edge mask in one O(E) forward pass, cached
-by mask in a memo that is emptied at ``I_CACHE_CAP`` masks.  It also shares
-one frozenset per source mask among all cut sets and partitions.  Cut sets
-stream: :func:`enumerate_cut_sets` checks its arguments and the edge cap at
-once, then yields each cut set as it is reached, so a consumer can stop, or
-refuse, before the rest is built.
+one topological order (Kahn's algorithm) and kept on the model, answers
+every directed-graph question: building it is the acyclicity check, one
+backward pass finds the nodes that feed the sink, and it holds each edge's
+K as a source mask and computes I of an edge mask in one O(E) forward pass,
+cached by mask in a memo that is emptied at ``I_CACHE_CAP`` masks.  It also
+shares one frozenset per source mask among all cut sets and partitions.
+Cut sets stream: :func:`enumerate_cut_sets` checks its arguments and the
+edge cap at once, then yields each cut set as it is reached, so a consumer
+can stop, or refuse, before the rest is built.  I only grows as a cut
+grows, so the walk skips every extension of an edge set whose I stays empty
+even with all the edges that could still join it.
 
 The strong-partition search emits the one-block partition first.  It
 looks for more only when two sources s != t of I(C) have disjoint carriers,
@@ -53,7 +55,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -95,29 +96,6 @@ class NetworkModel:
     alphabet_size: int
     function_table: tuple[Hashable, ...]
     distribution: tuple[float, ...]
-
-    def __hash__(self) -> int:
-        # Models key every cache in the package; hash the tables only once.
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = hash(
-                (
-                    self.nodes,
-                    self.edges,
-                    self.sources,
-                    self.sink,
-                    self.alphabet_size,
-                    self.function_table,
-                    self.distribution,
-                )
-            )
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    def __getstate__(self) -> dict:
-        # String hashes differ between interpreters; never ship a stored one.
-        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def num_sources(self) -> int:
@@ -298,7 +276,7 @@ def validate(model: NetworkModel) -> NetworkModel:
     Check order matters for documented diagnostics: sink out-edges are
     reported before source in-edges, cycles, and reachability.  The cycle
     and reachability checks come from the model's bitmask context, so a
-    valid model leaves it cached for the cut machinery.
+    valid model keeps it for the cut machinery.
     """
     if model.sink in model.sources:
         raise UsageError("the sink cannot be a source")
@@ -456,9 +434,14 @@ class _Context:
         )
 
 
-@lru_cache(maxsize=32)
 def _context(model: NetworkModel) -> _Context:
-    return _Context(model)
+    """The model's bitmask context, built on first use and kept on the model."""
+    try:
+        return model.__dict__["_context"]
+    except KeyError:
+        ctx = _Context(model)
+        object.__setattr__(model, "_context", ctx)
+        return ctx
 
 
 # -- cut analysis -------------------------------------------------------------
@@ -504,10 +487,15 @@ def _cut_sets(ctx: _Context, max_size: int) -> Iterator[CutAnalysis]:
     m = len(ids)
     bits = [1 << ctx.bit[eid] for eid in ids]
     kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
+    later = [0] * (m + 1)  # later[j]: the mask of edges j.. in id order
+    for j in range(m - 1, -1, -1):
+        later[j] = later[j + 1] | bits[j]
     chosen: list[str] = []
 
     # Depth-first over subsets, children in increasing id order: a preorder
-    # walk lists sorted id tuples lexicographically, prefixes first.
+    # walk lists sorted id tuples lexicographically, prefixes first.  Below
+    # a set whose I is empty, only a subtree whose largest set has a
+    # non-empty I can hold a cut set.
     def extend(start: int, mask: int, k: int) -> Iterator[CutAnalysis]:
         for j in range(start, m):
             chosen.append(ids[j])
@@ -515,7 +503,7 @@ def _cut_sets(ctx: _Context, max_size: int) -> Iterator[CutAnalysis]:
             i = ctx.i_mask(sub)
             if i:
                 yield ctx.analysis(tuple(chosen), sub_k, i)
-            if len(chosen) < max_size:
+            if len(chosen) < max_size and (i or ctx.i_mask(sub | later[j + 1])):
                 yield from extend(j + 1, sub, sub_k)
             chosen.pop()
 

@@ -27,10 +27,10 @@ class ProbGraph:
     A vertex's probability is its mass over ``scale``.
     :func:`chargraph.build` gives integer masses over a power-of-two
     ``scale``, so products of source probabilities stay exact; other graphs
-    use floats or Fractions with the default ``scale`` of 1.  The masses
-    must be nonnegative and sum to ``scale`` within a relative 1e-12, an
-    exact test for integer masses.  Loops are rejected; parallel edges
-    collapse.
+    use floats or Fractions with the default ``scale`` of 1.  The scale
+    must be positive, and the masses nonnegative and summing to ``scale``
+    within a relative 1e-12, an exact test for integer masses.  Loops are
+    rejected; parallel edges collapse.
     """
 
     __slots__ = ("vertices", "dist", "scale", "_index", "_adj")
@@ -51,9 +51,12 @@ class ProbGraph:
         self.dist = tuple(dist)
         if len(self.dist) != len(self.vertices):
             raise UsageError("distribution length does not match vertex count")
+        # The checks are written so that a NaN, false under every comparison,
+        # fails them.
+        if not scale > 0:
+            raise UsageError(f"the mass scale must be positive, got {scale!r}")
         self.scale = scale
         total = sum(self.dist)
-        # Written so that a NaN mass, false under every comparison, fails.
         if not all(p >= 0 for p in self.dist) or not abs(total - scale) * 10**12 <= scale:
             raise UsageError(
                 f"vertex masses must be nonnegative and sum to 1, got {float(total / scale)!r}"

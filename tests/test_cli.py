@@ -263,6 +263,26 @@ def test_classes_checks_k_before_the_side_information_block(capsys, paths, k, rc
     assert run(capsys, *argv) == (rc, "", f"netfuncomp: {message}\n")
 
 
+def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
+    # Two parallel edges from the one source: no single edge is a cut set.
+    model = {
+        "alphabet": 2,
+        "nodes": ["s", "t"],
+        "edges": [{"id": "a", "tail": "s", "head": "t"}, {"id": "b", "tail": "s", "head": "t"}],
+        "sources": ["s"],
+        "sink": "t",
+        "function": [0, 1],
+        "distribution": [0.5, 0.5],
+    }
+    path = paths["base"] / "parallel.json"
+    path.write_text(json.dumps(model))
+    assert run(capsys, "bounds", str(path), "--max-cut-size", "1") == (
+        2, "", "netfuncomp: UsageError: no cut/partition pairs to evaluate\n"
+    )
+    rc, out, _ = run(capsys, "cuts", str(path), "--max-cut-size", "1")
+    assert rc == 0 and json.loads(out)["result"]["count"] == 0
+
+
 @pytest.mark.parametrize(
     "argv,doc,message",
     [
@@ -496,6 +516,18 @@ def test_simulate_code_file(capsys, paths):
     rc, out, _ = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
     assert rc == 0
     assert json.loads(out)["result"]["max_rate"] == 1.25
+
+
+def test_simulate_code_with_an_unhashable_decoder_value_is_not_admissible(capsys, paths):
+    # A list in a decoder output equals no target value, so the entry is wrong.
+    model = diamond_model()
+    doc = code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    doc["decoder"][next(iter(doc["decoder"]))] = [[0], 1]
+    code_path = paths["base"] / "unhashable_decoder.json"
+    code_path.write_text(json.dumps(doc))
+    rc, out, _ = run(capsys, "simulate", paths["diamond"], "--code", str(code_path))
+    assert rc == 0
+    assert json.loads(out)["result"]["admissible"] is False
 
 
 def test_simulate_code_with_bad_source_key_exits_2(capsys, paths):

@@ -153,11 +153,12 @@ def test_package_caches_are_bounded():
 
     import netfuncomp
 
+    # The package keeps no function-level cache: what outlives one call
+    # lives on the model it belongs to.
     cached = []
     for info in pkgutil.iter_modules(netfuncomp.__path__):
         module = importlib.import_module(f"netfuncomp.{info.name}")
         for name, obj in vars(module).items():
             if callable(getattr(obj, "cache_parameters", None)):
-                cached.append(name)
-                assert obj.cache_parameters()["maxsize"] is not None, name
-    assert "_context" in cached
+                cached.append(f"{info.name}.{name}")
+    assert cached == []

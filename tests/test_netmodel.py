@@ -7,6 +7,7 @@ in conftest.
 """
 
 import dataclasses
+import gc
 import itertools
 import json
 import os
@@ -15,6 +16,7 @@ import random
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -345,21 +347,68 @@ def test_model_hash_is_stable_and_not_pickled():
     model = diamond_model()
     twin = netmodel.model_from_dict(netmodel.model_to_dict(model))
     assert hash(model) == hash(model) == hash(twin)
+    # A pickled model carries its context, which stays valid for the copy.
+    cuts = list(netmodel.enumerate_cut_sets(model))
     clone = pickle.loads(pickle.dumps(model))
-    assert "_hash" not in clone.__dict__
     assert clone == model and hash(clone) == hash(model)
+    assert list(netmodel.enumerate_cut_sets(clone)) == cuts
 
 
-def test_model_context_cache_stays_bounded():
-    bound = netmodel._context.cache_info().maxsize
-    assert bound is not None
-    rng = random.Random(5)
-    seen = set()
-    while len(seen) <= bound + 5:
-        model = random_model(rng)
-        seen.add(model)
-        netmodel.enumerate_cut_sets(model)
-    assert netmodel._context.cache_info().currsize <= bound
+def test_each_model_keeps_its_own_context(monkeypatch):
+    built = []
+    init = netmodel._Context.__init__
+
+    def counted(self, model):
+        built.append(None)
+        init(self, model)
+
+    monkeypatch.setattr(netmodel._Context, "__init__", counted)
+    model = layered_sum_model()
+    first = netmodel._context(model)
+    cuts = list(netmodel.enumerate_cut_sets(model))
+    assert netmodel._context(model) is first and len(built) == 1
+    twin = netmodel.model_from_dict(netmodel.model_to_dict(model))
+    assert twin == model
+    assert list(netmodel.enumerate_cut_sets(twin)) == cuts
+    assert len(built) == 2 and netmodel._context(twin) is not first
+    # Nothing outside the model keeps its context alive.
+    dropped = weakref.ref(first)
+    del model, first
+    gc.collect()
+    assert dropped() is None
+
+
+def _xor_parallel_model(n: int) -> NetworkModel:
+    """Sources s1 and s2 joined to the sink by n parallel edges, alternating, XOR target."""
+    edges = [(f"e{j}", "s1" if j % 2 else "s2", "t") for j in range(1, n + 1)]
+    return _model(edges, ("s1", "s2"), table=(0, 1, 1, 0), dist=(0.25,) * 4)
+
+
+def test_cut_walk_matches_a_brute_force_filter():
+    model = _xor_parallel_model(12)
+    ids = sorted(e.id for e in model.edges)
+    want = []
+    for c in sorted(c for r in range(1, 13) for c in itertools.combinations(ids, r)):
+        k, i, j = brute_cut_sets(model, c)
+        if i:
+            want.append((c, k, i, j))
+    got = [(a.cut, a.k_set, a.i_set, a.j_set) for a in netmodel.enumerate_cut_sets(model)]
+    assert got == want and len(got) == 127
+
+
+def test_cut_walk_skips_subtrees_without_cut_sets(monkeypatch):
+    model = netmodel.validate(_xor_parallel_model(netmodel.EDGE_CAP))
+    calls = []
+    reach = netmodel._Context._reach
+
+    def counted(self, cut):
+        calls.append(cut)
+        return reach(self, cut)
+
+    monkeypatch.setattr(netmodel._Context, "_reach", counted)
+    assert sum(1 for _ in netmodel.enumerate_cut_sets(model)) == 2047
+    # A walk over every edge subset would take 2^20 - 1 passes.
+    assert len(calls) < 20_000
 
 
 def test_i_memo_stays_under_its_cap():

@@ -39,6 +39,10 @@ def test_construction_rejects_bad_input():
         ProbGraph("ab", [("a", "a")], [0.5, 0.5])
     with pytest.raises(errors.UsageError):
         ProbGraph("ab", [], [0.7, 0.7])
+    # Zero masses over a zero scale would pass the sum check.
+    for scale in (0, 0.0):
+        with pytest.raises(errors.UsageError, match="the mass scale must be positive"):
+            ProbGraph(["a", "b"], [("a", "b")], [0, 0], scale=scale)
 
 
 def test_parallel_edges_collapse():
