@@ -99,11 +99,9 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
     """Construct the k-shot characteristic graph of a strong partition of a cut.
 
     Graphs of more than ``VERTEX_CAP`` vertices are refused first, then
-    models whose k-shot domain exceeds ``equiv.DOMAIN_CAP`` blocks, both
-    before any vertex is enumerated.
+    ``equiv.check_domain`` refuses k below 1 and models whose k-shot domain
+    exceeds ``equiv.DOMAIN_CAP`` blocks, all before any vertex is enumerated.
     """
-    if k < 1:
-        raise UsageError("k must be at least 1")
     order = restrict_sources(model, partition.cut.i_set | partition.cut.j_set)
     q = model.alphabet_size
     n_vertices = assignment_count(q, len(order), k)

@@ -2,16 +2,9 @@
 
 Three quantities are computed here.  Chromatic entropy minimizes the entropy
 of a proper coloring and is brute-forced over partitions into independent
-sets.  Koerner graph entropy minimizes mutual information between a vertex
-and an independent set containing it; by LP duality it equals the minimum of
-``-sum p(z) log2 a(z)`` over the vertex packing polytope.  That minimum is
-found by fully corrective Frank-Wolfe: Newton steps re-fit the weights of
-the active independent sets, and an exact maximum-weight independent set
-oracle adds sets until its duality gap, which bounds the error of the
-value, is at most ``FW_GAP_TOL`` = 1e-9 bits.  Clique entropy maximizes
-conditional entropy given a clique containing the vertex and is evaluated
-exactly whenever the graph decomposes recursively into disjoint unions and
-joins:
+sets.  Clique entropy maximizes conditional entropy given a clique
+containing the vertex and is evaluated exactly whenever the graph
+decomposes recursively into disjoint unions and joins:
 
 * no edges: 0
 * complete: the Shannon entropy of the vertex distribution
@@ -19,14 +12,24 @@ joins:
 * complement disconnected: the weighted sum over join blocks, each paying
   an extra ``-log2`` of its conditional mass
 
-A graph this recursion cannot exhaust falls back on the complement identity
-(clique entropy plus the complement's Koerner entropy equals the Shannon
-entropy) with the Koerner side computed numerically; the ``Opaque`` node
-carries that solve's gap.  The recursion is the
-package's only split detection: each node of the
-:class:`DecompositionTree` certificate it emits names the split it found
-(``IsolatedSplit`` for components, ``CCSplit`` for join blocks), and the
-tree's shape depends only on adjacency.
+Koerner graph entropy minimizes mutual information between a vertex and an
+independent set containing it.  Clique entropy plus the complement's
+Koerner entropy equals the Shannon entropy, so graph entropy is the Shannon
+entropy less the clique entropy of the complement: one recursion serves
+both.  The recursion is the package's only split detection: each node of
+the :class:`DecompositionTree` certificate it emits names the split it
+found (``IsolatedSplit`` for components, ``CCSplit`` for join blocks), and
+the tree's shape depends only on adjacency.
+
+A piece the recursion cannot split is an ``Opaque`` node, the only place
+where numerics run.  By the same identity its clique entropy is its Shannon
+entropy less the Koerner entropy of its complement, and by LP duality that
+Koerner entropy is the minimum of ``-sum p(z) log2 a(z)`` over the vertex
+packing polytope.  Fully corrective Frank-Wolfe finds it: Newton steps
+re-fit the weights of the active independent sets, and an exact
+maximum-weight independent set oracle adds sets until its duality gap,
+which bounds the error of the value, is at most ``FW_GAP_TOL`` = 1e-9 bits.
+The node carries that gap.
 """
 
 from __future__ import annotations
@@ -92,12 +95,6 @@ class EntropyResult:
     certificate: object | None = None
 
 
-@dataclass(frozen=True)
-class FwTrace:
-    iterations: int
-    gap: float
-
-
 def _entropy_of_masses(masses: Sequence) -> float:
     total = sum(masses)
     acc = 0.0
@@ -126,7 +123,6 @@ def _decompose(
     co: Sequence[int],
     masses: Sequence,
     mask: int,
-    cap: int,
 ) -> DecompositionTree:
     """Decompose the subgraph that ``mask`` induces, in root coordinates.
 
@@ -147,18 +143,20 @@ def _decompose(
     for kind, graph in (("IsolatedSplit", adj), ("CCSplit", co)):
         comps = _components(graph, mask)
         if len(comps) > 1:
-            return _split_node(kind, adj, co, masses, ids, comps, cap)
-    if n > cap:
+            return _split_node(kind, adj, co, masses, ids, comps)
+    if n > FALLBACK_CAP:
         raise TooLarge(
-            f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {cap}"
+            f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {FALLBACK_CAP}"
         )
-    h = _entropy_of_masses([masses[i] for i in ids])
-    co_value, _, gap = _fw_min_log_mass(_subgraph_masks(co, ids), _normalized([masses[i] for i in ids]))
+    sub = [masses[i] for i in ids]
+    total = sum(sub)
+    co_value, gap = _fw_min_log_mass(_subgraph_masks(co, ids), [m / total for m in sub])
+    h = _entropy_of_masses(sub)
     return DecompositionTree("Opaque", ids, h - co_value, (), gap)
 
 
-def _split_node(kind, adj, co, masses, ids, comps, cap) -> DecompositionTree:
-    children = [_decompose(adj, co, masses, comp, cap) for comp in comps]
+def _split_node(kind, adj, co, masses, ids, comps) -> DecompositionTree:
+    children = [_decompose(adj, co, masses, comp) for comp in comps]
     total = sum(masses[i] for i in ids)
     value = 0.0
     for child in children:
@@ -171,58 +169,48 @@ def _split_node(kind, adj, co, masses, ids, comps, cap) -> DecompositionTree:
     return DecompositionTree(kind, ids, value, tuple(children), gap)
 
 
+def _clique_result(g: ProbGraph, complement: bool) -> EntropyResult:
+    """Clique entropy of ``g``; with ``complement``, Shannon less the complement's.
+
+    Zero-mass vertices are dropped up front; they cannot change the value.
+    The method is exact when the tree bottoms out in empty and complete
+    leaves only, and a numeric fallback otherwise; its ``gap`` is then the
+    largest ``Opaque`` gap.
+    """
+    adj = g.adjacency_masks()
+    co = _complement_masks(adj)
+    if complement:
+        adj, co = co, adj
+    support = sum(1 << i for i, m in enumerate(g.dist) if m > 0)
+    tree = _decompose(adj, co, g.dist, support)
+    value = _entropy_of_masses(g.dist) - tree.value if complement else tree.value
+    method = METHOD_EXACT if tree.gap is None else METHOD_NUMERIC
+    return EntropyResult(value, method, tree)
+
+
 def clique_entropy(g: ProbGraph) -> EntropyResult:
     """Clique entropy with a decomposition certificate.
 
-    Zero-mass vertices are dropped up front; they cannot change the value.
-    The method is exact when the recursion bottoms out in empty and complete
-    leaves only, and a numeric fallback otherwise; an opaque subgraph above
-    ``FALLBACK_CAP`` vertices raises TooLarge.  A characteristic graph's
-    masses are integers over its scale: they stay exact until each ratio
-    ``m / total``, one correctly rounded division.
+    An opaque subgraph above ``FALLBACK_CAP`` vertices raises TooLarge.  A
+    characteristic graph's masses are integers over its scale: they stay
+    exact until each ratio ``m / total``, one correctly rounded division.
     """
-    masses = list(g.dist)
-    adj = g.adjacency_masks()
-    support = sum(1 << i for i, m in enumerate(masses) if m > 0)
-    tree = _decompose(adj, _complement_masks(adj), masses, support, FALLBACK_CAP)
-    method = METHOD_EXACT if tree.gap is None else METHOD_NUMERIC
-    return EntropyResult(tree.value, method, tree)
+    return _clique_result(g, complement=False)
 
 
 def graph_entropy(g: ProbGraph) -> EntropyResult:
-    """Koerner graph entropy.
+    """Koerner graph entropy: the Shannon entropy less the complement's clique entropy.
 
-    When the complement decomposes exactly, the complement identity gives
-    the value in closed form; otherwise fully corrective Frank-Wolfe
-    minimizes ``-sum p log2 a`` over the vertex packing polytope to a gap of
-    ``FW_GAP_TOL`` bits, reported in the ``FwTrace`` certificate.
+    The certificate is the complement's decomposition tree, so Frank-Wolfe
+    runs only inside its ``Opaque`` nodes and the method is exact when it
+    has none.  Graphs of more than 20 vertices raise TooLarge.
     """
     if g.n > 20:
         raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
-    masses = list(g.dist)
-    adj = g.adjacency_masks()
-    ids = tuple(i for i, m in enumerate(masses) if m > 0)
-    support = sum(1 << i for i in ids)
-    try:
-        # With a cap of 0 every opaque subgraph raises, so a tree is exact.
-        tree = _decompose(_complement_masks(adj), adj, masses, support, 0)
-    except TooLarge:
-        tree = None
-    if tree is not None:
-        h = _entropy_of_masses([masses[i] for i in ids])
-        return EntropyResult(h - tree.value, METHOD_EXACT, tree)
-    sub = _subgraph_masks(adj, ids)
-    probs = _normalized([masses[i] for i in ids])
-    value, iters, gap = _fw_min_log_mass(sub, probs)
-    return EntropyResult(value, METHOD_NUMERIC, FwTrace(iters, gap))
+    return _clique_result(g, complement=True)
 
 
-def _normalized(masses: Sequence) -> list[float]:
-    total = sum(masses)
-    return [m / total for m in masses]
-
-
-def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float, int, float]:
+def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float, float]:
     """Minimize F(a) = -sum_i p_i log2 a_i over the vertex packing polytope.
 
     Fully corrective Frank-Wolfe (Holloway 1974).  The active independent
@@ -243,7 +231,7 @@ def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float,
     backtracking accepts a step within ``8 eps`` of the start value, as a
     smaller change is rounding.  ``probs`` must be non-empty and positive.
 
-    Returns (value in bits, iterations used, final gap).
+    Returns (value in bits, final gap).
     """
     n = len(probs)
     p = np.asarray(probs, dtype=float)
@@ -254,14 +242,14 @@ def _fw_min_log_mass(adj: Sequence[int], probs: Sequence[float]) -> tuple[float,
         a = weights @ sets
         return -float(p @ np.log(a)) if a.min() > 0 else math.inf
 
-    for it in range(1, FW_MAX_ITER + 1):
+    for _ in range(FW_MAX_ITER):
         a = lam @ sets
         r = p / a
         if (sets @ r).max() - 1.0 <= FW_GAP_TOL * _LN2:
             best, mask = _mwis_mask(adj, (r / _LN2).tolist())
             gap = best - 1.0 / _LN2
             if gap <= FW_GAP_TOL:
-                return -float(p @ np.log2(a)), it, gap
+                return -float(p @ np.log2(a)), gap
             sets = np.vstack([sets, [(mask >> i) & 1 for i in range(n)]])
             d = np.append(-lam, 1.0)
             lam = np.append(lam, 0.0)

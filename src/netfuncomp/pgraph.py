@@ -63,6 +63,9 @@ class ProbGraph:
             )
         adj = [0] * len(self.vertices)
         for u, v in edges:
+            for w in (u, v):
+                if w not in self._index:
+                    raise UsageError(f"edge ({u!r}, {v!r}) names the unlisted vertex {w!r}")
             i, j = self._index[u], self._index[v]
             if i == j:
                 raise UsageError(f"loop at vertex {u!r}")

@@ -289,6 +289,16 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
         (["bounds", "{diamond}", "--max-cut-size", "0"], None, "max_size must be in 1..6"),
         (["chargraph", "{diamond}", "--cut", ","], None, "empty cut"),
         (
+            ["chargraph", "{diamond}", "--cut", "e5,e6", "--blocks", "e5/e6", "--k", "0"],
+            None,
+            "k must be at least 1",
+        ),
+        (
+            ["chargraph", "{diamond}", "--cut", "e5,e6", "--blocks", "e5/e6", "--k", "-1"],
+            None,
+            "k must be at least 1",
+        ),
+        (
             ["chargraph", "{diamond}", "--cut", "e1,e2", "--blocks", "e1/e2"],
             None,
             "e1/e2 is not a strong partition of ('e1', 'e2')",
@@ -313,17 +323,25 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
             {"vertices": [1, 2], "edges": [], "dist": [float("nan"), 1]},
             "vertex masses must be nonnegative and sum to 1, got nan",
         ),
+        (
+            ["entropy", "{file}"],
+            {"vertices": [1, 2], "edges": [[1, 3]], "dist": [0.5, 0.5]},
+            "edge (1, 3) names the unlisted vertex 3",
+        ),
         (["simulate", "--builtin", "nope"], None, "unknown builtin scheme 'nope'"),
         (["simulate", "--code", "{file}"], {}, "simulate --code needs a model file"),
     ],
     ids=[
         "max-cut-size-0",
         "empty-cut",
+        "chargraph-k-0",
+        "chargraph-k-negative",
         "weak-blocks",
         "pairs-not-a-list",
         "short-dist",
         "no-dist",
         "nan-mass",
+        "edge-to-unlisted-vertex",
         "unknown-builtin",
         "code-without-model",
     ],

@@ -7,7 +7,9 @@ sizes 2/2/1.  The uniform seven-cycle pins log2(7/3).  On every uniform odd
 cycle C_n the Koerner entropy is log2 of the fractional chromatic number,
 log2(2n/(n-1)) (Simonyi 1995), so the numeric fallback is held to its gap
 on C5 through C19.  Everything else is
-identities on random graphs: complement identity, the entropy chain, the
+identities on random graphs: complement identity (graph entropy is the
+Shannon entropy less the complement's clique entropy, to the bit, and a
+wheel's hub splits off its complement's tree), the entropy chain, the
 clique-number ceiling, substitution on planted autonomous sets,
 additivity over conjunctive products, and that zero-mass vertices change
 neither a value nor the vertices a certificate names.
@@ -25,6 +27,7 @@ from netfuncomp.entropy import (
     METHOD_EXACT,
     METHOD_NUMERIC,
     DecompositionTree,
+    _entropy_of_masses,
     chromatic_entropy,
     clique_entropy,
     graph_entropy,
@@ -99,6 +102,36 @@ def test_odd_cycle_fallback_meets_closed_forms(n):
     assert ka.certificate.gap <= 1e-9
     assert cl.certificate.kind == "Opaque" and cl.certificate.gap <= 1e-9
     assert cl.certificate.to_dict(list(g.vertices))["gap"] == cl.certificate.gap
+
+
+def test_wheel_graph_entropy_splits_off_the_hub():
+    # C5 joined to a hub: the complement is C5 plus an isolated hub, so the
+    # numeric solve runs on the 5-vertex piece only.
+    c5 = _cycle(5)
+    verts = list(c5.vertices) + ["hub"]
+    g = ProbGraph(verts, c5.edges() + [(v, "hub") for v in c5.vertices], [1 / 6] * 6)
+    ka = graph_entropy(g)
+    assert ka.method == METHOD_NUMERIC
+    root = ka.certificate
+    assert root.kind == "IsolatedSplit"
+    (opaque,) = [c for c in root.children if c.kind == "Opaque"]
+    assert len(opaque.vertex_ids) == 5 and opaque.gap <= 1e-9
+    expected = shannon_entropy([5 / 6, 1 / 6]) + 5 / 6 * math.log2(5 / 2)
+    assert ka.value == pytest.approx(expected, abs=1e-9)
+    assert expected == pytest.approx(math.log2(6) - 5 / 6, abs=1e-12)
+
+
+def test_graph_entropy_is_shannon_less_complement_clique_entropy():
+    rng = random.Random(61)
+    methods = set()
+    for _ in range(60):
+        g = random_graph(rng, max_n=9)
+        ka = graph_entropy(g)
+        cl = clique_entropy(complement(g))
+        assert ka.value == _entropy_of_masses(g.dist) - cl.value
+        assert ka.method == cl.method
+        methods.add(ka.method)
+    assert methods == {METHOD_EXACT, METHOD_NUMERIC}
 
 
 def test_chromatic_entropy_matches_partition_oracle():

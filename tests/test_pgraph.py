@@ -45,6 +45,13 @@ def test_construction_rejects_bad_input():
             ProbGraph(["a", "b"], [("a", "b")], [0, 0], scale=scale)
 
 
+def test_edge_to_an_unlisted_vertex_is_refused():
+    with pytest.raises(errors.UsageError, match=r"edge \(1, 3\) names the unlisted vertex 3"):
+        ProbGraph([1, 2], [(1, 3)], [0.5, 0.5])
+    with pytest.raises(errors.UsageError, match=r"edge \('x', 'a'\) names the unlisted vertex 'x'"):
+        ProbGraph("ab", [("x", "a")], [0.5, 0.5])
+
+
 def test_parallel_edges_collapse():
     g = ProbGraph("ab", [("a", "b"), ("b", "a")], [0.5, 0.5])
     assert g.edge_count() == 1
