@@ -52,16 +52,29 @@ the base as its only feasible point: its improved value is its basic
 value, and it builds no constraint rows or solve.
 
 Conditional entropy is concave in the joint distribution (Cover and Thomas,
-ch. 2) and both joints are linear in p, so f is concave.  One deterministic
-damped Newton solve on the log-barrier problem (Boyd and Vandenberghe,
-sec. 11.3) follows a two-weight barrier path in t, mu = 1e-6 then 1e-12
+ch. 2) and both joints are linear in p, so f is concave.  Deterministic
+damped Newton on the log-barrier problem (Boyd and Vandenberghe, sec. 11.3)
+follows a two-weight barrier path in t, mu = 1e-6 then 1e-12
 (``_BARRIER_PATH``): the first weight carries the start into the interior
 near the optimum, and the second alone fails on some optima that sit on
 the floor.  Gradient and Hessian are in closed form and are formed directly
-in the d null-space coordinates, so no n x n matrix is built.  The
-backtracking line search (sec. 9.2) asks for a quarter of the predicted
-gain but forgives the rounding of barrier values: a step within ``8 eps``
-of that target is taken.  For any lam >= 0, concavity and
+in the d null-space coordinates, so no n x n matrix is built.  A run's
+graphs are small and many, so their first Newton pass is one stacked pass:
+the graphs with d > 0 are grouped by vertex count n, and each group is cut
+into stacks of at most ``_STACK_ELEMENTS`` elements b * n * max(d, K) for b
+graphs with K objective groups, so a big graph solves as a stack of one
+and memory stays bounded.  In a stack the null bases are padded with zero
+columns to the largest d, which the curvature freeze drops, and the
+objectives with coefficient-0 groups of positive mass; gradients, reduced
+Hessians, their ``eigh``, step lengths and backtracking are 3-D arrays.  A
+graph leaves its stack once its Newton decrement passes, and the graphs
+still stepping stay a leading slice of the stacked arrays.  Restarts, and
+a graph solved on its own, run the same pass on a stack of one.  After the
+pass each graph is certified in order of first appearance, so a run that
+fails names its first failing graph.  The backtracking line search
+(sec. 9.2) asks for a quarter of the predicted gain but forgives the
+rounding of barrier values: a step within ``8 eps`` of that target is
+taken.  For any lam >= 0, concavity and
 ||q - p|| <= sqrt(2) between distributions bound max f - f(p) by
 lam.(p - floor) + sqrt(2) ||N^T (grad f(p) + lam)||; an optimum whose bound exceeds
 ``MAX_GAP`` raises OptimizerFailed, so every reported optimum carries its
@@ -117,6 +130,9 @@ _FULL_STEP = 1e-8
 _NEAR_FLOOR = 1e-6
 _CURVATURE_RTOL = 1e-13
 _EPS = float(np.finfo(float).eps)
+# Most elements b * n * max(d, K) of one Newton stack: b graphs of n vertices,
+# feasible dimension d and K objective groups.
+_STACK_ELEMENTS = 1 << 13
 # Below this slack the first barrier weight's curvature mu / s^2 is no finite float.
 _MIN_SLACK = math.sqrt(_BARRIER_PATH[0] / float(np.finfo(float).max))
 
@@ -288,6 +304,7 @@ class _Graph:
 
     @cached_property
     def optimum(self) -> _Optimum:
+        """Set for a whole run by :func:`_solve_all`; alone, solved as a stack of one."""
         return _solve(self)
 
 
@@ -385,11 +402,42 @@ class _Optimum:
     residual: float
 
 
-def _maximize(
-    graph: _Graph, start: np.ndarray, path: Sequence[float] = _BARRIER_PATH
-) -> np.ndarray:
-    """Maximize ``f + mu * sum(log(p - floor))`` from ``start``, for each mu of ``path``.
+def _stacks(graphs: Sequence[_Graph]) -> list[list[_Graph]]:
+    """The graphs grouped by vertex count, each group cut into stacks under the budget.
 
+    A stack closes before the graph that would take its b * n * max(d, K)
+    past ``_STACK_ELEMENTS``, so a graph that alone exceeds it is a stack of one.
+    """
+    by_size: dict[int, list[_Graph]] = {}
+    for graph in graphs:
+        by_size.setdefault(graph.base.size, []).append(graph)
+    stacks = []
+    for n, group in by_size.items():
+        stack: list[_Graph] = []
+        width = 0
+        for graph in group:
+            own = max(graph.dim, graph.objective.coef.size)
+            if stack and (len(stack) + 1) * n * max(width, own) > _STACK_ELEMENTS:
+                stacks.append(stack)
+                stack, width = [], 0
+            stack.append(graph)
+            width = max(width, own)
+        stacks.append(stack)
+    return stacks
+
+
+def _maximize(
+    stack: Sequence[_Graph], p: np.ndarray, path: Sequence[float] = _BARRIER_PATH
+) -> np.ndarray:
+    """Maximize ``f + mu * sum(log(p - floor))`` for each mu of ``path``, all graphs at once.
+
+    ``stack`` is one of :func:`_stacks`, and row i of ``p`` is the start of
+    graph i; the maximizers come back in the same rows.
+
+    The stack's b graphs share the vertex count n.  Each null basis is
+    padded with zero columns to the stack's largest d, and each objective
+    with coefficient-0 groups of all vertices, which have positive mass; a
+    padded coordinate has zero curvature, so the freeze below drops it.
     Each Newton step is solved in the d null-space coordinates: gradient
     ``N^T (grad f + mu / s)`` and negative Hessian ``(N^T mu / s^2) N -
     (G_r w) G_r^T``, with ``G_r = N^T groups`` cached on the graph and
@@ -402,42 +450,75 @@ def _maximize(
     sec. 9.2), less ``8 eps`` of the start value: a gain below the rounding
     of barrier values cannot be seen, and demanding it would halve alpha to
     nothing.  Below a Newton decrement of ``_FULL_STEP`` the step is taken
-    and the weight is done.
+    and the graph leaves the stack until the next weight.  The graphs still
+    stepping are kept as a leading slice of the stacked arrays, which are
+    reordered only when a graph leaves.
     """
-    null, floor, reduced = graph.null, graph.floor, graph.reduced
-    groups, coef = graph.objective.groups, graph.objective.coef
+    b, n = p.shape
+    width = max(g.dim for g in stack)
+    groups_k = max(g.objective.coef.size for g in stack)
+    null, reduced = np.zeros((b, n, width)), np.zeros((b, width, groups_k))
+    groups, coef = np.ones((b, n, groups_k)), np.zeros((b, groups_k))
+    for i, graph in enumerate(stack):
+        dim, k = graph.dim, graph.objective.coef.size
+        null[i, :, :dim], reduced[i, :dim, :k] = graph.null, graph.reduced
+        groups[i, :, :k], coef[i, :k] = graph.objective.groups, graph.objective.coef
+    floor = np.array([[g.floor] for g in stack])
+    order = np.arange(b)
+    arrays = (null, reduced, groups, coef, floor, order, p.copy())
     ln2 = math.log(2)
 
-    def barrier(q: np.ndarray, mu: float) -> float:
-        m = q @ groups
-        return float((m * np.log2(m)) @ coef) / float(q.sum()) + mu * float(np.sum(np.log(q - floor)))
+    def barrier(q: np.ndarray, mu: float) -> np.ndarray:
+        m = (q[:, None, :] @ groups)[:, 0]
+        f = ((m * np.log2(m))[:, None, :] @ coef[:, :, None])[:, 0, 0] / q.sum(axis=1)
+        return f + mu * np.log(q - floor).sum(axis=1)
 
-    p = start.copy()
     for mu in path:
+        live = b
         for _ in range(_MAX_NEWTON):
-            slack = p - floor
-            m = p @ groups
-            g = reduced @ (coef * (np.log2(m) + 1 / ln2)) + null.T @ (mu / slack)
+            null, reduced, groups, coef, floor, _, q = (a[:live] for a in arrays)
+            slack = q - floor
+            m = (q[:, None, :] @ groups)[:, 0]
+            null_t = null.transpose(0, 2, 1)
+            g = (reduced @ (coef * (np.log2(m) + 1 / ln2))[:, :, None])[:, :, 0] + (
+                null_t @ (mu / slack)[:, :, None]
+            )[:, :, 0]
             curv, vecs = np.linalg.eigh(
-                (null.T * (mu / slack**2)) @ null - (reduced * (coef / (m * ln2))) @ reduced.T
+                (null_t * (mu / slack**2)[:, None, :]) @ null
+                - (reduced * (coef / (m * ln2))[:, None, :]) @ reduced.transpose(0, 2, 1)
             )
-            keep = curv > _CURVATURE_RTOL * curv[-1]
-            coef_step = (vecs[:, keep].T @ g) / curv[keep]
-            decrement = float(coef_step @ (curv[keep] * coef_step))
-            d = null @ (vecs[:, keep] @ coef_step)
-            toward = d < 0
-            alpha = 1.0
-            if toward.any():
-                alpha = min(1.0, 0.99 * float(np.min(slack[toward] / -d[toward])))
-            if decrement <= _FULL_STEP**2:
-                p = p + alpha * d
-                break
-            value = barrier(p, mu)
-            target = value - 8 * _EPS * max(1.0, abs(value))
-            while alpha > 1e-12 and barrier(p + alpha * d, mu) < target + 0.25 * alpha * decrement:
-                alpha *= 0.5
-            p = p + alpha * d
-    return p
+            keep = curv > _CURVATURE_RTOL * curv[:, -1:]
+            coef_step = (vecs.transpose(0, 2, 1) @ g[:, :, None])[:, :, 0] / np.where(
+                keep, curv, np.inf
+            )
+            decrement = (coef_step * curv * coef_step).sum(axis=1)
+            d = (null @ (vecs @ coef_step[:, :, None]))[:, :, 0]
+            # inf / 0 is inf with no warning, so only steps toward the floor bind.
+            room = np.where(d < 0, slack, np.inf) / np.abs(d)
+            alpha = np.minimum(1.0, 0.99 * room.min(axis=1))
+            done = decrement <= _FULL_STEP**2
+            short = ~done & (alpha > 1e-12)
+            if short.any():
+                value = barrier(q, mu)
+                target = value - 8 * _EPS * np.maximum(1.0, np.abs(value))
+                while True:
+                    short &= barrier(q + alpha[:, None] * d, mu) < target + 0.25 * alpha * decrement
+                    if not short.any():
+                        break
+                    alpha[short] *= 0.5
+                    short &= alpha > 1e-12
+            q += alpha[:, None] * d
+            if done.any():
+                # Converged graphs move behind the ones still stepping.
+                moved = np.argsort(done, kind="stable")
+                for a in arrays:
+                    a[:live] = a[:live][moved]
+                live -= int(done.sum())
+                if not live:
+                    break
+    out = np.empty_like(p)
+    out[order] = arrays[-1]
+    return out
 
 
 def _certificate(
@@ -462,9 +543,29 @@ def _certificate(
     return min(bound(_BARRIER_PATH[-1] / slack), bound(lam))
 
 
-def _solve(graph: _Graph) -> _Optimum:
+def _solve_all(graphs: Sequence[_Graph]) -> None:
+    """Certify every graph's optimum, with one stacked Newton pass for the first attempt.
+
+    Graphs that :func:`_solve` refuses before any Newton step are left out
+    of the pass; the graphs are then certified in the order given, so the
+    first failure raised is that of the first failing graph.
+    """
+    first: dict[_Graph, np.ndarray] = {}
+    for stack in _stacks([g for g in graphs if g.dim and not _too_small(g)]):
+        first.update(zip(stack, _maximize(stack, np.array([g.base for g in stack]))))
+    for graph in graphs:
+        graph.optimum = _solve(graph, first.get(graph))
+
+
+def _too_small(graph: _Graph) -> bool:
+    return float(graph.base.min()) - graph.floor < _MIN_SLACK
+
+
+def _solve(graph: _Graph, p: np.ndarray | None = None) -> _Optimum:
     """The certified optimum, restarting Newton at the last weight if needed.
 
+    ``p`` is the result of the first Newton pass from the base, if one was
+    taken in a stack; otherwise the graph takes it as a stack of one.
     Near the floor the barrier's curvature can make the decrement test pass
     while the reduced gradient is still far from zero, which leaves the
     certificate above ``MAX_GAP``.  Up to ``_RESTARTS`` more passes at the
@@ -481,15 +582,16 @@ def _solve(graph: _Graph) -> _Optimum:
     if not graph.dim:
         return _Optimum(graph.basic, graph.base, 0.0, 0.0)
     base, floor = graph.base, graph.floor
-    if float(base.min()) - floor < _MIN_SLACK:
+    if _too_small(graph):
         raise OptimizerFailed(
             f"{_pair_text(graph)}: atom {float(base.min()):.3g} is too small for the barrier"
         )
     objective, null, rows = graph.objective, graph.null, graph.rows
-    p = _maximize(graph, base)
+    if p is None:
+        p = _maximize([graph], base[None])[0]
     for restart in range(_RESTARTS + 1):
         if restart:
-            p = _maximize(graph, p, _BARRIER_PATH[-1:])
+            p = _maximize([graph], p[None], _BARRIER_PATH[-1:])[0]
         residual = float(np.max(np.abs(rows @ p - rows @ base)))
         if residual > 1e-10 or abs(float(p.sum()) - 1.0) > 1e-12 or np.any(p <= floor):
             raise OptimizerFailed(
@@ -567,12 +669,15 @@ def _bounds(
 ) -> tuple[BoundReport, ...]:
     """One report per kind from one pass over the pairs and their distinct graphs."""
     graph_of = _graphs(model)
+    pairs = [(pair, graph_of(pair)) for pair in enumerate_pairs(model, search)]
     index: dict[_Graph, int] = {}  # distinct graphs in order of first appearance
+    for _, graph in pairs:
+        index.setdefault(graph, len(index))
+    if "improved" in kinds:
+        _solve_all(list(index))
     results: dict[str, list[PairResult]] = {kind: [] for kind in kinds}
-    for pair in enumerate_pairs(model, search):
-        graph = graph_of(pair)
-        n = index.setdefault(graph, len(index))
-        size = len(pair.cut.cut)
+    for pair, graph in pairs:
+        n, size = index[graph], len(pair.cut.cut)
         for kind in kinds:
             value, method = _KINDS[kind][0](graph)
             results[kind].append(PairResult(pair.cut.cut, pair.blocks, value / size, method, n))

@@ -97,6 +97,10 @@ class NetworkModel:
     function_table: tuple[Hashable, ...]
     distribution: tuple[float, ...]
 
+    def __getstate__(self) -> dict:
+        # The cut context and its I memo are rebuilt on first use by the copy.
+        return {k: v for k, v in self.__dict__.items() if k != "_context"}
+
     @property
     def num_sources(self) -> int:
         return len(self.sources)

@@ -9,6 +9,7 @@ basic <= improved <= fixed length must hold on every pair.
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 
@@ -403,6 +404,45 @@ def test_contrast_basis_spans_the_svd_null_space(suite):
             assert np.abs(rows @ null).max(initial=0.0) <= 1e-12
         counts.append((len(graphs), sum(g.dim == 0 for g in graphs)))
     assert counts[0] == (503, 278)
+
+
+def test_stacked_solve_matches_stacks_of_one(suite):
+    # Every distinct graph of the suite, then of the uniform sum diamonds.
+    widest = 0
+    for model in suite + [_sum_diamond(q) for q in (3, 4, 5)]:
+        graphs = _distinct_graphs(model)
+        widest = max([widest] + [len(s) for s in bounds._stacks([g for g in graphs if g.dim])])
+        bounds._solve_all(graphs)
+        for graph in graphs:
+            best = graph.optimum
+            assert best.gap <= bounds.MAX_GAP
+            assert best.value >= graph.basic
+            if graph.dim:
+                alone = bounds._Graph(model, graph.cg.partition).optimum
+                assert abs(best.value - alone.value) <= 1e-12
+    assert widest > 1
+
+
+@pytest.mark.parametrize(
+    "eps, reason",
+    [(1e-100, "optimality gap 70.3 exceeds 1e-09"),
+     (1e-300, "atom 1e-300 is too small for the barrier")],
+)
+def test_first_failing_graph_in_order_of_appearance_is_named(eps, reason):
+    # 8 of the 21 graphs fail; the first to appear has d = 3, and the one
+    # after it, with d = 2, fails with another gap.
+    model = _tiny_mass_diamond(eps)
+    failing = []
+    for graph in _distinct_graphs(model):
+        try:
+            graph.optimum
+        except errors.OptimizerFailed:
+            failing.append(graph.dim)
+    assert failing[:2] == [3, 2] and len(failing) == 8
+    pair = {"cut": ["e1", "e2", "e3", "e4"], "blocks": [["e1", "e2", "e3"], ["e4"]]}
+    with pytest.raises(errors.OptimizerFailed) as failed:
+        bounds.lower_bounds(model)
+    assert str(failed.value) == f"pair {json.dumps(pair)}: {reason}"
 
 
 @pytest.fixture(scope="module")

@@ -347,11 +347,16 @@ def test_model_hash_is_stable_and_not_pickled():
     model = diamond_model()
     twin = netmodel.model_from_dict(netmodel.model_to_dict(model))
     assert hash(model) == hash(model) == hash(twin)
-    # A pickled model carries its context, which stays valid for the copy.
+    # A pickled model leaves its context behind: the walk's I memo does not
+    # grow the pickle, and the copy builds a context of its own.
+    size = len(pickle.dumps(model))
     cuts = list(netmodel.enumerate_cut_sets(model))
+    assert len(pickle.dumps(model)) == size
     clone = pickle.loads(pickle.dumps(model))
     assert clone == model and hash(clone) == hash(model)
+    assert "_context" not in vars(clone)
     assert list(netmodel.enumerate_cut_sets(clone)) == cuts
+    assert netmodel._context(clone) is not netmodel._context(model)
 
 
 def test_each_model_keeps_its_own_context(monkeypatch):
