@@ -15,12 +15,21 @@ partition) pairs:
   and serves as the reference.
 
 The characteristic graph of a pair depends only on (I, J, L, I_1..I_m), and
-many pairs share one.  A run builds each distinct graph once; every pair
-with its key reuses the graph, its objective, clique entropy and clique
-number and, for the improved bound, its marginal constraints and optimum.
-A pair reports its graph's value divided by its cut size and the index of
-its graph in the report's ``graphs``, which lists each distinct graph once,
-in order of first appearance, with its key and its undivided details.
+many pairs share one.  A run builds each distinct graph once, and every
+pair with its key reuses it.  Graphs of different keys can still pose the
+same problem: two block orders of the same I-sets, or keys that only
+relabel the sources.  So the values are computed once per content
+(``_Graph.content``): the vertex masses with their scale, the layer masks
+``cg.masks`` and the set of block scopes, as bitmasks over ``cg.order``.
+The masses fix the base distribution and the floor.  The masks fix the
+layer objective, the clique entropy and the clique number, and, through
+the vertex count, every vertex's symbols.  The scopes fix the supports of
+the contrast basis below, so N and the feasible dimension, and the
+marginal rows up to their order.  The first graph of each content computes
+every value and solves the improved bound; its twins report them.  A pair
+reports its graph's value divided by its cut size and the index of its
+graph in the report's ``graphs``, which lists each distinct graph once, in
+order of first appearance, with its own key and its undivided details.
 
 A single-shot graph nests four layers per vertex: side-information fiber F,
 class C, leftover block L and bracket B.  Fibers are unjoined, classes in a
@@ -218,6 +227,16 @@ class _Graph:
         self.floor = MIN_MASS if self.base.min() > MIN_MASS else float(self.base.min()) / 2
 
     @cached_property
+    def content(self) -> tuple:
+        """Masses, layer masks and the set of block scopes: all that the bounds read.
+
+        Graphs of equal content pose the same problems whatever their key
+        (see the module docstring).
+        """
+        g = self.cg.graph
+        return (g.scale, g.dist, self.cg.masks, frozenset(self.scopes))
+
+    @cached_property
     def basic(self) -> float:
         """The clique entropy: the layer objective at the base distribution."""
         return float(self.objective(self.base))
@@ -304,7 +323,10 @@ class _Graph:
 
     @cached_property
     def optimum(self) -> _Optimum:
-        """Set for a whole run by :func:`_solve_all`; alone, solved as a stack of one."""
+        """Set by :func:`_solve_all` for a run's first graph of each content.
+
+        A graph asked alone is solved as a stack of one.
+        """
         return _solve(self)
 
 
@@ -546,9 +568,12 @@ def _certificate(
 def _solve_all(graphs: Sequence[_Graph]) -> None:
     """Certify every graph's optimum, with one stacked Newton pass for the first attempt.
 
-    Graphs that :func:`_solve` refuses before any Newton step are left out
-    of the pass; the graphs are then certified in the order given, so the
-    first failure raised is that of the first failing graph.
+    A run passes the first graph of each content, in order of first
+    appearance; a twin takes its first graph's optimum, so it fails exactly
+    when that graph fails.  Graphs that :func:`_solve` refuses before any
+    Newton step are left out of the pass; the graphs are then certified in
+    the order given, so the first failure raised is that of the run's first
+    failing graph.
     """
     first: dict[_Graph, np.ndarray] = {}
     for stack in _stacks([g for g in graphs if g.dim and not _too_small(g)]):
@@ -673,16 +698,24 @@ def _bounds(
     index: dict[_Graph, int] = {}  # distinct graphs in order of first appearance
     for _, graph in pairs:
         index.setdefault(graph, len(index))
+    # The first graph of each content computes every value for its twins.
+    firsts: dict[tuple, _Graph] = {}
+    first_of = {graph: firsts.setdefault(graph.content, graph) for graph in index}
     if "improved" in kinds:
-        _solve_all(list(index))
+        _solve_all(list(firsts.values()))
     results: dict[str, list[PairResult]] = {kind: [] for kind in kinds}
     for pair, graph in pairs:
         n, size = index[graph], len(pair.cut.cut)
         for kind in kinds:
-            value, method = _KINDS[kind][0](graph)
+            value, method = _KINDS[kind][0](first_of[graph])
             results[kind].append(PairResult(pair.cut.cut, pair.blocks, value / size, method, n))
+    keys = [_key_lists(g) for g in index]
     return tuple(
-        _report(kind, results[kind], tuple({**_key_lists(g), **_KINDS[kind][1](g)} for g in index))
+        _report(
+            kind,
+            results[kind],
+            tuple({**k, **_KINDS[kind][1](first_of[g])} for k, g in zip(keys, index)),
+        )
         for kind in kinds
     )
 

@@ -281,7 +281,8 @@ def test_lower_bounds_builds_each_distinct_graph_once(diamond, monkeypatch):
     monkeypatch.setattr(bounds, "_solve", counted("solve", bounds._solve))
     basic, improved, _ = bounds.lower_bounds(diamond)
     assert len(basic.pairs) == len(improved.pairs) == 118
-    assert calls == {"build": 21, "layer_masks": 21, "clique_entropy": 0, "solve": 21}
+    # 13 of the 21 graphs differ in content; each twin takes its first's values.
+    assert calls == {"build": 21, "layer_masks": 21, "clique_entropy": 0, "solve": 13}
 
 
 def test_lower_bounds_matches_separate_bounds(
@@ -421,6 +422,50 @@ def test_stacked_solve_matches_stacks_of_one(suite):
                 alone = bounds._Graph(model, graph.cg.partition).optimum
                 assert abs(best.value - alone.value) <= 1e-12
     assert widest > 1
+
+
+def test_graphs_of_equal_content_share_a_certified_optimum(suite, monkeypatch):
+    # A run solves the first graph of each content (masses, layer masks,
+    # scopes) and reports its optimum for the twins.  Every graph's reported
+    # point must still be certified on its own objective, null basis, rows
+    # and floor, and match its own stack-of-one solve.
+    calls = {"solve": 0, "first_pass": 0}
+    solve, maximize = bounds._solve, bounds._maximize
+
+    def counted_solve(*args):
+        calls["solve"] += 1
+        return solve(*args)
+
+    def counted_maximize(stack, p, path=bounds._BARRIER_PATH):
+        calls["first_pass"] += len(stack) if path == bounds._BARRIER_PATH else 0
+        return maximize(stack, p, path)
+
+    counts, twins = [], 0
+    for models in (suite, *([_sum_diamond(q)] for q in (3, 4, 5))):
+        calls.update(solve=0, first_pass=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "_solve", counted_solve)
+            patch.setattr(bounds, "_maximize", counted_maximize)
+            reports = [bounds.lower_bounds(model)[1] for model in models]
+        counts.append(dict(calls))
+        for model, improved in zip(models, reports):
+            seen = set()
+            for graph, entry in zip(_distinct_graphs(model), improved.graphs, strict=True):
+                twins += graph.content in seen
+                seen.add(graph.content)
+                if not graph.dim:
+                    assert entry["improved_value"] == graph.basic
+                    continue
+                p = np.array(entry["opt_dist"])
+                assert bounds._certificate(graph.objective, p, graph.null, graph.floor) <= (
+                    bounds.MAX_GAP
+                )
+                assert np.abs(graph.rows @ p - graph.rows @ graph.base).max() <= 1e-10
+                assert abs(graph.optimum.value - entry["improved_value"]) <= 1e-12
+    # Without sharing: 225 first-pass graphs and 503 solves on the suite,
+    # 11 first-pass graphs on each sum diamond.
+    assert counts == [{"solve": 461, "first_pass": 187}] + [{"solve": 13, "first_pass": 7}] * 3
+    assert twins == 503 - 461 + 3 * 8
 
 
 @pytest.mark.parametrize(
