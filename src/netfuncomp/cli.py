@@ -3,8 +3,8 @@
 Every subcommand prints one JSON report to stdout wrapped in an envelope
 carrying the tool version and the fully resolved configuration, so a report
 can be reproduced from itself.  Floats are rounded to 15 significant digits
-and keys are sorted before printing; identical inputs and options therefore
-produce byte-identical reports.  Exit codes: 0 on success, 2 for any input
+and keys, which are always strings, are sorted before printing; identical
+inputs and options therefore produce byte-identical reports.  Exit codes: 0 on success, 2 for any input
 or usage problem (with a one-line diagnostic on stderr), 3 when a size cap
 is exceeded, 141 (128 + SIGPIPE, no diagnostic) when the reader of stdout
 closes it early.
@@ -50,25 +50,6 @@ def _spell(x: float) -> str:
     if x == -_INF:
         return "-Infinity"
     return float.__repr__(x)
-
-
-def _key(key) -> str:
-    """A dict key as ``json`` writes it; keys are never rounded."""
-    if isinstance(key, str):
-        text = key
-    elif isinstance(key, float):
-        text = _spell(key)
-    elif key is True:
-        text = "true"
-    elif key is False:
-        text = "false"
-    elif key is None:
-        text = "null"
-    elif isinstance(key, int):
-        text = int.__repr__(key)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _encode_str(text)
 
 
 def _write(o, append, nl: str) -> None:
@@ -120,7 +101,7 @@ def _write(o, append, nl: str) -> None:
         for i, (key, value) in enumerate(sorted(o.items())):
             if i:
                 append(sep)
-            append(_key(key) + ": ")
+            append(_encode_str(key) + ": ")
             _write(value, append, inner)
         append(nl + "}")
     else:
@@ -132,6 +113,7 @@ def _dumps(doc) -> str:
 
     One pass over ``doc``: no rounded copy is built, and the text is the
     one the pure-Python encoder (the only one that indents) would write.
+    Every key must be a str; any other key raises TypeError.
     """
     parts: list[str] = []
     _write(doc, parts.append, "\n")
@@ -154,8 +136,18 @@ def _load(path: str) -> NetworkModel:
     return netmodel.validate(model)
 
 
+def _ids(text: str) -> tuple[str, ...]:
+    """The comma-separated ids of ``text``, stripped, empty ones dropped, in order."""
+    return tuple(x for x in map(str.strip, text.split(",")) if x)
+
+
+def _pair_key(cut, blocks) -> bounds.PairKey:
+    """A (cut, blocks) pair with every id list sorted, as ``bounds.pair_key`` spells it."""
+    return tuple(sorted(cut)), tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
 def _parse_cut(model: NetworkModel, text: str) -> netmodel.CutAnalysis:
-    ids = tuple(sorted(x.strip() for x in text.split(",") if x.strip()))
+    ids = _ids(text)
     if not ids:
         raise UsageError("empty cut")
     return netmodel.analyze_cut(model, ids)
@@ -164,18 +156,10 @@ def _parse_cut(model: NetworkModel, text: str) -> netmodel.CutAnalysis:
 def _parse_partition(
     model: NetworkModel, cut: netmodel.CutAnalysis, text: str | None
 ) -> netmodel.StrongPartition:
-    wanted = None
-    if text is not None:
-        wanted = tuple(
-            sorted(
-                tuple(sorted(x.strip() for x in blk.split(",") if x.strip()))
-                for blk in text.split("/")
-            )
-        )
+    blocks = [cut.cut] if text is None else map(_ids, text.split("/"))
+    wanted = _pair_key(cut.cut, blocks)
     for part in netmodel.enumerate_strong_partitions(model, cut):
-        if wanted is None and part.is_trivial:
-            return part
-        if wanted is not None and tuple(sorted(part.blocks)) == wanted:
+        if bounds.pair_key(part) == wanted:
             return part
     raise UsageError(f"{text or 'trivial'} is not a strong partition of {cut.cut}")
 
@@ -193,23 +177,20 @@ def _search_config(args) -> bounds.SearchConfig:
 def _pair_entry(n: int, item) -> bounds.PairKey:
     """One ``--pairs`` entry as a pair key; malformed entries raise UsageError."""
 
-    def ids(value) -> bool:
+    def id_list(value) -> bool:
         return isinstance(value, list) and all(isinstance(x, str) for x in value)
 
     if not (
         isinstance(item, dict)
-        and ids(item.get("cut"))
+        and id_list(item.get("cut"))
         and isinstance(item.get("blocks"), list)
-        and all(ids(b) for b in item["blocks"])
+        and all(id_list(b) for b in item["blocks"])
     ):
         raise UsageError(
             f"--pairs entry {n} must be an object with a \"cut\" list of edge ids "
             "and a \"blocks\" list of edge-id lists"
         )
-    return (
-        tuple(sorted(item["cut"])),
-        tuple(sorted(tuple(sorted(b)) for b in item["blocks"])),
-    )
+    return _pair_key(item["cut"], item["blocks"])
 
 
 def _bounds_result(model: NetworkModel, search: bounds.SearchConfig) -> dict:
@@ -301,8 +282,8 @@ def _cmd_cuts(args) -> None:
 
 def _cmd_classes(args) -> None:
     model = _load(args.model)
-    i_sources = tuple(x.strip() for x in args.i.split(",") if x.strip())
-    j_sources = tuple(x.strip() for x in args.j.split(",") if x.strip()) if args.j else ()
+    i_sources = _ids(args.i)
+    j_sources = _ids(args.j)
     equiv.check_domain(model, args.k)
     a_j = ()
     if args.aj:
@@ -493,8 +474,7 @@ def _cmd_example(args) -> None:
     model = examples.BUILTIN_MODELS[args.name]()
     result: dict = {"model": netmodel.model_to_dict(model)}
     if args.bounds:
-        search = bounds.SearchConfig(max_cut_size=args.max_cut_size)
-        result["bounds"] = _bounds_result(model, search)
+        result["bounds"] = _bounds_result(model, _search_config(args))
     _emit(
         "example",
         {

@@ -51,6 +51,11 @@ METHOD_BRUTE = "BruteForce"
 FALLBACK_CAP = 20
 """Most vertices of a subgraph whose clique entropy falls back on numerics."""
 
+DEPTH_CAP = 200
+"""Most levels of a decomposition tree.  The decomposition, ``to_dict`` and
+the report writer recurse once per level, so this keeps them well inside
+Python's default recursion limit."""
+
 FW_GAP_TOL = 1e-9
 """Duality gap, in bits, at which the Frank-Wolfe solve stops."""
 
@@ -123,6 +128,7 @@ def _decompose(
     co: Sequence[int],
     masses: Sequence,
     mask: int,
+    level: int = 1,
 ) -> DecompositionTree:
     """Decompose the subgraph that ``mask`` induces, in root coordinates.
 
@@ -131,8 +137,11 @@ def _decompose(
     never re-indexes a subgraph: components of ``adj`` within ``mask`` are
     an ``IsolatedSplit``, components of ``co`` within it a ``CCSplit``.
     Only an ``Opaque`` node re-indexes, to hand its complement to the
-    Frank-Wolfe solve.
+    Frank-Wolfe solve.  ``level`` is the node's level in the tree, the root's
+    being 1; a node deeper than ``DEPTH_CAP`` levels raises TooLarge.
     """
+    if level > DEPTH_CAP:
+        raise TooLarge(f"decomposition deeper than the depth cap of {DEPTH_CAP} levels")
     ids = tuple(_bits(mask))
     n = len(ids)
     edge_bits = sum((adj[i] & mask).bit_count() for i in ids) // 2
@@ -143,7 +152,7 @@ def _decompose(
     for kind, graph in (("IsolatedSplit", adj), ("CCSplit", co)):
         comps = _components(graph, mask)
         if len(comps) > 1:
-            return _split_node(kind, adj, co, masses, ids, comps)
+            return _split_node(kind, adj, co, masses, ids, comps, level)
     if n > FALLBACK_CAP:
         raise TooLarge(
             f"opaque subgraph with {n} vertices exceeds the numeric fallback cap of {FALLBACK_CAP}"
@@ -155,8 +164,8 @@ def _decompose(
     return DecompositionTree("Opaque", ids, h - co_value, (), gap)
 
 
-def _split_node(kind, adj, co, masses, ids, comps) -> DecompositionTree:
-    children = [_decompose(adj, co, masses, comp) for comp in comps]
+def _split_node(kind, adj, co, masses, ids, comps, level) -> DecompositionTree:
+    children = [_decompose(adj, co, masses, comp, level + 1) for comp in comps]
     total = sum(masses[i] for i in ids)
     value = 0.0
     for child in children:
@@ -191,7 +200,8 @@ def _clique_result(g: ProbGraph, complement: bool) -> EntropyResult:
 def clique_entropy(g: ProbGraph) -> EntropyResult:
     """Clique entropy with a decomposition certificate.
 
-    An opaque subgraph above ``FALLBACK_CAP`` vertices raises TooLarge.  A
+    An opaque subgraph above ``FALLBACK_CAP`` vertices or a tree deeper
+    than ``DEPTH_CAP`` levels raises TooLarge.  A
     characteristic graph's masses are integers over its scale: they stay
     exact until each ratio ``m / total``, one correctly rounded division.
     """
@@ -203,10 +213,8 @@ def graph_entropy(g: ProbGraph) -> EntropyResult:
 
     The certificate is the complement's decomposition tree, so Frank-Wolfe
     runs only inside its ``Opaque`` nodes and the method is exact when it
-    has none.  Graphs of more than 20 vertices raise TooLarge.
+    has none.  The complement's tree has the caps of :func:`clique_entropy`.
     """
-    if g.n > 20:
-        raise TooLarge(f"{g.n} vertices; graph entropy is capped at 20")
     return _clique_result(g, complement=True)
 
 

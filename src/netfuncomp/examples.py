@@ -20,61 +20,44 @@ from typing import Hashable, Sequence
 from .netmodel import Edge, NetworkModel, validate
 
 
-def diamond_model() -> NetworkModel:
-    """Three binary sources, relays v1/v2, sink t, target x1 + x2 + x3."""
-    nodes = ("s1", "s2", "s3", "v1", "v2", "t")
-    edges = (
-        Edge("e1", "s1", "v1"),
-        Edge("e2", "s2", "v1"),
-        Edge("e3", "s2", "v2"),
-        Edge("e4", "s3", "v2"),
-        Edge("e5", "v1", "t"),
-        Edge("e6", "v2", "t"),
-    )
+def _sum_network(relays: Sequence[str], edges: Sequence[tuple[str, str]]) -> NetworkModel:
+    """Three uniform binary sources, ``relays``, sink t, target x1 + x2 + x3.
+
+    ``edges`` are (tail, head) pairs, named e1, e2, ... in order.
+    """
     table = tuple(
         x1 + x2 + x3 for x1 in range(2) for x2 in range(2) for x3 in range(2)
     )
     return validate(
         NetworkModel(
-            nodes=nodes,
-            edges=edges,
+            nodes=("s1", "s2", "s3", *relays, "t"),
+            edges=tuple(Edge(f"e{n}", u, v) for n, (u, v) in enumerate(edges, 1)),
             sources=("s1", "s2", "s3"),
             sink="t",
             alphabet_size=2,
             function_table=table,
             distribution=(0.125,) * 8,
         )
+    )
+
+
+def diamond_model() -> NetworkModel:
+    """Three binary sources, relays v1/v2, sink t, target x1 + x2 + x3."""
+    return _sum_network(
+        ("v1", "v2"),
+        (("s1", "v1"), ("s2", "v1"), ("s2", "v2"), ("s3", "v2"), ("v1", "t"), ("v2", "t")),
     )
 
 
 def layered_sum_model() -> NetworkModel:
     """Three binary sources, relays a1/a2 then b1/b2 fully meshed, sink t, x1 + x2 + x3."""
-    nodes = ("s1", "s2", "s3", "a1", "a2", "b1", "b2", "t")
-    edges = (
-        Edge("e1", "s1", "a1"),
-        Edge("e2", "s2", "a1"),
-        Edge("e3", "s2", "a2"),
-        Edge("e4", "s3", "a2"),
-        Edge("e5", "a1", "b1"),
-        Edge("e6", "a1", "b2"),
-        Edge("e7", "a2", "b1"),
-        Edge("e8", "a2", "b2"),
-        Edge("e9", "b1", "t"),
-        Edge("e10", "b2", "t"),
-    )
-    table = tuple(
-        x1 + x2 + x3 for x1 in range(2) for x2 in range(2) for x3 in range(2)
-    )
-    return validate(
-        NetworkModel(
-            nodes=nodes,
-            edges=edges,
-            sources=("s1", "s2", "s3"),
-            sink="t",
-            alphabet_size=2,
-            function_table=table,
-            distribution=(0.125,) * 8,
-        )
+    return _sum_network(
+        ("a1", "a2", "b1", "b2"),
+        (
+            ("s1", "a1"), ("s2", "a1"), ("s2", "a2"), ("s3", "a2"),
+            ("a1", "b1"), ("a1", "b2"), ("a2", "b1"), ("a2", "b2"),
+            ("b1", "t"), ("b2", "t"),
+        ),
     )
 
 

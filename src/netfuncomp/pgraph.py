@@ -56,8 +56,11 @@ class ProbGraph:
         if not scale > 0:
             raise UsageError(f"the mass scale must be positive, got {scale!r}")
         self.scale = scale
+        for v, p in zip(self.vertices, self.dist):
+            if p < 0:
+                raise UsageError(f"vertex {v!r} has the negative mass {float(p / scale)!r}")
         total = sum(self.dist)
-        if not all(p >= 0 for p in self.dist) or not abs(total - scale) * 10**12 <= scale:
+        if not abs(total - scale) * 10**12 <= scale:
             raise UsageError(
                 f"vertex masses must be nonnegative and sum to 1, got {float(total / scale)!r}"
             )

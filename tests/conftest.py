@@ -109,6 +109,15 @@ def random_graph(rng: random.Random, max_n: int = 8, min_n: int = 1) -> ProbGrap
     return ProbGraph(vertices, edges, dist)
 
 
+
+def threshold_edges(n: int) -> list[tuple[int, int]]:
+    """Edges of a threshold graph on 0..n-1: each odd vertex dominates the ones before it.
+
+    Each even vertex is isolated from the ones before it, so the clique
+    decomposition peels one vertex per level: a chain of n - 1 levels.
+    """
+    return [(j, i) for i in range(1, n, 2) for j in range(i)]
+
 # -- cut machinery oracles -----------------------------------------------------
 
 

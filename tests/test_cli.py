@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import grown_layered_doc, random_model
+from conftest import grown_layered_doc, random_model, threshold_edges
 from netfuncomp import bounds, chargraph, cli, codesim, entropy, netmodel, pgraph
 from netfuncomp.examples import diamond_model, layered_sum_model, single_edge_model
 from oracles import code_to_dict
@@ -117,6 +117,27 @@ def test_classes_with_side_information(capsys, paths):
     result = json.loads(out)["result"]
     assert result["num_classes"] == 2
     assert result["classes"] == [["0"], ["1"]]
+
+
+def test_classes_with_an_empty_j_is_classes_without_j(capsys, paths):
+    omitted = run(capsys, "classes", paths["diamond"], "--i", "s1,s2")
+    assert omitted[0] == 0
+    assert run(capsys, "classes", paths["diamond"], "--i", "s1,s2", "--j", "") == omitted
+
+
+@pytest.mark.parametrize(
+    "given, canonical",
+    [
+        (["--cut", " e6, e5 ,"], ["--cut", "e5,e6"]),
+        (["--cut", "e5,e6", "--blocks", "e6 / e5"], ["--cut", "e5,e6", "--blocks", "e5/e6"]),
+        (["--cut", "e4,e3,e2,e1", "--blocks", "e4/e3,e1,e2"],
+         ["--cut", "e1,e2,e3,e4", "--blocks", "e1,e2,e3/e4"]),
+    ],
+)
+def test_chargraph_id_lists_are_normalised(capsys, paths, given, canonical):
+    want = run(capsys, "chargraph", paths["diamond"], *canonical)
+    assert want[0] == 0
+    assert run(capsys, "chargraph", paths["diamond"], *given) == want
 
 
 def test_chargraph_layers_and_dot_export(capsys, paths):
@@ -242,6 +263,27 @@ def test_entropy_with_every_quantity_capped_exits_3(capsys, paths):
     assert err.startswith("netfuncomp: TooLarge:")
 
 
+def test_entropy_at_the_depth_cap_is_reported(capsys, paths):
+    n = entropy.DEPTH_CAP + 1
+    path, g = _graph_file(paths["base"], f"threshold{n}", list(range(n)), threshold_edges(n))
+    rc, out, err = run(capsys, "entropy", path)
+    assert rc == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["status"]["chromatic"].startswith("capped: ")
+    assert result["status"]["graph"] == result["status"]["clique"] == "ok"
+    assert result["clique_entropy"] == pytest.approx(entropy.clique_entropy(g).value, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [entropy.DEPTH_CAP + 2, 340, 400])
+def test_entropy_past_the_depth_cap_exits_3_in_one_line(capsys, paths, n):
+    path, _ = _graph_file(paths["base"], f"threshold{n}", list(range(n)), threshold_edges(n))
+    rc, out, err = run(capsys, "entropy", path)
+    assert rc == 3 and out == ""
+    assert err.startswith("netfuncomp: TooLarge: chromatic entropy capped: ")
+    assert err.count(f"depth cap of {entropy.DEPTH_CAP} levels") == 2
+    assert err.count("\n") == 1
+
+
 def test_bad_side_information_block_exits_2(capsys, paths):
     rc, out, err = run(
         capsys, "classes", paths["diamond"], "--i", "s1", "--j", "s2", "--aj", "x"
@@ -325,6 +367,11 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
         ),
         (
             ["entropy", "{file}"],
+            {"vertices": [1, 2, 3], "edges": [], "dist": [2, -1, -1]},
+            "vertex 2 has the negative mass -1.0",
+        ),
+        (
+            ["entropy", "{file}"],
             {"vertices": [1, 2], "edges": [[1, 3]], "dist": [0.5, 0.5]},
             "edge (1, 3) names the unlisted vertex 3",
         ),
@@ -341,6 +388,7 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
         "short-dist",
         "no-dist",
         "nan-mass",
+        "negative-mass",
         "edge-to-unlisted-vertex",
         "unknown-builtin",
         "code-without-model",
@@ -923,6 +971,23 @@ def test_pairs_file_restricts_search(capsys, paths):
     assert result["improved"] == pytest.approx(0.5 * math.log2(5), abs=1e-4)
 
 
+def test_pairs_entry_in_any_order_selects_the_canonical_pair(capsys, paths):
+    results = []
+    for cut, blocks in (
+        (["e1", "e2", "e3", "e4"], [["e1", "e2", "e3"], ["e4"]]),
+        (["e4", "e2", "e3", "e1"], [["e4"], ["e3", "e1", "e2"]]),
+    ):
+        pairs_path = paths["base"] / "ordered_pairs.json"
+        pairs_path.write_text(json.dumps([{"cut": cut, "blocks": blocks}]))
+        rc, out, _ = run(capsys, "bounds", paths["diamond"], "--pairs", str(pairs_path))
+        assert rc == 0
+        results.append(json.loads(out)["result"])
+    assert results[0] == results[1]
+    [row] = results[1]["pairs"]
+    assert row["cut"] == ["e1", "e2", "e3", "e4"]
+    assert row["blocks"] == [["e1", "e2", "e3"], ["e4"]]
+
+
 @pytest.mark.parametrize(
     "entries",
     [
@@ -1082,9 +1147,6 @@ EDGE_DOCUMENTS = {
     "tuples": (1, (2.5, "x"), ((),), [(0.1, 0.2)], ("a", "b")),
     "strings": ["é", "☃", "\x00\x1f\x7f", 'q"uote\\back', "\n\t\r", "\ud83d", ""],
     "string-keys": {"é": 1, "b\n": 2, "": 3, "a": {"z": None, "y": [True]}},
-    "int-keys": {10: "ten", 2: "two", -1: [0.5], _Level.LOW: 0.1 + 0.2},
-    "float-keys": {0.1 + 0.2: 1, 1e16: 2, -0.0: 3},
-    "bool-keys": {True: 1, False: 0},
     "scalars": [None, True, 0.1 + 0.2, "x", 3],
     "shared-dicts": {"x": [_SHARED, _SHARED], "y": _SHARED, "z": [[_SHARED, {}], _SHARED["a"]]},
 }
@@ -1103,6 +1165,22 @@ def test_writer_refuses_what_json_refuses(doc):
         _oracle(doc)
     with pytest.raises(TypeError):
         cli._dumps(doc)
+
+
+NON_STR_KEYS = {
+    "int-keys": {10: "ten", 2: "two", -1: [0.5], _Level.LOW: 0.1 + 0.2},
+    "float-keys": {0.1 + 0.2: 1, 1e16: 2, -0.0: 3},
+    "bool-keys": {True: 1, False: 0},
+    "none-key": {None: 1},
+}
+
+
+@pytest.mark.parametrize("doc", NON_STR_KEYS.values(), ids=NON_STR_KEYS.keys())
+def test_writer_refuses_keys_that_are_not_strings(doc):
+    with pytest.raises(TypeError):
+        cli._dumps(doc)
+    with pytest.raises(TypeError):
+        cli._dumps({"result": [doc]})
 
 
 TUPLE_GRAPH = {"vertices": [["a", 0], ["a", 1], ["b", 0]], "edges": [[["a", 0], ["b", 0]]],

@@ -6,7 +6,9 @@ bit by the complement identity, and the best coloring uses color classes of
 sizes 2/2/1.  The uniform seven-cycle pins log2(7/3).  On every uniform odd
 cycle C_n the Koerner entropy is log2 of the fractional chromatic number,
 log2(2n/(n-1)) (Simonyi 1995), so the numeric fallback is held to its gap
-on C5 through C19.  Everything else is
+on C5 through C19.  Uniform threshold graphs, whose decomposition is a
+chain one vertex per level, pin the depth cap against a recurrence that
+peels one vertex at a time.  Everything else is
 identities on random graphs: complement identity (graph entropy is the
 Shannon entropy less the complement's clique entropy, to the bit, and a
 wheel's hub splits off its complement's tree), the entropy chain, the
@@ -21,9 +23,10 @@ import random
 
 import pytest
 
-from conftest import brute_chromatic_entropy, brute_clique_number, random_graph
+from conftest import brute_chromatic_entropy, brute_clique_number, random_graph, threshold_edges
 from netfuncomp import errors
 from netfuncomp.entropy import (
+    DEPTH_CAP,
     METHOD_EXACT,
     METHOD_NUMERIC,
     DecompositionTree,
@@ -265,9 +268,52 @@ def test_size_caps():
     with pytest.raises(errors.TooLarge):
         clique_entropy(_cycle(21))
     with pytest.raises(errors.TooLarge):
-        graph_entropy(_empty(21))
+        graph_entropy(_cycle(21))
     with pytest.raises(errors.TooLarge):
         chromatic_entropy(_empty(13))
+    # Graph entropy has no vertex cap of its own: only an opaque piece is capped.
+    assert graph_entropy(_empty(21)).value == 0.0
+
+
+def _threshold(n):
+    return ProbGraph(range(n), threshold_edges(n), [1.0 / n] * n)
+
+
+def _threshold_recurrence(n):
+    """Clique entropy of the uniform threshold graph on n vertices, one vertex at a time.
+
+    Vertex m - 1 of the graph on m vertices is a component of its own when m
+    is odd and a join block of its own when m is even; the block of mass 1/m
+    adds the binary entropy h(1/m).
+    """
+    h = 0.0
+    for m in range(2, n + 1):
+        rest = (m - 1) / m
+        h *= rest
+        if m % 2 == 0:
+            h -= rest * math.log2(rest) + math.log2(1 / m) / m
+    return h
+
+
+def _levels(tree):
+    levels, nodes = 0, [tree]
+    while nodes:
+        levels += 1
+        nodes = [c for t in nodes for c in t.children]
+    return levels
+
+
+def test_threshold_graphs_decompose_down_to_the_depth_cap():
+    assert _threshold_recurrence(300) == pytest.approx(4.12374435266291, abs=1e-12)
+    n = DEPTH_CAP + 1
+    res = clique_entropy(_threshold(n))
+    assert _levels(res.certificate) == DEPTH_CAP
+    assert res.method == METHOD_EXACT
+    assert abs(res.value - _threshold_recurrence(n)) <= 1e-12
+    assert _levels(graph_entropy(_threshold(n)).certificate) == DEPTH_CAP
+    for compute in (clique_entropy, graph_entropy):
+        with pytest.raises(errors.TooLarge, match=f"depth cap of {DEPTH_CAP} levels"):
+            compute(_threshold(n + 1))
 
 
 def test_certificate_serialization():

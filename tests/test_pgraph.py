@@ -45,6 +45,14 @@ def test_construction_rejects_bad_input():
             ProbGraph(["a", "b"], [("a", "b")], [0, 0], scale=scale)
 
 
+def test_the_first_negative_mass_is_named():
+    with pytest.raises(errors.UsageError, match=r"^vertex 'b' has the negative mass -1\.0$"):
+        ProbGraph("abc", [], [3, -1, -1])
+    # Masses over a scale are named as probabilities.
+    with pytest.raises(errors.UsageError, match=r"^vertex 'c' has the negative mass -0\.5$"):
+        ProbGraph("abc", [], [6, 0, -2], scale=4)
+
+
 def test_edge_to_an_unlisted_vertex_is_refused():
     with pytest.raises(errors.UsageError, match=r"edge \(1, 3\) names the unlisted vertex 3"):
         ProbGraph([1, 2], [(1, 3)], [0.5, 0.5])
