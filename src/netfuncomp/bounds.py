@@ -96,7 +96,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -146,8 +146,7 @@ _STACK_ELEMENTS = 1 << 13
 _MIN_SLACK = math.sqrt(_BARRIER_PATH[0] / float(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     cut: tuple[str, ...]
     blocks: tuple[tuple[str, ...], ...]
     value: float

@@ -24,6 +24,7 @@ import dataclasses
 import io
 import itertools
 import json
+import operator
 import os
 import sys
 import types
@@ -161,7 +162,9 @@ def _parse_partition(
     for part in netmodel.enumerate_strong_partitions(model, cut):
         if bounds.pair_key(part) == wanted:
             return part
-    raise UsageError(f"{text or 'trivial'} is not a strong partition of {cut.cut}")
+    # Only a --blocks text can miss: the one-block partition always exists.
+    shown = text if text.strip() else repr(text)
+    raise UsageError(f"{shown} is not a strong partition of {cut.cut}")
 
 
 def _search_config(args) -> bounds.SearchConfig:
@@ -258,19 +261,18 @@ def _cmd_cuts(args) -> None:
     model = _load(args.model)
     doc = []
     # Every cut set has its one-block partition, so grouping the pairs by
-    # cut lists every cut set, under the pair cap that ``bounds`` has.
+    # cut lists every cut set, under the pair cap that ``bounds`` has.  The
+    # writer spells the tuples of ids as it spells lists.
     pairs = bounds.enumerate_pairs(model, bounds.SearchConfig(max_cut_size=args.max_cut_size))
-    for analysis, parts in itertools.groupby(pairs, key=lambda p: p.cut):
+    for analysis, parts in itertools.groupby(pairs, key=operator.attrgetter("cut")):
         doc.append(
             {
-                "cut": list(analysis.cut),
+                "cut": analysis.cut,
                 "k_set": sorted(analysis.k_set),
                 "i_set": sorted(analysis.i_set),
                 "j_set": sorted(analysis.j_set),
                 "global": analysis.is_global,
-                "strong_partitions": [
-                    [list(b) for b in p.blocks] for p in parts
-                ],
+                "strong_partitions": [p.blocks for p in parts],
             }
         )
     _emit(

@@ -29,25 +29,31 @@ can stop, or refuse, before the rest is built.  I only grows as a cut
 grows, so the walk skips every extension of an edge set whose I stays empty
 even with all the edges that could still join it.
 
-The strong-partition search emits the one-block partition first.  It
-looks for more only when two sources s != t of I(C) have disjoint carriers,
-where a source's carrier is the set of cut edges whose K holds it.  That
-test is sound: non-interference keeps a source of I(B_a) out of the other
-blocks' K, so every edge that carries it lies in B_a, and two blocks give
-two sources whose carriers lie in disjoint blocks.  When |I(C)| = 1 the test
-always fails.  The search then assigns the cut's edges, in sorted id
-order, to blocks by backtracking, which yields restricted-growth-string
-order.  It prunes a branch on three sound grounds:
+The strong-partition search emits the one-block partition first.  Call
+a source's carrier E_s the set of cut edges whose K holds it.  The search
+rests on one lemma: for B inside C, every source s of I(C) with E_s inside
+B is in I(B), since a path from s that avoids B must cross C at an edge
+that s feeds.  Conversely, non-interference keeps a source of I(B_a) out of
+the other blocks' K, so every edge that carries it lies in B_a: each block
+of a strong partition has I(B_a) = {s in I(C) : E_s inside B_a}.  So two
+blocks need two sources of I(C) with disjoint carriers, and the search
+looks for more than one block only when |I(C)| >= 2 and two such sources
+exist; it runs on the edge mask and I that the cut walk already holds.
+It then assigns the cut's edges, in sorted id order, to blocks by
+backtracking, which yields restricted-growth-string order.  It prunes a
+branch on three sound grounds:
 
 * block cap: I of a block lies inside its K and is non-empty, and
   non-interference makes the blocks' I pairwise disjoint subsets of I(C),
   so there are at most |I(C)| blocks;
 * interference: I and K only grow as edges join a block, so two partial
-  blocks that interfere stay interfering;
+  blocks that interfere stay interfering.  Only the block that just grew
+  can start to interfere, so each step asks for one I;
 * lookahead: a block can only gain the unassigned edges and the other
-  blocks' K only grows, so if I(block + unassigned edges) lies inside the
-  other blocks' current K, every completion leaves the block with an empty
-  or interfering I.
+  blocks' K only grows, so every completion leaves the block with an empty
+  or interfering I unless some source of I(C) lies outside the other
+  blocks' current K.  By the lemma that set is I(block + unassigned edges)
+  minus the other blocks' K, and it needs no I lookup.
 """
 
 from __future__ import annotations
@@ -127,8 +133,7 @@ class NetworkModel:
         )
 
 
-@dataclass(frozen=True)
-class CutAnalysis:
+class CutAnalysis(NamedTuple):
     """Source sets attached to an edge set C.
 
     ``k_set`` holds the sources with a directed path (possibly of length
@@ -148,8 +153,7 @@ class CutAnalysis:
         return bool(self.i_set)
 
 
-@dataclass(frozen=True)
-class StrongPartition:
+class StrongPartition(NamedTuple):
     """A partition of a cut set into pairwise non-interfering blocks.
 
     Every block disconnects at least one source on its own, and no source
@@ -361,13 +365,12 @@ class _Context:
     def __init__(self, model: NetworkModel):
         self.topo = _topological_order(model)
         pos = {n: i for i, n in enumerate(self.topo)}
-        self.sources = model.sources
         self.all_sources = (1 << len(model.sources)) - 1
         self.bit = {e.id: b for b, e in enumerate(model.edges)}
-        # Edges by the topological position of their tails: one pass in this
-        # order sees every node's in-edges before its out-edges.
+        # (tail, edge bit, head) by the topological position of the tail: one
+        # pass in this order sees every node's in-edges before its out-edges.
         self._flow = sorted(
-            (pos[e.tail], b, pos[e.head]) for b, e in enumerate(model.edges)
+            (pos[e.tail], 1 << b, pos[e.head]) for b, e in enumerate(model.edges)
         )
         self._seed = [0] * len(self.topo)
         for s, name in enumerate(model.sources):
@@ -381,13 +384,16 @@ class _Context:
             for s in range(len(model.sources))
         )
         self._i_cache: dict[int, int] = {}
-        self._sets: dict[int, frozenset[str]] = {}
+        # The cut set the walk yielded last, with its edge mask and I: the
+        # strong-partition search on that same object starts from them.
+        self.walked: tuple[CutAnalysis | None, int, int] = (None, 0, 0)
+        self.sets = _SourceSets(model.sources)
 
     def _reach(self, cut: int) -> list[int]:
         """Per node (topological index), the sources reaching it around ``cut``."""
         reach = list(self._seed)
-        for tail, b, head in self._flow:
-            if not cut >> b & 1:
+        for tail, bit, head in self._flow:
+            if not cut & bit:
                 reach[head] |= reach[tail]
         return reach
 
@@ -414,28 +420,33 @@ class _Context:
             i = self._i_cache[cut] = self.all_sources & ~self._reach(cut)[self._sink]
         return i
 
-    def source_set(self, mask: int) -> frozenset[str]:
-        """The sources of a source mask, one shared frozenset per mask."""
-        sources = self._sets.get(mask)
-        if sources is None:
-            sources = self._sets[mask] = frozenset(
-                s for b, s in enumerate(self.sources) if mask >> b & 1
-            )
-        return sources
-
     def splits(self, cut: int, i: int) -> bool:
         """Whether two sources of ``i`` have disjoint carriers inside ``cut``."""
-        carriers = [c & cut for s, c in enumerate(self.carrier) if i >> s & 1]
-        return any(not a & b for a, b in itertools.combinations(carriers, 2))
+        carriers: list[int] = []
+        for s, c in enumerate(self.carrier):
+            if i >> s & 1:
+                c &= cut
+                for d in carriers:
+                    if not c & d:
+                        return True
+                carriers.append(c)
+        return False
 
     def analysis(self, ids: tuple[str, ...], k: int, i: int) -> CutAnalysis:
-        return CutAnalysis(
-            cut=ids,
-            k_set=self.source_set(k),
-            i_set=self.source_set(i),
-            j_set=self.source_set(k & ~i),
-            is_global=i == self.all_sources,
-        )
+        sets = self.sets
+        return CutAnalysis(ids, sets[k], sets[i], sets[k & ~i], i == self.all_sources)
+
+
+class _SourceSets(dict):
+    """Source mask -> the frozenset of its sources, one shared set per mask."""
+
+    def __init__(self, sources: tuple[str, ...]):
+        super().__init__()
+        self.sources = sources
+
+    def __missing__(self, mask: int) -> frozenset[str]:
+        sources = self[mask] = frozenset(s for b, s in enumerate(self.sources) if mask >> b & 1)
+        return sources
 
 
 def _context(model: NetworkModel) -> _Context:
@@ -494,24 +505,41 @@ def _cut_sets(ctx: _Context, max_size: int) -> Iterator[CutAnalysis]:
     later = [0] * (m + 1)  # later[j]: the mask of edges j.. in id order
     for j in range(m - 1, -1, -1):
         later[j] = later[j + 1] | bits[j]
-    chosen: list[str] = []
+    i_mask, analysis = ctx.i_mask, ctx.analysis
 
     # Depth-first over subsets, children in increasing id order: a preorder
     # walk lists sorted id tuples lexicographically, prefixes first.  Below
     # a set whose I is empty, only a subtree whose largest set has a
-    # non-empty I can hold a cut set.
-    def extend(start: int, mask: int, k: int) -> Iterator[CutAnalysis]:
-        for j in range(start, m):
-            chosen.append(ids[j])
-            sub, sub_k = mask | bits[j], k | kbits[j]
-            i = ctx.i_mask(sub)
-            if i:
-                yield ctx.analysis(tuple(chosen), sub_k, i)
-            if len(chosen) < max_size and (i or ctx.i_mask(sub | later[j + 1])):
-                yield from extend(j + 1, sub, sub_k)
+    # non-empty I can hold a cut set.  The current set is ``mask`` plus
+    # edge j, ``chosen`` holds its ids, and ``stack`` holds (j, mask, K) of
+    # each set on the path to it.
+    chosen: list[str] = []
+    stack: list[tuple[int, int, int]] = []
+    j = mask = k = 0
+    while True:
+        if j == m:
+            if not stack:
+                return
             chosen.pop()
+            j, mask, k = stack.pop()
+            j += 1
+            continue
+        sub = mask | bits[j]
+        i = i_mask(sub)
+        chosen.append(ids[j])
+        if i:
+            cut = analysis(tuple(chosen), k | kbits[j], i)
+            ctx.walked = cut, sub, i
+            yield cut
+        if len(chosen) < max_size and (i or i_mask(sub | later[j + 1])):
+            stack.append((j, mask, k))
+            mask, k = sub, k | kbits[j]
+        else:
+            chosen.pop()
+        j += 1
 
-    return extend(0, 0, 0)
+
+_NO_SOURCES: frozenset[str] = frozenset()
 
 
 def enumerate_strong_partitions(
@@ -526,75 +554,83 @@ def enumerate_strong_partitions(
     """
     if not isinstance(cut, CutAnalysis):
         cut = analyze_cut(model, cut)
-    if not cut.is_cut_set:
+    if not cut.i_set:
         raise NotACutSet(",".join(cut.cut))
+    out = [StrongPartition(cut, (cut.cut,), (cut.i_set,), _NO_SOURCES)]
+    cap = len(cut.i_set)
+    if cap < 2:
+        return out
     ctx = _context(model)
     ids = cut.cut
+    walked = ctx.walked
+    if walked[0] is cut:
+        whole, i_cut = walked[1], walked[2]
+    else:
+        whole = sum(1 << ctx.bit[eid] for eid in ids)
+        i_cut = ctx.i_mask(whole)
+    if not ctx.splits(whole, i_cut):
+        return out
     n = len(ids)
     bits = [1 << ctx.bit[eid] for eid in ids]
-    out = [StrongPartition(cut=cut, blocks=(ids,), i_sets=(cut.i_set,), l_set=frozenset())]
-    whole = sum(bits)
-    if not ctx.splits(whole, ctx.i_mask(whole)):
-        return out
-    i_mask = ctx.i_mask
     kbits = [ctx.k_edge[ctx.bit[eid]] for eid in ids]
-    unassigned = [0] * (n + 1)
-    for j in range(n - 1, -1, -1):
-        unassigned[j] = unassigned[j + 1] | bits[j]
-    cap = len(cut.i_set)
+    i_mask, sets = ctx.i_mask, ctx.sets
     masks: list[int] = []  # edge mask of each open block
-    ks: list[int] = []  # K mask of each open block
+    ks: list[int] = []  # K of each open block
+    i_s: list[int] = []  # I of each open block
 
-    def viable(b: int, free: int) -> bool:
-        ib, kb = i_mask(masks[b]), ks[b]
+    def viable(b: int) -> bool:
+        # Lookahead: each block needs a source of I(C) that no other block
+        # feeds.  A source fed by no block yet serves any block; otherwise
+        # each block needs one that it alone feeds.
+        seen = twice = 0
+        for k in ks:
+            twice |= seen & k
+            seen |= k
+        if not i_cut & ~seen:
+            alone = i_cut & ~twice
+            for k in ks:
+                if not alone & k:
+                    return False
+        # Interference: block b changed, so only its pairs are checked.
+        ib = i_s[b] = i_mask(masks[b])
+        kb = ks[b]
         for a in range(len(masks)):
-            if a != b and (ib & ks[a] or i_mask(masks[a]) & kb):
-                return False
-        for a in range(len(masks)):
-            others = 0
-            for c in range(len(masks)):
-                if c != a:
-                    others |= ks[c]
-            if not i_mask(masks[a] | free) & ~others:
+            if a != b and (ib & ks[a] or i_s[a] & kb):
                 return False
         return True
 
     def emit() -> None:
-        i_sets = tuple(ctx.source_set(i_mask(mask)) for mask in masks)
-        blocks = tuple(
-            tuple(eid for eid, bit in zip(ids, bits) if mask & bit) for mask in masks
-        )
-        out.append(
-            StrongPartition(
-                cut=cut,
-                blocks=blocks,
-                i_sets=i_sets,
-                l_set=cut.i_set.difference(*i_sets),
-            )
-        )
+        union = 0
+        for i in i_s:
+            union |= i
+        blocks = tuple(tuple(eid for eid, bit in zip(ids, bits) if mask & bit) for mask in masks)
+        out.append(StrongPartition(cut, blocks, tuple(sets[i] for i in i_s), sets[i_cut & ~union]))
 
-    # The one-block partition was emitted above, so its leaf is skipped.
+    # The one-block partition is already in ``out``, so its leaf is skipped.
     def extend(j: int) -> None:
         if j == n:
             if len(masks) > 1:
                 emit()
             return
+        bit, kbit = bits[j], kbits[j]
         opened = len(masks)
         for b in range(min(opened + 1, cap)):
             if b == opened:
-                masks.append(bits[j])
-                ks.append(kbits[j])
+                masks.append(bit)
+                ks.append(kbit)
+                i_s.append(0)
             else:
-                saved = masks[b], ks[b]
-                masks[b] |= bits[j]
-                ks[b] |= kbits[j]
-            if viable(b, unassigned[j + 1]):
+                saved = masks[b], ks[b], i_s[b]
+                masks[b] |= bit
+                ks[b] |= kbit
+            if viable(b):
                 extend(j + 1)
             if b == opened:
                 masks.pop()
                 ks.pop()
+                i_s.pop()
             else:
-                masks[b], ks[b] = saved
+                masks[b], ks[b], i_s[b] = saved
 
     extend(0)
     return out

@@ -346,6 +346,11 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
             "e1/e2 is not a strong partition of ('e1', 'e2')",
         ),
         (
+            ["chargraph", "{diamond}", "--cut", "e5,e6", "--blocks", ""],
+            None,
+            "'' is not a strong partition of ('e5', 'e6')",
+        ),
+        (
             ["bounds", "{diamond}", "--pairs", "{file}"],
             {"cut": ["e5", "e6"], "blocks": [["e5"], ["e6"]]},
             "--pairs file must hold a JSON list",
@@ -384,6 +389,7 @@ def test_bounds_without_a_cut_set_in_reach_exits_2(capsys, paths):
         "chargraph-k-0",
         "chargraph-k-negative",
         "weak-blocks",
+        "empty-blocks",
         "pairs-not-a-list",
         "short-dist",
         "no-dist",

@@ -332,6 +332,53 @@ def test_root_test_sends_106_layered_sum_cuts_to_the_search():
     assert sum(_root_test(model, c) for c in cuts) == 106
 
 
+def test_carrier_lemma_on_random_dags():
+    # E_s is the carrier of source s: the cut edges whose K holds s.
+    checked = 0
+    for model, cap in _random_dags():
+        k_of = {e.id: brute_cut_sets(model, [e.id])[0] for e in model.edges}
+        for analysis in netmodel.enumerate_cut_sets(model, max_size=cap):
+            cut = analysis.cut
+
+            def carried_inside(block):
+                return {
+                    s for s in analysis.i_set if all(e in block for e in cut if s in k_of[e])
+                }
+
+            for r in range(1, len(cut) + 1):
+                for block in itertools.combinations(cut, r):
+                    assert carried_inside(block) <= brute_cut_sets(model, block)[1]
+            for partition in brute_strong_partitions(model, cut):
+                for block in partition:
+                    assert carried_inside(block) == brute_cut_sets(model, block)[1]
+                    checked += 1
+    assert checked > 100
+
+
+def test_partition_search_fast_paths_on_the_layered_sum(monkeypatch):
+    model = layered_sum_model()
+    lookups = []
+    i_mask = netmodel._Context.i_mask
+
+    def counted(self, cut):
+        lookups.append(cut)
+        return i_mask(self, cut)
+
+    monkeypatch.setattr(netmodel._Context, "i_mask", counted)
+    single = searched = pairs = 0
+    for analysis in netmodel.enumerate_cut_sets(model):
+        before = len(lookups)
+        pairs += len(netmodel.enumerate_strong_partitions(model, analysis))
+        used = len(lookups) - before
+        if len(analysis.i_set) == 1:
+            assert used == 0, analysis.cut
+            single += 1
+        searched += used
+    assert single == 207 and pairs == 1134
+    # Only the interference test looks up I, once per step: 1,459 lookups here.
+    assert searched <= 6124
+
+
 @pytest.mark.parametrize(
     "make, cuts, pairs",
     [(layered_sum_model, 973, 1134), (_layered_12_edge_model, 3461, 3486)],
