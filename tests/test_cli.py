@@ -19,6 +19,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -1137,6 +1138,19 @@ class _Level(enum.IntEnum):
     HIGH = 7
 
 
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _Edge(NamedTuple):
+    tail: str
+    head: str
+
+
 _SHARED = {"b": [0.1 + 0.2, None], "a": {"c": 1}}
 
 EDGE_DOCUMENTS = {
@@ -1155,6 +1169,29 @@ EDGE_DOCUMENTS = {
     "string-keys": {"é": 1, "b\n": 2, "": 3, "a": {"z": None, "y": [True]}},
     "scalars": [None, True, 0.1 + 0.2, "x", 3],
     "shared-dicts": {"x": [_SHARED, _SHARED], "y": _SHARED, "z": [[_SHARED, {}], _SHARED["a"]]},
+    # A list or tuple led by a str is joined at once, or item by item when
+    # a later item is not a str.
+    "str-then-int": ["a", 1],
+    "str-then-none": ("a", None),
+    "str-subclass-items": [["a", _Str("b")], [_Str("c"), "d"], (_Str("e"),)],
+    "named-tuple-of-strs": [_Edge("s1", "v1"), [_Edge("v1", "t")], {"e": _Edge("a", "b")}],
+    "named-tuple-str-then-int": [_Edge("a", 1), _Edge("b", None)],
+    # Lists of str sequences are joined at once unless an item is not one.
+    "str-sequences": [["a", "b"], (), ("c",), []],
+    "str-sequences-led-by-empty": [[], ["a"], ("b", "c")],
+    "str-sequences-with-bare-str": [["a"], "bc", ["d"]],
+    "str-sequences-with-dict": [["a"], {"b": "c"}],
+    "str-sequences-with-int": [["a"], ["b", 2], ("c",)],
+    "str-sequences-led-by-non-str": [[1, "a"], ["b"]],
+    # Records that share a key set spell their keys once.
+    "records": [{"b": [1, 2], "a": "x", "c": None}, {"c": True, "a": "y", "b": []}],
+    "records-one-differs": [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}],
+    "records-with-dict-subclass": [{"a": 1}, _Dict(a=2), {"a": 3}],
+    "records-with-empty-dict": [{"a": 1}, {}, {"a": 2}],
+    "records-led-by-empty-dict": [{}, {}],
+    "records-special-floats": [{"x": math.nan, "y": -0.0}, {"x": math.inf, "y": -math.inf},
+                               {"x": 0.1 + 0.2, "y": 1e16}],
+    "records-nested": [{"r": [{"a": ("b",)}, {"a": ()}]}, {"r": [{"a": [[]]}]}],
 }
 
 
@@ -1178,6 +1215,8 @@ NON_STR_KEYS = {
     "float-keys": {0.1 + 0.2: 1, 1e16: 2, -0.0: 3},
     "bool-keys": {True: 1, False: 0},
     "none-key": {None: 1},
+    "int-key-in-a-later-record": [{"a": 1}, {"a": 2}, {"a": 3, 4: "four"}],
+    "int-keys-in-every-record": [{1: "a"}, {1: "b"}],
 }
 
 
@@ -1187,6 +1226,51 @@ def test_writer_refuses_keys_that_are_not_strings(doc):
         cli._dumps(doc)
     with pytest.raises(TypeError):
         cli._dumps({"result": [doc]})
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    """A JSON-able document of every kind the writer has a path for."""
+    kinds = ["str", "int", "bool", "none", "float", "special"]
+    if depth < 4:
+        kinds += ["list", "tuple", "dict", "strs", "str-sequences", "records"] * 2
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return rng.choice(["", "a", "bc", "é", 'q"', "\n", "\ud83d", "e12"])
+    if kind == "int":
+        return rng.choice([0, 1, -7, 2**70, rng.randrange(-1000, 1000)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    if kind == "float":
+        return rng.choice([0.1 + 0.2, -0.0, 5e-324, 1e16, 1 / 3, rng.uniform(-1e3, 1e3)])
+    if kind == "special":
+        return rng.choice([math.nan, math.inf, -math.inf])
+    if kind in ("list", "tuple"):
+        items = [_random_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+        return items if kind == "list" else tuple(items)
+    if kind == "dict":
+        return {rng.choice("abcdef"): _random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if kind == "strs":
+        items = [rng.choice(["a", "b", "é", ""]) for _ in range(rng.randrange(1, 4))]
+        if rng.random() < 0.3:  # a member that is not a str
+            items.insert(rng.randrange(1, len(items) + 1), _random_document(rng, 4))
+        return items if rng.random() < 0.5 else tuple(items)
+    if kind == "str-sequences":
+        return [_random_document(rng, 3) if rng.random() < 0.1 else [rng.choice("xyz")] * rng.randrange(3)
+                for _ in range(rng.randrange(1, 5))]
+    keys = rng.sample("abcdef", rng.randrange(1, 4))
+    records = [{k: _random_document(rng, depth + 1) for k in keys} for _ in range(rng.randrange(1, 4))]
+    if rng.random() < 0.3:  # one record with another key set
+        records[rng.randrange(len(records))][rng.choice("uvw")] = None
+    return records
+
+
+def test_writer_matches_json_on_random_documents():
+    rng = random.Random(3030)
+    for _ in range(400):
+        doc = _random_document(rng)
+        assert cli._dumps(doc) == _oracle(doc), doc
 
 
 TUPLE_GRAPH = {"vertices": [["a", 0], ["a", 1], ["b", 0]], "edges": [[["a", 0], ["b", 0]]],
