@@ -43,14 +43,15 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
-from . import equiv, pgraph
-from .errors import TooLarge, UsageError
+from . import pgraph
+from .errors import DomainTooLarge, TooLarge, UsageError
 from .netmodel import (
+    DOMAIN_CAP,
     Assignment,
     CutAnalysis,
     NetworkModel,
     StrongPartition,
-    assignment_count,
+    block_count,
     enumerate_assignments,
     format_assignment,
     restrict_sources,
@@ -98,16 +99,14 @@ class CharGraph:
 def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGraph:
     """Construct the k-shot characteristic graph of a strong partition of a cut.
 
-    Graphs of more than ``VERTEX_CAP`` vertices are refused first, then
-    ``equiv.check_domain`` refuses k below 1 and models whose k-shot domain
-    exceeds ``equiv.DOMAIN_CAP`` blocks, all before any vertex is enumerated.
+    ``netmodel.block_count`` refuses k below 1, then graphs of more than
+    ``VERTEX_CAP`` vertices, then models whose k-shot domain exceeds
+    ``netmodel.DOMAIN_CAP`` blocks, all before any vertex is enumerated.
     """
     order = restrict_sources(model, partition.cut.i_set | partition.cut.j_set)
     q = model.alphabet_size
-    n_vertices = assignment_count(q, len(order), k)
-    if n_vertices > VERTEX_CAP:
-        raise TooLarge(f"{n_vertices} vertices exceed the cap of {VERTEX_CAP}")
-    equiv.check_domain(model, k)
+    block_count(q, len(order), k, VERTEX_CAP, "vertices", TooLarge)
+    block_count(q, model.num_sources, k, DOMAIN_CAP, "blocks", DomainTooLarge)
 
     marginal, denominator = _marginal_numerators(model, order)
     assignments = tuple(enumerate_assignments(q, len(order), k))

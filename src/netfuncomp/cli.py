@@ -35,7 +35,7 @@ import types
 from typing import TYPE_CHECKING
 
 from . import __version__, bounds, chargraph, codesim, entropy, equiv, examples, netmodel, pgraph
-from .errors import NetfuncompError, TooLarge, UsageError
+from .errors import DomainTooLarge, NetfuncompError, TooLarge, UsageError
 from .netmodel import NetworkModel
 
 if TYPE_CHECKING:
@@ -349,14 +349,15 @@ def _cmd_classes(args) -> None:
     model = _load(args.model)
     i_sources = _ids(args.i)
     j_sources = _ids(args.j)
-    equiv.check_domain(model, args.k)
+    q, k = model.alphabet_size, args.k
+    netmodel.block_count(q, model.num_sources, k, netmodel.DOMAIN_CAP, "blocks", DomainTooLarge)
     a_j = ()
     if args.aj:
         try:
-            a_j = netmodel.parse_assignment(args.aj, model.alphabet_size, len(j_sources), args.k)
+            a_j = netmodel.parse_assignment(args.aj, q, len(j_sources), k)
         except UsageError as exc:
             raise UsageError(f"assignment {exc}") from None
-    part = equiv.i_aj_classes(model, i_sources, j_sources, a_j, k=args.k)
+    part = equiv.i_aj_classes(model, i_sources, j_sources, a_j, k=k)
     _emit(
         "classes",
         {
@@ -364,15 +365,14 @@ def _cmd_classes(args) -> None:
             "i": list(i_sources),
             "j": list(j_sources),
             "aj": args.aj,
-            "k": args.k,
+            "k": k,
         },
         {
             "sources": list(part.sources),
             "k": part.k,
             "num_classes": part.num_classes,
             "classes": [
-                [netmodel.format_assignment(a, model.alphabet_size) for a in cls]
-                for cls in part.classes
+                [netmodel.format_assignment(a, q) for a in cls] for cls in part.classes
             ],
         },
     )

@@ -32,11 +32,12 @@ every source column; a chunk's source symbols and its per-shot row indices
 are gathers from that table and from per-source place-value tables.  Only
 when q^k exceeds ``CHUNK_BLOCKS`` (one source at large k) does each chunk
 divide its columns' digits out instead, so no table outgrows a chunk.
-Sweeps above ``MAX_BLOCKS`` blocks raise DomainTooLarge before any scheme
-call or allocation.  A scheme's values become dense ids in order of first
-occurrence (:func:`_first_ids`: a direct-address table when a chunk's codes
-span at most ``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise); the
-value ids of an edge are its word ids.  The block probability is
+``netmodel.block_count`` refuses a sweep of more than ``MAX_BLOCKS`` blocks
+with DomainTooLarge before any scheme call or allocation.  A scheme's values
+become dense ids in order of first occurrence (:func:`_first_ids`: a
+direct-address table when a chunk's codes span at most
+``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise); the value ids of
+an edge are its word ids.  The block probability is
 multiplied shot by shot.  Expected lengths are summed block by block in
 sweep order by a running ``np.cumsum`` that starts from the total so far,
 and image masses by ``np.add.at``, so each float equals the one a
@@ -66,6 +67,7 @@ from .netmodel import (
     Edge,
     NetworkModel,
     _context,
+    block_count,
     json_int,
     parse_assignment,
 )
@@ -241,19 +243,6 @@ def _in_ids(model: NetworkModel, node: str) -> tuple[str, ...]:
 # -- the shared block sweep ---------------------------------------------------
 
 
-def _block_count(model: NetworkModel, k: int) -> int:
-    """Blocks in the k-shot domain; refuses k < 1 and sweeps above the cap."""
-    if k < 1:
-        raise UsageError(f"k must be at least 1, got {k}")
-    q, s = model.alphabet_size, model.num_sources
-    # q >= 2, so any k at or past the cap's bit length is over it.
-    if k >= MAX_BLOCKS.bit_length() or q ** (k * s) > MAX_BLOCKS:
-        raise DomainTooLarge(
-            f"k={k} means {q}^{k * s} source blocks, above the cap of {MAX_BLOCKS}"
-        )
-    return q ** (k * s)
-
-
 def _digits(index: np.ndarray, q: int, k: int) -> np.ndarray:
     """The ``(n, k)`` base-q digits of each index, most significant first."""
     return np.stack([index // q ** (k - 1 - r) % q for r in range(k)], axis=1)
@@ -278,8 +267,8 @@ class _Chunk:
 
 
 def _sweep(model: NetworkModel, k: int) -> Iterator[_Chunk]:
-    total = _block_count(model, k)
     q, s = model.alphabet_size, model.num_sources
+    total = block_count(q, s, k, MAX_BLOCKS, "source blocks", DomainTooLarge)
     width = q**k
     if width <= CHUNK_BLOCKS:
         digits = _digits(np.arange(width, dtype=np.int64), q, k)
@@ -516,12 +505,13 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
     edges = _edges_in_topo_order(model)
     if set(code.tables) != {e.id for e in edges} or set(code.words) != set(code.tables):
         raise DomainMismatch("code must define exactly one encoder per edge")
-    _block_count(model, k)
+    q = model.alphabet_size
+    block_count(q, model.num_sources, k, MAX_BLOCKS, "source blocks", DomainTooLarge)
     source_pos = {s: i for i, s in enumerate(model.sources)}
     in_ids = {n: _in_ids(model, n) for n in model.nodes}
     radix = {n: [len(code.words[d]) for d in ids] for n, ids in in_ids.items()}
     for e in edges:
-        size = model.alphabet_size**k if e.tail in source_pos else math.prod(radix[e.tail])
+        size = q**k if e.tail in source_pos else math.prod(radix[e.tail])
         _check_table(code.tables[e.id], (size,), len(code.words[e.id]), f"edge {e.id} table")
     sink_ids = in_ids[model.sink]
     target = _target_ids(model)
@@ -788,7 +778,7 @@ def code_from_dict(model: NetworkModel, doc: Mapping) -> UDCode:
         except TypeError:  # an unhashable value equals no target value
             ids = ()
         dec_rows.append(rows.setdefault(ids if len(ids) == k else (-1,) * k, len(rows)))
-    _block_count(model, k)
+    block_count(q, model.num_sources, k, MAX_BLOCKS, "source blocks", DomainTooLarge)
 
     def table(node: str, entries: Sequence[tuple], ids: Sequence[int], what: str) -> np.ndarray:
         upstream = [words[d] for d in _in_ids(model, node)]

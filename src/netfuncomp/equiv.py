@@ -24,10 +24,10 @@ reference it is tested against.
 
 This module is the definition-level reference, not the bound path:
 ``chargraph.build`` numbers the same classes in passes over its vertices
-and calls only :func:`check_domain` here, and the tests compare its layers
-with these partitions.  :func:`i_aj_classes` is also the backend of the
-``classes`` command, which computes one partition per process, so nothing
-here is cached: every call recomputes its partition from the definition.
+without calling anything here, and the tests compare its layers with these
+partitions.  :func:`i_aj_classes` is also the backend of the ``classes``
+command, which computes one partition per process, so nothing here is
+cached: every call recomputes its partition from the definition.
 """
 
 from __future__ import annotations
@@ -38,16 +38,14 @@ from typing import Iterable
 
 from .errors import DomainTooLarge, NotAClass, OverlappingSets, UsageError
 from .netmodel import (
+    DOMAIN_CAP,
     Assignment,
     NetworkModel,
     StrongPartition,
-    assignment_count,
+    block_count,
     enumerate_assignments,
     restrict_sources,
 )
-
-DOMAIN_CAP = 2**20
-"""Most k-shot blocks over all sources a class computation may range over."""
 
 
 @dataclass(frozen=True)
@@ -69,16 +67,6 @@ class EquivPartition:
     @property
     def num_classes(self) -> int:
         return len(self.classes)
-
-
-def check_domain(model: NetworkModel, k: int) -> None:
-    """Refuse k below 1 and k-shot domains of more than ``DOMAIN_CAP`` blocks."""
-    if k < 1:
-        raise UsageError("k must be at least 1")
-    if assignment_count(model.alphabet_size, model.num_sources, k) > DOMAIN_CAP:
-        raise DomainTooLarge(
-            f"{model.alphabet_size}^({k}*{model.num_sources}) blocks exceed the cap of {DOMAIN_CAP}"
-        )
 
 
 def _check_aj(j_sources: tuple[str, ...], a_j: Assignment, k: int, q: int) -> None:
@@ -117,9 +105,9 @@ def i_aj_classes(
     j_tuple = restrict_sources(model, j_sources)
     if set(i_tuple) & set(j_tuple):
         raise OverlappingSets("I and J share sources")
-    _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    check_domain(model, k)
     q = model.alphabet_size
+    _check_aj(j_tuple, a_j, k, q)
+    block_count(q, model.num_sources, k, DOMAIN_CAP, "blocks", DomainTooLarge)
     rest = tuple(s for s in model.sources if s not in set(i_tuple) | set(j_tuple))
     completions = list(enumerate_assignments(q, len(rest), k))
     fixed = dict(zip(j_tuple, a_j))
@@ -159,10 +147,10 @@ def il_al_aj_classes(
     i_tuple = restrict_sources(model, cut.i_set)
     j_tuple = restrict_sources(model, cut.j_set)
     l_tuple = restrict_sources(model, partition.l_set)
-    _check_aj(l_tuple, a_l, k, model.alphabet_size)
-    _check_aj(j_tuple, a_j, k, model.alphabet_size)
-    check_domain(model, k)
     q = model.alphabet_size
+    _check_aj(l_tuple, a_l, k, q)
+    _check_aj(j_tuple, a_j, k, q)
+    block_count(q, model.num_sources, k, DOMAIN_CAP, "blocks", DomainTooLarge)
     ell_tuple = restrict_sources(model, partition.i_sets[block_index])
     others = restrict_sources(
         model,

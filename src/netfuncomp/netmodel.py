@@ -69,6 +69,7 @@ from .errors import (
     CycleDetected,
     NotACutSet,
     SinkHasOutEdge,
+    SizeCapError,
     SourceHasInEdge,
     TooLarge,
     UnknownEdgeId,
@@ -238,11 +239,12 @@ def model_from_dict(doc: Mapping) -> NetworkModel:
         raise UsageError("sources and sink must be nodes")
     if sink in sources:
         raise UsageError("the sink cannot be a source")
-    size = q ** len(sources)
+    # The size is written as a power: q^s in decimal can pass the int-to-str digit limit.
+    size, spelled = q ** len(sources), f"{q}^{len(sources)}"
     if len(table) != size:
-        raise UsageError(f"function table must have {size} entries, got {len(table)}")
+        raise UsageError(f"function table must have {spelled} entries, got {len(table)}")
     if len(dist) != size:
-        raise UsageError(f"distribution must have {size} entries, got {len(dist)}")
+        raise UsageError(f"distribution must have {spelled} entries, got {len(dist)}")
     return NetworkModel(nodes, edges, sources, sink, q, table, dist)
 
 
@@ -651,8 +653,26 @@ def enumerate_assignments(q: int, n_sources: int, k: int) -> Iterator[Assignment
         yield tuple(flat[i * k : (i + 1) * k] for i in range(n_sources))
 
 
-def assignment_count(q: int, n_sources: int, k: int) -> int:
-    return q ** (n_sources * k)
+DOMAIN_CAP = 2**20
+"""Most k-shot blocks over all sources a class computation may range over."""
+
+
+def block_count(
+    q: int, n_sources: int, k: int, cap: int, what: str, error: type[SizeCapError]
+) -> int:
+    """The q^(n_sources*k) blocks :func:`enumerate_assignments` yields, if at most ``cap``.
+
+    k below 1 raises UsageError and a count over ``cap`` raises ``error``,
+    naming the blocks ``what``.  Every validated model has q >= 2, so an
+    exponent at or past the cap's bit length is over it: such a power is
+    never formed.
+    """
+    if k < 1:
+        raise UsageError("k must be at least 1")
+    width = n_sources * k
+    if width >= cap.bit_length() or q**width > cap:
+        raise error(f"{q}^({k}*{n_sources}) {what} exceed the cap of {cap}")
+    return q**width
 
 
 def restrict_sources(model: NetworkModel, subset: Iterable[str]) -> tuple[str, ...]:

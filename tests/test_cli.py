@@ -177,16 +177,56 @@ def test_chargraph_size_cap_exits_3(capsys, monkeypatch, paths):
         capsys, "chargraph", paths["diamond"], "--cut", "e5,e6", "--k", "8"
     )
     assert (rc, out) == (3, "")
-    assert err == "netfuncomp: TooLarge: 16777216 vertices exceed the cap of 16384\n"
+    assert err == "netfuncomp: TooLarge: 2^(8*3) vertices exceed the cap of 16384\n"
 
 
 def test_chargraph_domain_cap_refuses_before_any_vertex_pass(capsys, monkeypatch, paths):
     # Cut e5 at k = 7 has exactly VERTEX_CAP vertices, over 2^21 blocks.
-    assert netmodel.assignment_count(2, 2, 7) == chargraph.VERTEX_CAP
+    cap = chargraph.VERTEX_CAP
+    assert netmodel.block_count(2, 2, 7, cap, "vertices", chargraph.TooLarge) == cap
     _forbid_vertex_passes(monkeypatch)
     rc, out, err = run(capsys, "chargraph", paths["diamond"], "--cut", "e5", "--k", "7")
     assert (rc, out) == (3, "")
     assert err == "netfuncomp: DomainTooLarge: 2^(7*3) blocks exceed the cap of 1048576\n"
+
+
+@pytest.fixture(scope="module")
+def sum_q3(paths):
+    """The diamond over {0, 1, 2} with the sum target, as a model file."""
+    doc = netmodel.model_to_dict(diamond_model())
+    sums = [a + b + c for a in range(3) for b in range(3) for c in range(3)]
+    doc.update(alphabet=3, function=sums, distribution=[1 / 27] * 27)
+    path = paths["base"] / "sum_q3.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "model,argv,message",
+    [
+        (
+            "diamond",
+            ["chargraph", "--cut", "e5,e6", "--k", "5000"],
+            "TooLarge: 2^(5000*3) vertices exceed the cap of 16384",
+        ),
+        (
+            "sum_q3",
+            ["chargraph", "--cut", "e5,e6", "--k", "1000000"],
+            "TooLarge: 3^(1000000*3) vertices exceed the cap of 16384",
+        ),
+        (
+            "sum_q3",
+            ["classes", "--i", "s1", "--k", "3000000"],
+            "DomainTooLarge: 3^(3000000*3) blocks exceed the cap of 1048576",
+        ),
+    ],
+    ids=["chargraph-diamond", "chargraph-sum-q3", "classes-sum-q3"],
+)
+def test_huge_k_is_refused_before_the_power_is_formed(capsys, paths, sum_q3, model, argv, message):
+    # Each block count has thousands of digits or more: printing one would
+    # pass the int-to-str limit, and forming 3^9000000 alone takes seconds.
+    model_path = sum_q3 if model == "sum_q3" else paths[model]
+    assert run(capsys, argv[0], model_path, *argv[1:]) == (3, "", f"netfuncomp: {message}\n")
 
 
 def test_chargraph_report_edge_cap_exits_3(capsys, paths):
@@ -458,7 +498,7 @@ def _model_file(base, name, **changes):
         ({"sink": "x"}, "sources and sink must be nodes"),
         ({"sources": ["s1", "s2", "x"]}, "sources and sink must be nodes"),
         ({"sources": ["s1", "s2", "t"]}, "the sink cannot be a source"),
-        ({"distribution": [0.25] * 4}, "distribution must have 8 entries, got 4"),
+        ({"distribution": [0.25] * 4}, "distribution must have 2^3 entries, got 4"),
     ],
     ids=[
         "list-function-entry",
@@ -486,6 +526,24 @@ def test_malformed_model_document_exits_2(capsys, paths, changes, message):
     assert rc == 2 and out == ""
     assert err.startswith(f"netfuncomp: UsageError: {message}")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("q,n_sources", [(10**9, 500), (2, 5000)])
+def test_model_whose_table_size_has_thousands_of_digits_exits_2(capsys, paths, q, n_sources):
+    # q^s in decimal would pass the int-to-str digit limit, so it is written as a power.
+    sources = [f"s{i}" for i in range(n_sources)]
+    path = paths["base"] / "huge_table.json"
+    path.write_text(json.dumps({
+        "alphabet": q,
+        "nodes": [*sources, "t"],
+        "edges": [{"id": f"e{i}", "tail": s, "head": "t"} for i, s in enumerate(sources)],
+        "sources": sources,
+        "sink": "t",
+        "function": [0, 1],
+        "distribution": [0.5, 0.5],
+    }))
+    message = f"function table must have {q}^{n_sources} entries, got 2"
+    assert run(capsys, "validate", str(path)) == (2, "", f"netfuncomp: UsageError: {message}\n")
 
 
 def test_cut_enumeration_over_the_edge_cap_exits_3(capsys, paths):
@@ -743,6 +801,22 @@ def test_simulate_over_the_block_cap_exits_3(capsys):
     assert rc == 3 and out == ""
     assert err.startswith("netfuncomp: DomainTooLarge: ")
     assert err.count("\n") == 1
+
+
+def test_simulate_code_whose_decoder_keys_span_too_many_word_tuples_exits_3(capsys, paths):
+    # 4,200 words on each of e5 and e6 span 4,200^2 = 17,640,000 decoder keys,
+    # past MAX_BLOCKS = 2^24.  Their one-word keys fit no relay's two in-edges,
+    # so the relay tables stay empty and only the decoder outgrows the cap.
+    model = diamond_model()
+    doc = code_to_dict(model, codesim.huffman_transform(model, codesim.diamond_scheme(2)))
+    for eid in ("e5", "e6"):
+        doc["encoders"][eid] = {f"x{i}": format(i, "013b") for i in range(4200)}
+    code_path = paths["base"] / "wide_decoder.json"
+    code_path.write_text(json.dumps(doc))
+    message = "decoder keys span 17640000 upstream word tuples, above the cap of 16777216"
+    assert run(capsys, "simulate", paths["diamond"], "--code", str(code_path)) == (
+        3, "", f"netfuncomp: DomainTooLarge: {message}\n"
+    )
 
 
 def test_python_dash_m_runs_the_cli(capsys):

@@ -240,6 +240,14 @@ def test_unrealizable_scheme_is_rejected(diamond):
         codesim.huffman_transform(diamond, bad)
 
 
+def test_scheme_edge_function_must_give_rows(diamond):
+    base = codesim.diamond_scheme(2)
+    functions = dict(base.edge_functions, e1=lambda xs: xs[0][:, 0])
+    message = r"^edge function e1 must give an \(64, d\) integer array, got shape \(64,\) of int"
+    with pytest.raises(errors.UsageError, match=message):
+        codesim.huffman_transform(diamond, FixedScheme("flat", 2, functions, base.decoder))
+
+
 def test_code_round_trips_through_json(diamond, diamond_code):
     doc = json.loads(json.dumps(code_to_dict(diamond, diamond_code)))
     code = codesim.code_from_dict(diamond, doc)

@@ -147,6 +147,18 @@ def test_malformed_side_information_rejected(diamond):
         equiv.i_aj_classes(diamond, ("s1",), ("s2",), ((0, 1),))
 
 
+def test_side_information_for_the_wrong_number_of_sources_rejected(diamond):
+    with pytest.raises(errors.UsageError, match="^side-information block must cover 1 sources$"):
+        equiv.i_aj_classes(diamond, ("s1",), ("s2",), ((0,), (1,)))
+
+
+def test_block_index_out_of_range_rejected(diamond, partitions):
+    _, nontrivial = partitions
+    for ell in (-1, nontrivial.m):
+        with pytest.raises(errors.UsageError, match=f"^block index {ell} out of range$"):
+            equiv.il_al_aj_classes(diamond, nontrivial, ell, ())
+
+
 def test_package_caches_are_bounded():
     import importlib
     import pkgutil

@@ -90,6 +90,13 @@ def test_unreachable_node_rejected():
         netmodel.validate(m)
 
 
+def test_sink_as_source_rejected():
+    # The loader refuses this document first; a hand-built model reaches validate.
+    m = _model([("e1", "s1", "t")], ["s1", "t"], table=(0, 1, 1, 0), dist=(0.25,) * 4)
+    with pytest.raises(errors.UsageError, match="^the sink cannot be a source$"):
+        netmodel.validate(m)
+
+
 def test_context_order_is_topological():
     rng = random.Random(29)
     models = [diamond_model(), layered_sum_model()] + [random_model(rng) for _ in range(25)]
@@ -539,11 +546,38 @@ def test_declared_runtime_dependency_is_numpy_only():
 
 def test_assignment_enumeration_order_and_count():
     blocks = list(netmodel.enumerate_assignments(2, 2, 2))
-    assert len(blocks) == netmodel.assignment_count(2, 2, 2) == 16
+    assert len(blocks) == netmodel.block_count(2, 2, 2, 16, "blocks", errors.DomainTooLarge) == 16
     assert blocks[0] == ((0, 0), (0, 0))
     assert blocks[1] == ((0, 0), (0, 1))
     assert blocks[-1] == ((1, 1), (1, 1))
     assert netmodel.format_assignment(blocks[5], 2) == "0101"
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_block_count_refuses_k_below_1(k):
+    with pytest.raises(errors.UsageError, match="^k must be at least 1$"):
+        netmodel.block_count(2, 3, k, netmodel.DOMAIN_CAP, "blocks", errors.DomainTooLarge)
+
+
+def test_block_count_accepts_the_cap_and_refuses_one_past_it():
+    # The power decides 3^4 against 81 and 80; the bit length refuses 2^21 over 2^21 - 1.
+    assert netmodel.block_count(3, 2, 2, 81, "blocks", errors.DomainTooLarge) == 81
+    with pytest.raises(errors.DomainTooLarge, match=r"^3\^\(2\*2\) blocks exceed the cap of 80$"):
+        netmodel.block_count(3, 2, 2, 80, "blocks", errors.DomainTooLarge)
+    assert netmodel.block_count(2, 3, 7, 2**21, "vertices", errors.TooLarge) == 2**21
+    with pytest.raises(errors.TooLarge, match=r"^2\^\(7\*3\) vertices exceed the cap of 2097151$"):
+        netmodel.block_count(2, 3, 7, 2**21 - 1, "vertices", errors.TooLarge)
+
+
+def test_block_count_of_no_sources_is_one():
+    assert netmodel.block_count(5, 0, 3, 1, "blocks", errors.DomainTooLarge) == 1
+
+
+def test_block_count_refuses_a_huge_k_without_forming_the_power():
+    # 3^(3 * 10^18) has no memory to live in: the refusal must come first.
+    message = r"^3\^\(1000000000000000000\*3\) blocks exceed the cap of 1048576$"
+    with pytest.raises(errors.DomainTooLarge, match=message):
+        netmodel.block_count(3, 3, 10**18, netmodel.DOMAIN_CAP, "blocks", errors.DomainTooLarge)
 
 
 @pytest.mark.parametrize("q", [2, 11])
