@@ -29,21 +29,26 @@ Every sweep walks the q^(k*s) blocks in one order, source 0 most
 significant and then shot 0, in numpy chunks of ``CHUNK_BLOCKS`` blocks
 (:func:`_sweep`).  A sweep builds one ``(q^k, k)`` table of the digits of
 every source column; a chunk's source symbols and its per-shot row indices
-are gathers from that table and from per-source place-value tables.  Only
-when q^k exceeds ``CHUNK_BLOCKS`` (one source at large k) does each chunk
-divide its columns' digits out instead, so no table outgrows a chunk.
-``netmodel.block_count`` refuses a sweep of more than ``MAX_BLOCKS`` blocks
-with DomainTooLarge before any scheme call or allocation.  A scheme's values
-become dense ids in order of first occurrence (:func:`_first_ids`: a
-direct-address table when a chunk's codes span at most
-``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise); the value ids of
-an edge are its word ids.  The block probability is
-multiplied shot by shot.  Expected lengths are summed block by block in
-sweep order by a running ``np.cumsum`` that starts from the total so far,
-and image masses by ``np.add.at``, so each float equals the one a
-per-block loop gives.  Errors name the first failing block in sweep order
-and, within it, the first edge in topological order; an edge fails before
-the decoder.
+are gathers from that table and from per-source place-value tables.  Every
+gather is a one-dimensional ``take`` on native-width (intp) indices.  The
+trailing sources whose columns a chunk spans whole have their columns and
+row shares built once per sweep; the leading ones are constant over runs of
+blocks.  Only when q^k exceeds ``CHUNK_BLOCKS`` (one source at large k)
+does each chunk divide its columns' digits out instead, so no table
+outgrows a chunk.  ``netmodel.block_count`` refuses a sweep of more than
+``MAX_BLOCKS`` blocks with DomainTooLarge before any scheme call or
+allocation.  A scheme's values, and its relay edges' keys, become dense ids
+in order of first occurrence (:class:`_Interner`).  Each keeps a table from
+row code to id for the whole sweep while its value range allows, so
+:func:`_first_ids` (a direct-address table when codes span at most
+``SPAN_CHUNKS * CHUNK_BLOCKS`` values, a sort otherwise) sees only the
+codes an edge has not seen before.  The value ids of an edge are its word
+ids.  The block probability is multiplied shot by shot.  Expected lengths
+are summed block by block in sweep order by a running ``np.cumsum`` that
+starts from the total so far, and image masses by ``np.add.at``, so each
+float equals the one a per-block loop gives.  Errors name the first failing
+block in sweep order and, within it, the first edge in topological order;
+an edge fails before the decoder.
 """
 from __future__ import annotations
 
@@ -248,13 +253,23 @@ def _digits(index: np.ndarray, q: int, k: int) -> np.ndarray:
     return np.stack([index // q ** (k - 1 - r) % q for r in range(k)], axis=1)
 
 
+def _shot_rows(lead: np.ndarray, tail: np.ndarray) -> Iterator[np.ndarray]:
+    """Per shot, each block's row index into the model tables.
+
+    ``lead`` is ``(k, m)``: per shot, the share of each run of blocks;
+    ``tail`` is ``(k, P)``: per shot, the share of each block within a run.
+    """
+    for run, within in zip(lead, tail):
+        yield (run[:, None] + within).reshape(-1)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class _Chunk:
     """Consecutive blocks of a sweep as arrays over the block axis."""
 
     symbols: Callable[[np.ndarray], np.ndarray]  # column indices to (n, k) digits
     cols: tuple[np.ndarray, ...]  # per source: column index in [0, q^k)
-    rows: np.ndarray  # (k, n): per shot, row index into the model tables
+    shares: tuple[np.ndarray, np.ndarray]  # the row index shares that _shot_rows adds
     p: np.ndarray  # block probability
 
     @property
@@ -265,49 +280,69 @@ class _Chunk:
         """Per source, the ``(n, k)`` symbols of each block's column."""
         return tuple(self.symbols(c) for c in self.cols)
 
+    def rows(self) -> Iterator[np.ndarray]:
+        return _shot_rows(*self.shares)
+
 
 def _sweep(model: NetworkModel, k: int) -> Iterator[_Chunk]:
     q, s = model.alphabet_size, model.num_sources
     total = block_count(q, s, k, MAX_BLOCKS, "source blocks", DomainTooLarge)
     width = q**k
     if width <= CHUNK_BLOCKS:
-        digits = _digits(np.arange(width, dtype=np.int64), q, k)
-        symbols = digits.__getitem__
-        # Per source, its share of each shot's row index: digit times place value.
-        places = [(digits.T * q ** (s - 1 - i)).astype(np.int32) for i in range(s)]
+        digits = _digits(np.arange(width, dtype=np.intp), q, k)
 
-        def shot_rows(cols: tuple[np.ndarray, ...]) -> np.ndarray:
-            rows = np.take(places[0], cols[0], axis=1)
-            for place, c in zip(places[1:], cols[1:]):
-                rows += np.take(place, c, axis=1)
-            return rows
+        def symbols(cols: np.ndarray) -> np.ndarray:
+            return digits.take(cols, axis=0)
+
+        # Per source and shot, its share of the shot's row index: digit times place value.
+        places = [np.ascontiguousarray(digits.T) * q ** (s - 1 - i) for i in range(s)]
+
+        def add_share(shares: np.ndarray, i: int, cols: np.ndarray) -> None:
+            for place, row in zip(places[i], shares):
+                row += place.take(cols)
 
     else:
         # More columns than a chunk has blocks (one source at large k): a
         # table of them all would outgrow the chunks, so each is divided out.
         def symbols(cols: np.ndarray) -> np.ndarray:
-            return _digits(cols.astype(np.int64), q, k)
+            return _digits(cols, q, k)
 
-        def shot_rows(cols: tuple[np.ndarray, ...]) -> np.ndarray:
-            rows = np.zeros((k, len(cols[0])), dtype=np.int64)
-            for c in cols:
-                rows = rows * q + symbols(c).T
-            return rows
+        def add_share(shares: np.ndarray, i: int, cols: np.ndarray) -> None:
+            shares += symbols(cols).T * q ** (s - 1 - i)
+
+    # The last t sources' columns repeat with a period of width^t blocks.
+    # When the period divides the chunk size, each chunk starts it over: those
+    # sources' columns and row shares are built once per sweep, and the other
+    # sources' columns are constant over each run of a period.
+    t = 0
+    while t < s and CHUNK_BLOCKS % width ** (t + 1) == 0:
+        t += 1
+    period = width**t
+    tail_cols = [
+        np.arange(min(CHUNK_BLOCKS, total), dtype=np.intp) // width ** (t - 1 - j) % width
+        for j in range(t)
+    ]
+    tail = np.zeros((k, period), dtype=np.intp)
+    for i, c in zip(range(s - t, s), tail_cols):
+        add_share(tail, i, c[:period])
 
     dist = np.asarray(model.distribution, dtype=np.float64)
 
     def chunk(start: int) -> _Chunk:
-        block = np.arange(start, min(start + CHUNK_BLOCKS, total), dtype=np.int32)
-        cols = tuple(block // width ** (s - 1 - i) % width for i in range(s))
-        rows = shot_rows(cols)
+        n = min(CHUNK_BLOCKS, total - start)
+        runs = np.arange(start // period, (start + n) // period, dtype=np.intp)
+        lead_cols = [runs // width ** (s - t - 1 - i) % width for i in range(s - t)]
+        lead = np.zeros((k, len(runs)), dtype=np.intp)
+        for i, c in enumerate(lead_cols):
+            add_share(lead, i, c)
         # Shot by shot, as a per-block loop multiplies from 1.0 (1.0 times
-        # the first factor is exact).  A copy, so the chunk keeps one shot
-        # of probabilities rather than all k.
-        shots = dist[rows]
-        p = shots[0].copy()
-        for factor in shots[1:]:
-            p *= factor
-        return _Chunk(symbols, cols, rows, p)
+        # the first factor is exact).
+        shots = _shot_rows(lead, tail)
+        p = dist.take(next(shots))
+        for row in shots:
+            p *= dist.take(row)
+        cols = tuple(np.repeat(c, period) for c in lead_cols) + tuple(c[:n] for c in tail_cols)
+        return _Chunk(symbols, cols, (lead, tail), p)
 
     # Each chunk is built in a call, so between chunks the sweep holds none
     # of its arrays.
@@ -322,21 +357,25 @@ def _stack(parts: Sequence[np.ndarray], n: int) -> np.ndarray:
     return np.stack(parts, axis=1)
 
 
-def _row_codes(rows: np.ndarray) -> np.ndarray:
-    """One integer per row of an integer array, equal exactly when the rows are."""
-    n, d = rows.shape
-    if d == 0:
-        return np.zeros(n, dtype=np.int64)
-    lo = int(rows.min())
-    radix = int(rows.max()) - lo + 1
-    if radix**d >= 1 << 62:
-        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
-    codes = np.zeros(n, dtype=np.int64)
-    for j in range(d):
+def _mixed_radix(rows: np.ndarray, lo: int, radix: int) -> np.ndarray:
+    """Per row, its entries less ``lo`` as base-``radix`` digits, the first most significant."""
+    codes = np.zeros(len(rows), dtype=np.intp)
+    for j in range(rows.shape[1]):
         codes *= radix
         codes += rows[:, j]
         codes -= lo
     return codes
+
+
+def _row_codes(rows: np.ndarray) -> np.ndarray:
+    """One integer per row of an integer array, equal exactly when the rows are."""
+    if rows.size == 0:
+        return np.zeros(len(rows), dtype=np.intp)
+    lo = int(rows.min())
+    radix = int(rows.max()) - lo + 1
+    if radix ** rows.shape[1] >= 1 << 62:
+        return np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
+    return _mixed_radix(rows, lo, radix)
 
 
 def _first_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +392,7 @@ def _first_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(first)
         rank = np.empty(len(first), dtype=np.int32)
         rank[order] = np.arange(len(first), dtype=np.int32)
-        return first[order], rank[inverse.reshape(-1)]
+        return first[order], rank.take(inverse.reshape(-1))
     n = len(codes)
     at = codes - lo
     pos = np.full(span, n, dtype=np.int32)
@@ -363,25 +402,62 @@ def _first_ids(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     first = np.flatnonzero(is_first)
     # The table now maps each code's offset to its rank; unseen offsets are never read.
     pos[at[first]] = np.arange(len(first), dtype=np.int32)
-    return first, pos[at]
+    return first, pos.take(at)
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
     """The distinct rows of an integer array, in order of first occurrence."""
-    return rows[_first_ids(_row_codes(rows))[0]]
+    return rows.take(_first_ids(_row_codes(rows))[0], axis=0)
 
 
 class _Interner:
-    """Dense ids for integer rows in order of first occurrence, across chunks."""
+    """Dense ids for integer rows in order of first occurrence, across chunks.
+
+    While the rows seen so far have mixed-radix codes (:func:`_mixed_radix`
+    over their value range) that number at most ``SPAN_CHUNKS *
+    CHUNK_BLOCKS``, a table from code to id looks each row up, and only the
+    codes it has not seen go through :func:`_first_ids`.  A chunk that
+    widens the range rebuilds the table from ``ids``; past the cap, each
+    chunk's rows are ranked on their own and looked up in ``ids``.
+    """
 
     def __init__(self) -> None:
         self.ids: dict[tuple, int] = {}
+        self.range: tuple[int, int] | None = None
+        self.table: np.ndarray | None = None
 
     def __call__(self, rows: np.ndarray) -> np.ndarray:
-        first, rank = _first_ids(_row_codes(rows))
         ids = self.ids
-        found = [ids.setdefault(row, len(ids)) for row in map(tuple, rows[first].tolist())]
-        return np.array(found, dtype=np.int32)[rank]
+        lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+        if self.range is None or lo < self.range[0] or hi > self.range[1]:
+            self._widen(lo, hi, rows.shape[1])
+        if self.table is None:
+            first, rank = _first_ids(_row_codes(rows))
+            found = [ids.setdefault(row, len(ids)) for row in map(tuple, rows[first].tolist())]
+            return np.array(found, dtype=np.int32).take(rank)
+        lo, hi = self.range
+        codes = _mixed_radix(rows, lo, hi - lo + 1)
+        got = self.table.take(codes)
+        new = np.flatnonzero(got < 0)
+        if new.size:
+            first, rank = _first_ids(codes.take(new))
+            fresh = np.arange(len(ids), len(ids) + len(first), dtype=np.int32)
+            ids.update(zip(map(tuple, rows.take(new[first], axis=0).tolist()), fresh.tolist()))
+            self.table[codes.take(new[first])] = fresh
+            got[new] = fresh.take(rank)
+        return got
+
+    def _widen(self, lo: int, hi: int, d: int) -> None:
+        """Take [lo, hi] into the value range and table the codes of ``ids`` over it."""
+        if self.range is not None:
+            lo, hi = min(lo, self.range[0]), max(hi, self.range[1])
+        self.range = lo, hi
+        size = (hi - lo + 1) ** d
+        self.table = None
+        if size <= SPAN_CHUNKS * CHUNK_BLOCKS:
+            self.table = np.full(size, -1, dtype=np.int32)
+            seen = np.array(list(self.ids), dtype=np.int64).reshape(len(self.ids), d)
+            self.table[_mixed_radix(seen, lo, hi - lo + 1)] = np.arange(len(self.ids))
 
 
 class _FirstValue:
@@ -397,11 +473,20 @@ class _FirstValue:
             grown = np.full(max(top, 2 * len(self.first)), -1, dtype=np.int32)
             grown[: len(self.first)] = self.first
             self.first = grown
+        # Scatter the new keys' values, whichever block wins a key: if the
+        # blocks of every key agree, every block then matches its key's value.
+        new = np.flatnonzero(self.first.take(keys) < 0)
+        fresh = keys.take(new)
+        self.first[fresh] = values.take(new)
+        if (self.first.take(keys) == values).all():
+            return None
+        # Some key disagrees: undo the scatter and find the first failing block.
+        self.first[fresh] = -1
         at = _first_ids(keys)[0]
-        uniq = keys[at]
-        new = self.first[uniq] < 0
-        self.first[uniq[new]] = values[at[new]]
-        bad = np.flatnonzero(self.first[keys] != values)
+        uniq = keys.take(at)
+        unseen = self.first.take(uniq) < 0
+        self.first[uniq[unseen]] = values.take(at[unseen])
+        bad = np.flatnonzero(self.first.take(keys) != values)
         return int(bad[0]) if bad.size else None
 
 
@@ -419,12 +504,14 @@ def _index(parts: Sequence[np.ndarray], radix: Sequence[int], n: int) -> np.ndar
 
     The index is -1 where any part is -1.
     """
-    at = np.zeros(n, dtype=np.int64)
+    at = np.zeros(n, dtype=np.intp)
     valid = np.ones(n, dtype=bool)
     for ids, r in zip(parts, radix):
         valid &= ids >= 0
-        at = at * r + ids
-    return np.where(valid, at, -1)
+        at *= r
+        at += ids
+    at[~valid] = -1
+    return at
 
 
 def _word_table(
@@ -451,7 +538,7 @@ def _lookup(
 ) -> np.ndarray:
     """Per block, the table entry at the upstream word ids; -1 where an upstream id is -1."""
     at = _index(parts, radix, n)
-    return np.where(at >= 0, table[at], -1)
+    return np.where(at >= 0, table.take(at), -1)
 
 
 def _target_ids(model: NetworkModel) -> dict[Hashable, int]:
@@ -530,23 +617,25 @@ def evaluate(model: NetworkModel, code: UDCode) -> RateReport:
         for e in edges:
             table = code.tables[e.id]
             if e.tail in source_pos:
-                ids[e.id] = table[chunk.cols[source_pos[e.tail]]]
+                ids[e.id] = table.take(chunk.cols[source_pos[e.tail]])
             else:
                 upstream = [ids[d] for d in in_ids[e.tail]]
                 ids[e.id] = _lookup(table, upstream, radix[e.tail], chunk.n)
         dec = _lookup(code.decoder, [ids[d] for d in sink_ids], radix[model.sink], chunk.n)
-        missing = np.flatnonzero(np.min([*ids.values(), dec], axis=0) < 0)
-        if missing.size:
+        if min(int(a.min()) for a in (*ids.values(), dec)) < 0:
+            missing = np.flatnonzero(np.min([*ids.values(), dec], axis=0) < 0)
             raise _missing_entry(model, code, chunk, ids, int(missing[0]))
         for eid, w in ids.items():
             # A running sum adds block by block, in sweep order.
-            running = chunk.p * word_len[eid][w]
+            running = chunk.p * word_len[eid].take(w)
             running[0] += lengths[eid]
             lengths[eid] = float(np.cumsum(running, out=running)[-1])
-        truth = row_target[chunk.rows].T
-        admissible = admissible and bool((code.outputs[dec] == truth).all())
+        admissible = admissible and all(
+            (out.take(dec) == row_target.take(row)).all()
+            for out, row in zip(code.outputs.T, chunk.rows())
+        )
         # Free this chunk's arrays before the sweep builds the next one.
-        del chunk, ids, dec, truth
+        del chunk, ids, dec
     rates = {eid: length / k for eid, length in lengths.items()}
     return RateReport(
         k=k,
@@ -565,7 +654,8 @@ def _scheme_rows(value: object, n: int, what: str) -> np.ndarray:
             f"{what} must give an ({n}, d) integer array, got shape "
             f"{rows.shape} of {rows.dtype}"
         )
-    return rows.astype(np.int64, copy=False)
+    # C order: the diamond's strided slices make every later pass several times slower.
+    return np.ascontiguousarray(rows, dtype=np.int64)
 
 
 def _scheme_images(
@@ -676,7 +766,9 @@ def huffman_transform(model: NetworkModel, scheme: FixedScheme) -> UDCode:
         k=k,
         words=words,
         tables=tables,
-        decoder=_word_table(dec_keys.T, np.arange(m), radix[model.sink], "decoder"),
+        decoder=_word_table(
+            dec_keys.T, np.arange(m, dtype=np.int32), radix[model.sink], "decoder"
+        ),
         outputs=outputs,
     )
 

@@ -239,12 +239,13 @@ def model_from_dict(doc: Mapping) -> NetworkModel:
         raise UsageError("sources and sink must be nodes")
     if sink in sources:
         raise UsageError("the sink cannot be a source")
-    # The size is written as a power: q^s in decimal can pass the int-to-str digit limit.
-    size, spelled = q ** len(sources), f"{q}^{len(sources)}"
-    if len(table) != size:
-        raise UsageError(f"function table must have {spelled} entries, got {len(table)}")
-    if len(dist) != size:
-        raise UsageError(f"distribution must have {spelled} entries, got {len(dist)}")
+    # The size is written as a power: q^s in decimal can pass the int-to-str
+    # digit limit.  As q >= 2, an s at or past a length's bit length gives a
+    # q^s over it, so that power is never formed.
+    s = len(sources)
+    for what, entries in (("function table", table), ("distribution", dist)):
+        if s >= len(entries).bit_length() or q**s != len(entries):
+            raise UsageError(f"{what} must have {q}^{s} entries, got {len(entries)}")
     return NetworkModel(nodes, edges, sources, sink, q, table, dist)
 
 

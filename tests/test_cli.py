@@ -1406,6 +1406,10 @@ DIGEST_CALLS = [
     ["entropy", "graph.json"],
     ["simulate", "--builtin", "diamond", "--k", "4"],
     ["example", "layered-sum"],
+    # The benchmark's diamond-sim-k6 call, and the same sweep of 16 chunks
+    # under a non-dyadic law, whose rates depend on the order of every addition.
+    ["simulate", "--builtin", "diamond", "--k", "6"],
+    ["simulate", "skewed_diamond.json", "--builtin", "diamond", "--k", "6"],
 ]
 
 
@@ -1418,6 +1422,9 @@ def report_digests(base: Path) -> dict[str, str]:
     """
     for name, model in (("diamond.json", diamond_model()), ("layered_sum.json", layered_sum_model())):
         (base / name).write_text(json.dumps(netmodel.model_to_dict(model)))
+    skewed = netmodel.model_to_dict(diamond_model())
+    skewed["distribution"] = [w / 31 for w in (3, 1, 4, 1, 5, 9, 2, 6)]
+    (base / "skewed_diamond.json").write_text(json.dumps(skewed))
     (base / "graph.json").write_text(json.dumps(TUPLE_GRAPH))
     digests = {}
     cwd = os.getcwd()

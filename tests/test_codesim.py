@@ -409,12 +409,28 @@ def skewed(diamond):
         (codesim.diamond_scheme(4), None),
         (codesim.diamond_scheme(4), 1000),
         (codesim.diamond_scheme(4), 10),
+        (codesim.diamond_scheme(2), 12),
+        (codesim.diamond_scheme(4), 256),
         (_single_scheme(), None),
         (_single_scheme(), 3),
     ],
-    ids=["k2", "k2-chunk5", "k4", "k4-chunk1000", "k4-chunk10", "single-k1", "single-k1-chunk3"],
+    ids=[
+        "k2",
+        "k2-chunk5",
+        "k4",
+        "k4-chunk1000",
+        "k4-chunk10",
+        "k2-chunk12",
+        "k4-chunk256",
+        "single-k1",
+        "single-k1-chunk3",
+    ],
 )
 def test_sweep_matches_the_per_block_loop(monkeypatch, diamond, skewed, scheme, chunk):
+    # Chunks of 12 span whole columns of s3 (the last chunk holds 4 blocks),
+    # and chunks of 256 whole columns of s2 and s3 at k = 4: the sweep builds
+    # those once and walks the other sources by runs.  The other sizes span
+    # whole columns of no source or of all three.
     if chunk is not None:
         monkeypatch.setattr(codesim, "CHUNK_BLOCKS", chunk)
     for model in (skewed, diamond):
@@ -532,6 +548,48 @@ def test_sweep_matches_the_loop_on_wide_negative_values(monkeypatch, diamond, sk
     assert True in wide and False in wide
 
 
+def _late_wide_scheme():
+    """The k = 2 split scheme with e1 scaled by 10^6 where s1's first shot is 1.
+
+    Over the first half of the sweep e1's values span 0..1; from block 32 on
+    they reach 10^6, past the direct-address cap of every chunk size tested.
+    """
+    base = codesim.diamond_scheme(2)
+    functions = dict(base.edge_functions)
+    functions["e1"] = lambda xs: xs[0] * np.where(xs[0][:, :1] == 1, 10**6, 1)
+    return FixedScheme("diamond-late-wide", 2, functions, base.decoder)
+
+
+@pytest.mark.parametrize("chunk", [3, 7, 10])
+@pytest.mark.parametrize(
+    "scheme", [codesim.diamond_scheme(2), _late_wide_scheme()], ids=["rebuild", "past-cap"]
+)
+def test_interner_tables_match_the_loop(monkeypatch, diamond, skewed, scheme, chunk):
+    # s1 is 00 over the first 16 blocks, so e1's range widens in a later
+    # chunk and its table is rebuilt from the ids seen so far; the late-wide
+    # scheme then takes e1 past the cap, onto the per-chunk path.
+    monkeypatch.setattr(codesim, "CHUNK_BLOCKS", chunk)
+    widened = []  # per call: ids so far, tabled before, tabled after
+    widen = codesim._Interner._widen
+
+    def spied(self, lo, hi, d):
+        before = self.table is not None
+        widen(self, lo, hi, d)
+        widened.append((len(self.ids), before, self.table is not None))
+
+    monkeypatch.setattr(codesim._Interner, "_widen", spied)
+    for model in (skewed, diamond):
+        code = codesim.huffman_transform(model, scheme)
+        want = ref_huffman_transform(model, scheme)
+        got = code_tables(model, code)
+        assert got.encoders == want.encoders
+        assert list(got.decoder.items()) == list(want.decoder.items())
+        _same_report(codesim.evaluate(model, code), ref_evaluate(model, want))
+    assert any(n and before and after for n, before, after in widened)
+    if scheme.name == "diamond-late-wide":
+        assert any(n and before and not after for n, before, after in widened)
+
+
 @pytest.mark.parametrize("scale", [1, -(10**6)], ids=["tabled", "sorted"])
 def test_first_ids_list_first_occurrences_in_order(scale):
     codes = np.random.default_rng(18).integers(-40, 40, size=500) * scale
@@ -589,17 +647,51 @@ def _unrealizable_twice():
     return FixedScheme("bad", 2, functions, base.decoder)
 
 
-@pytest.mark.parametrize("chunk", [None, 5])
-@pytest.mark.parametrize("case", ["source", "relay", "decoder", "unrealizable"])
+def _unrealizable_once():
+    """Only e5 reads a shot of s2 it never sees.
+
+    Its key (s1 = 00, s2's first shot 1) first appears at block 8 with value
+    0 and gets value 1 at block 12: in one chunk of 7 (blocks 7-13), in two
+    chunks of 5.
+    """
+    base = codesim.diamond_scheme(2)
+    functions = dict(base.edge_functions, e5=lambda xs: xs[1][:, 1:] * xs[1][:, :1])
+    return FixedScheme("bad-e5", 2, functions, base.decoder)
+
+
+def test_first_value_names_the_first_disagreeing_block():
+    rng = np.random.default_rng(32)
+    for _ in range(300):
+        check = codesim._FirstValue()
+        seen: dict[int, int] = {}
+        for _ in range(4):
+            keys = rng.integers(0, 12, size=9)
+            values = (keys % 5).astype(np.int32)
+            if rng.random() < 0.2:
+                values[rng.integers(9)] += 1
+            pairs = enumerate(zip(keys.tolist(), values.tolist()))
+            want = next((b for b, (key, v) in pairs if seen.setdefault(key, v) != v), None)
+            assert check.violation(keys, values) == want
+            if want is not None:
+                break
+
+
+@pytest.mark.parametrize("chunk", [None, 5, 7])
+@pytest.mark.parametrize(
+    "case", ["source", "relay", "decoder", "unrealizable", "unrealizable-once"]
+)
 def test_domain_mismatch_messages_match_the_loop(monkeypatch, diamond_code, skewed, case, chunk):
+    # In chunks of 7, both relays of _unrealizable_twice fail in blocks 7-13:
+    # e6 at block 8 is named before e5, which comes first in topological order.
     if chunk is not None:
         monkeypatch.setattr(codesim, "CHUNK_BLOCKS", chunk)
     tables = code_tables(skewed, diamond_code)
     enc, dec = tables.encoders, tables.decoder
-    if case == "unrealizable":
+    if case.startswith("unrealizable"):
+        scheme = _unrealizable_once() if case == "unrealizable-once" else _unrealizable_twice()
         calls = [
-            lambda: codesim.huffman_transform(skewed, _unrealizable_twice()),
-            lambda: ref_huffman_transform(skewed, _unrealizable_twice()),
+            lambda: codesim.huffman_transform(skewed, scheme),
+            lambda: ref_huffman_transform(skewed, scheme),
         ]
     else:
         if case == "source":
@@ -620,8 +712,9 @@ def test_domain_mismatch_messages_match_the_loop(monkeypatch, diamond_code, skew
     assert messages[0] == messages[1]
     if case == "source":
         assert messages[0] == "edge e3 has no entry for (1, 0)"
-    if case == "unrealizable":
-        assert messages[0] == "edge e6 value is not a function of its local input"
+    if case.startswith("unrealizable"):
+        edge = "e5" if case == "unrealizable-once" else "e6"
+        assert messages[0] == f"edge {edge} value is not a function of its local input"
 
 
 def test_one_source_sweep_tables_no_more_than_a_chunk():

@@ -138,6 +138,28 @@ def test_malformed_documents_raise_usage_error():
         netmodel.model_from_dict(doc)
 
 
+def test_table_length_check_forms_no_power_past_the_length():
+    # (10^9)^(10^5) alone takes about 0.3 s to form; a table of 2 entries
+    # refuses any s of 2 or more from the exponent.
+    class Alphabet(int):
+        def __pow__(self, other):
+            raise AssertionError(f"formed {int(self)}^{other}")
+
+    sources = [f"s{i}" for i in range(10**5)]
+    doc = {
+        "alphabet": Alphabet(10**9),
+        "nodes": [*sources, "t"],
+        "edges": [{"id": f"e{i}", "tail": s, "head": "t"} for i, s in enumerate(sources)],
+        "sources": sources,
+        "sink": "t",
+        "function": [0, 1],
+        "distribution": [0.5, 0.5],
+    }
+    with pytest.raises(errors.UsageError) as info:
+        netmodel.model_from_dict(doc)
+    assert str(info.value) == "function table must have 1000000000^100000 entries, got 2"
+
+
 # -- cut classification ----------------------------------------------------------
 
 
