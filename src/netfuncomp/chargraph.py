@@ -27,10 +27,22 @@ outside I and J.  One bracket pass per partition block keys it by its fiber,
 its leftover block and the classes of the vertices that replace the other
 blocks' separated sources by each choice.  Each pass numbers the keys by
 first appearance, which is the partitions' least-member order because the
-vertices enumerate lexicographically.  :func:`layer_masks` turns those
-coordinates into four nested vertex masks per vertex, kept on the graph
-for its consumers, and a vertex's adjacency is the rest of its fiber
-outside its class plus the rest of its leftover block outside its bracket.
+vertices enumerate lexicographically.
+
+Most passes depend on less than the whole partition, so the graphs of one
+model share them: a build keeps them with the model
+(``netmodel.model_memo``, emptied at ``netmodel.I_CACHE_CAP`` entries) and
+makes each once.  Per source order and k: the marginal numerators, the
+vertex enumeration, labels and masses, and the class keys.  Per (order, J):
+the fibers and the class ranks.  Per (order, L): the leftover table.  Per
+(order, positions of the other blocks' separated sources): the bracket
+bases, each vertex's base and the offsets of the choices.  Only the bracket
+ranks, the layer masks, the adjacency and the graph itself stay per graph.
+
+:func:`layer_masks` turns the coordinates into four nested vertex masks per
+vertex, kept on the graph for its consumers, and a vertex's adjacency is
+the rest of its fiber outside its class plus the rest of its leftover block
+outside its bracket.
 :func:`layer_report` checks the finished adjacency against the same masks,
 one mask identity per layer property and vertex.  The paper's claim that
 the k-shot graph sits between the k-fold AND and OR powers of the
@@ -41,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import pgraph
 from .errors import DomainTooLarge, TooLarge, UsageError
@@ -54,8 +66,11 @@ from .netmodel import (
     block_count,
     enumerate_assignments,
     format_assignment,
+    model_memo,
     restrict_sources,
 )
+
+T = TypeVar("T")
 
 VERTEX_CAP = 2**14
 """Most vertices a characteristic graph may have."""
@@ -108,8 +123,35 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
     block_count(q, len(order), k, VERTEX_CAP, "vertices", TooLarge)
     block_count(q, model.num_sources, k, DOMAIN_CAP, "blocks", DomainTooLarge)
 
+    vertices = model_memo(model, ("vertices", order, k), lambda: _vertices(model, order, k))
+    layers = _layer_coords(model, partition, order, k, vertices.class_keys)
+    masks = layer_masks(layers)
+    adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*masks)]
+    graph = pgraph.ProbGraph.from_masks(vertices.labels, adj, vertices.dist, vertices.scale)
+    return CharGraph(graph, partition, k, order, vertices.assignments, layers, masks)
+
+
+class _Vertices(NamedTuple):
+    """What every graph on one source order at k shots shares."""
+
+    assignments: tuple[Assignment, ...]
+    labels: tuple[str, ...]
+    dist: tuple[int, ...]
+    scale: int
+    class_keys: list[tuple[int, ...]]  # per vertex, its value rows' per-shot ids
+
+
+def _vertices(model: NetworkModel, order: tuple[str, ...], k: int) -> _Vertices:
+    """The vertices over ``order``: blocks, labels, exact masses and class keys.
+
+    A vertex's class within its fiber is keyed by its target values over
+    every completion of the sources outside I and J.  Completions range
+    over each shot independently, so the key is the tuple of per-shot ids of
+    the single-shot value rows.
+    """
+    q, n = model.alphabet_size, len(order)
     marginal, denominator = _marginal_numerators(model, order)
-    assignments = tuple(enumerate_assignments(q, len(order), k))
+    assignments = tuple(enumerate_assignments(q, n, k))
     labels = tuple(format_assignment(a, q) for a in assignments)
     dist = []
     for a in assignments:
@@ -117,55 +159,6 @@ def build(model: NetworkModel, partition: StrongPartition, k: int = 1) -> CharGr
         for r in range(k):
             p *= marginal[tuple(col[r] for col in a)]
         dist.append(p)
-
-    layers = _layer_coords(model, partition, order, k)
-    masks = layer_masks(layers)
-    adj = [(f & ~c) | (lo & ~b) for f, c, lo, b in zip(*masks)]
-    graph = pgraph.ProbGraph.from_masks(labels, adj, dist, denominator**k)
-    return CharGraph(graph, partition, k, order, assignments, layers, masks)
-
-
-def _layer_coords(
-    model: NetworkModel, partition: StrongPartition, order: tuple[str, ...], k: int
-) -> tuple[LayerCoord, ...]:
-    """Every vertex's layer coordinates, in passes over positional digit tables.
-
-    A vertex is n = |I | J| digits in base q^k, one k-shot column per source
-    of ``order``, and its index is those digits read most significant
-    first.  Each pass is a table over the vertices in that order, built by
-    summing per-digit values.  The fiber and leftover tables hold the index
-    of the vertex's J and L block.
-
-    A vertex's class within its fiber is keyed by its target values over
-    every completion of the sources outside I and J.  Completions range
-    over each shot independently, so the key is the tuple of per-shot ids of
-    the single-shot value rows.  Its bracket entry for a partition block is
-    keyed by the classes of the vertices that keep its digits off the other
-    blocks' separated sources and take each choice on them: index offsets
-    from its base, the vertex with those digits zero.
-
-    Classes and brackets are numbered by first appearance.  The vertices
-    enumerate lexicographically, so the first vertex with a given block on
-    some of the sources is zero on the others, and blocks first appear in
-    lexicographic order: the least-member order of the ``equiv`` partitions
-    that define these coordinates.
-    """
-    q, n, width = model.alphabet_size, len(order), model.alphabet_size**k
-    cut = partition.cut
-    index = {s: i for i, s in enumerate(order)}
-
-    def table(value: Callable[[int, int], int]) -> list[int]:
-        """Per vertex, the sum of ``value(position, digit)`` over its digits."""
-        digits = ([value(p, d) for d in range(width)] for p in range(n))
-        return list(map(sum, itertools.product(*digits)))
-
-    def block_index(sources: Iterable[str]) -> list[int]:
-        pos = sorted(index[s] for s in sources)
-        weight = {p: width ** (len(pos) - 1 - i) for i, p in enumerate(pos)}
-        return table(lambda p, d: d * weight.get(p, 0))
-
-    fibers = block_index(cut.j_set)
-    leftovers = block_index(partition.l_set)
 
     at = {s: q ** (model.num_sources - 1 - i) for i, s in enumerate(model.sources)}
 
@@ -175,29 +168,92 @@ def _layer_coords(
 
     function_table = model.function_table
     starts = list(rows_at(order))
-    completions = rows_at(s for s in model.sources if s not in index)
+    completions = rows_at(s for s in model.sources if s not in order)
     value_rows = zip(*([function_table[b + c] for b in starts] for c in completions))
     row_ids: dict[tuple, int] = {}
     shot_ids = [row_ids.setdefault(row, len(row_ids)) for row in value_rows]
-    shots = [
-        table(lambda p, d: d // q ** (k - 1 - r) % q * q ** (n - 1 - p)) for r in range(k)
-    ]
-    classes = _ranks(fibers, zip(*(map(shot_ids.__getitem__, shot) for shot in shots)))
+    width = q**k
+    shots = (
+        _table(n, width, lambda p, d: d // q ** (k - 1 - r) % q * q ** (n - 1 - p))
+        for r in range(k)
+    )
+    class_keys = list(zip(*(map(shot_ids.__getitem__, shot) for shot in shots)))
+    return _Vertices(assignments, labels, tuple(dist), denominator**k, class_keys)
 
+
+def _table(n: int, width: int, value: Callable[[int, int], int]) -> list[int]:
+    """Per vertex of n digits in base ``width``, the sum of ``value(position, digit)``."""
+    digits = ([value(p, d) for d in range(width)] for p in range(n))
+    return list(map(sum, itertools.product(*digits)))
+
+
+def _layer_coords(
+    model: NetworkModel,
+    partition: StrongPartition,
+    order: tuple[str, ...],
+    k: int,
+    class_keys: Sequence[tuple[int, ...]],
+) -> tuple[LayerCoord, ...]:
+    """Every vertex's layer coordinates, in passes over positional digit tables.
+
+    A vertex is n = |I | J| digits in base q^k, one k-shot column per source
+    of ``order``, and its index is those digits read most significant
+    first.  Each pass is a table over the vertices in that order, built by
+    summing per-digit values.  The fiber and leftover tables hold the index
+    of the vertex's J and L block, and the class table ranks the vertices'
+    class keys (:func:`_vertices`) within their fibers.  A vertex's bracket
+    entry for a partition block is keyed by the classes of the vertices
+    that keep its digits off the other blocks' separated sources and take
+    each choice on them: index offsets from its base, the vertex with those
+    digits zero.
+
+    Every table but the bracket ranks is shared with the model's other
+    graphs (see the module docstring).
+
+    Classes and brackets are numbered by first appearance.  The vertices
+    enumerate lexicographically, so the first vertex with a given block on
+    some of the sources is zero on the others, and blocks first appear in
+    lexicographic order: the least-member order of the ``equiv`` partitions
+    that define these coordinates.
+    """
+    n, width = len(order), model.alphabet_size**k
+    cut = partition.cut
+    index = {s: i for i, s in enumerate(order)}
     place = [width ** (n - 1 - p) for p in range(n)]
-    brackets = []
-    for iset in partition.i_sets:
-        others = sorted(index[s] for s in cut.i_set - iset - partition.l_set)
-        base_of = table(lambda p, d: 0 if p in others else d * place[p])
+
+    def block_index(sources: Iterable[str]) -> list[int]:
+        pos = sorted(index[s] for s in sources)
+        weight = {p: width ** (len(pos) - 1 - i) for i, p in enumerate(pos)}
+        return _table(n, width, lambda p, d: d * weight.get(p, 0))
+
+    def shared(what: Hashable, make: Callable[[], T]) -> T:
+        return model_memo(model, (what, order, k), make)
+
+    def fibers_and_classes() -> tuple[list[int], list[int]]:
+        fibers = block_index(cut.j_set)
+        return fibers, _ranks(fibers, class_keys)
+
+    def bracket_slots(others: tuple[int, ...]) -> tuple[list[int], list[int], list[int]]:
+        """The bases, each vertex's base as a position in them, and the offsets."""
+        base_of = _table(n, width, lambda p, d: 0 if p in others else d * place[p])
         offsets = list(
             map(sum, itertools.product(*([d * place[p] for d in range(width)] for p in others)))
         )
         bases = [v for v, base in enumerate(base_of) if v == base]
+        slot = {base: i for i, base in enumerate(bases)}
+        return bases, [slot[base] for base in base_of], offsets
+
+    fibers, classes = shared(("classes", cut.j_set), fibers_and_classes)
+    leftovers = shared(("leftovers", partition.l_set), lambda: block_index(partition.l_set))
+    brackets = []
+    for iset in partition.i_sets:
+        others = tuple(sorted(index[s] for s in cut.i_set - iset - partition.l_set))
+        bases, slots, offsets = shared(("brackets", others), lambda: bracket_slots(others))
         ranks = _ranks(
             ((fibers[v], leftovers[v]) for v in bases),
             (tuple(classes[v + off] for off in offsets) for v in bases),
         )
-        brackets.append(map(dict(zip(bases, ranks)).__getitem__, base_of))
+        brackets.append(map(ranks.__getitem__, slots))
     return tuple(map(LayerCoord, fibers, classes, leftovers, zip(*brackets)))
 
 

@@ -22,7 +22,9 @@ every directed-graph question: building it is the acyclicity check, one
 backward pass finds the nodes that feed the sink, and it holds each edge's
 K as a source mask and computes I of an edge mask in one O(E) forward pass,
 cached by mask in a memo that is emptied at ``I_CACHE_CAP`` masks.  It also
-shares one frozenset per source mask among all cut sets and partitions.
+shares one frozenset per source mask among all cut sets and partitions, and
+keeps the vertex tables that :mod:`chargraph` builds once per source order
+(:func:`model_memo`), emptied at the same cap.
 Cut sets stream: :func:`enumerate_cut_sets` checks its arguments and the
 edge cap at once, then yields each cut set as it is reached, so a consumer
 can stop, or refuse, before the rest is built.  I only grows as a cut
@@ -61,7 +63,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     BadDistribution,
@@ -76,6 +78,8 @@ from .errors import (
     UnreachableNode,
     UsageError,
 )
+
+T = TypeVar("T")
 
 Assignment = tuple[tuple[int, ...], ...]
 """One k-shot observation block: a k-tuple of symbols per source, source-major."""
@@ -352,7 +356,7 @@ def _topological_order(model: NetworkModel) -> tuple[str, ...]:
     raise CycleDetected(" -> ".join(cycle[first:] + cycle[:first]))
 
 
-# Most I values one model context keeps memoized.
+# Most I values, and most shared vertex tables, one model context keeps memoized.
 I_CACHE_CAP = 1 << 14
 
 
@@ -387,6 +391,7 @@ class _Context:
             for s in range(len(model.sources))
         )
         self._i_cache: dict[int, int] = {}
+        self.tables: dict[Hashable, object] = {}
         # The cut set the walk yielded last, with its edge mask and I: the
         # strong-partition search on that same object starts from them.
         self.walked: tuple[CutAnalysis | None, int, int] = (None, 0, 0)
@@ -450,6 +455,24 @@ class _SourceSets(dict):
     def __missing__(self, mask: int) -> frozenset[str]:
         sources = self[mask] = frozenset(s for b, s in enumerate(self.sources) if mask >> b & 1)
         return sources
+
+
+def model_memo(model: NetworkModel, key: Hashable, make: Callable[[], T]) -> T:
+    """``make()``, made once per ``key`` and kept in the model's context.
+
+    The table is emptied when it holds ``I_CACHE_CAP`` entries, before the
+    new one joins, so a long-lived process keeps no table of a dropped
+    model and a bounded number of a live one.
+    """
+    tables = _context(model).tables
+    try:
+        return tables[key]
+    except KeyError:
+        value = make()
+        if len(tables) >= I_CACHE_CAP:
+            tables.clear()
+        tables[key] = value
+        return value
 
 
 def _context(model: NetworkModel) -> _Context:

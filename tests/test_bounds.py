@@ -468,9 +468,46 @@ def test_graphs_of_equal_content_share_a_certified_optimum(suite, monkeypatch):
     assert twins == 503 - 461 + 3 * 8
 
 
+def test_stationary_bases_take_no_newton_step(diamond, monkeypatch):
+    # Six of the diamond's seven first-pass graphs meet the certificate with
+    # lam = 0 at the base, sqrt(2) ||N^T grad f(base)|| <= MAX_GAP, and leave
+    # their stack unchanged; only the interior optimum of the witness's
+    # content steps (its first graph is a twin of the witness pair's).
+    still, batches = {}, []
+    maximize, eigh = bounds._maximize, np.linalg.eigh
+
+    def first_pass(stack, p, path=bounds._BARRIER_PATH):
+        out = maximize(stack, p, path)
+        if path == bounds._BARRIER_PATH:
+            still.update((g, np.array_equal(a, b)) for g, a, b in zip(stack, out, p))
+        return out
+
+    def counted_eigh(a):
+        batches.append(len(a))
+        return eigh(a)
+
+    monkeypatch.setattr(bounds, "_maximize", first_pass)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    _, improved, _ = bounds.lower_bounds(diamond)
+    assert sorted(still.values()) == [False] + [True] * 6
+    (stepped,) = [g for g, kept in still.items() if not kept]
+    search = SearchConfig(pairs=((WITNESS_CUT, WITNESS_BLOCKS),))
+    witness = bounds.enumerate_pairs(diamond, search)
+    assert stepped.content == bounds._Graph(diamond, witness[0]).content
+    assert batches and set(batches) == {1}
+    assert improved.value == pytest.approx(IMPROVED, abs=1e-12)
+    solved = [g for g in improved.graphs if g["feasible_dimension"]]
+    assert len(solved) == 11
+    assert all(g["gap"] <= bounds.MAX_GAP and g["marginal_residual"] <= 1e-10 for g in solved)
+    for graph, kept in still.items():
+        if kept:
+            assert graph.optimum.p is graph.base and graph.optimum.gap <= bounds.MAX_GAP
+
+
 @pytest.mark.parametrize(
     "eps, reason",
     [(1e-100, "optimality gap 70.3 exceeds 1e-09"),
+     (1e-140, "optimality gap 185 exceeds 1e-09"),
      (1e-300, "atom 1e-300 is too small for the barrier")],
 )
 def test_first_failing_graph_in_order_of_appearance_is_named(eps, reason):

@@ -28,7 +28,7 @@ from conftest import (
     random_model,
     rgs_strong_partitions,
 )
-from netfuncomp import bounds, errors, netmodel
+from netfuncomp import bounds, chargraph, errors, netmodel
 from netfuncomp.examples import diamond_model, layered_sum_model
 from netfuncomp.netmodel import Edge, NetworkModel
 
@@ -507,6 +507,45 @@ def test_partition_search_is_unchanged_when_the_i_memo_empties(monkeypatch):
     monkeypatch.setattr(netmodel, "I_CACHE_CAP", 5)
     assert bounds.enumerate_pairs(model) == want
     assert len(memo) <= 5
+
+
+def _graph_fields(cg):
+    g = cg.graph
+    return (
+        cg.order, cg.assignments, cg.layers, cg.masks, g.vertices, g.dist, g.scale,
+        g.adjacency_masks(),
+    )
+
+
+def _fresh(model):
+    """The same model with no context, so no shared vertex table."""
+    return dataclasses.replace(model)
+
+
+def test_shared_vertex_tables_build_what_a_fresh_model_builds():
+    # Every pair is built on one model that has built every earlier pair, and
+    # on a model of its own; the graphs must agree field by field.
+    rng = random.Random(601)
+    models = [diamond_model(), layered_sum_model()] + [random_model(rng) for _ in range(50)]
+    pairs = 0
+    for model in models:
+        for pair in bounds.enumerate_pairs(model):
+            shared = chargraph.build(model, pair)
+            assert _graph_fields(shared) == _graph_fields(chargraph.build(_fresh(model), pair))
+            pairs += 1
+        assert netmodel._context(model).tables
+    assert pairs == 1134 + 3603  # the layered sum, the diamond and the 50 draws
+
+
+def test_shared_vertex_tables_stay_under_the_cap(monkeypatch):
+    model = diamond_model()
+    tables = netmodel._context(model).tables
+    monkeypatch.setattr(netmodel, "I_CACHE_CAP", 3)
+    for pair in bounds.enumerate_pairs(model):
+        for k in (1, 2):
+            want = chargraph.build(_fresh(model), pair, k)
+            assert _graph_fields(chargraph.build(model, pair, k)) == _graph_fields(want)
+            assert 0 < len(tables) <= 3
 
 
 # -- dependencies ------------------------------------------------------------------
