@@ -5,12 +5,17 @@ carrying the tool version and the fully resolved configuration, so a report
 can be reproduced from itself.  Floats are rounded to 15 significant digits
 and keys, which are always strings, are sorted before printing; identical
 inputs and options therefore produce byte-identical reports.  The writer
-joins lists of strs and lists of such lists in one go, and sorts and spells
-the keys of a list of records with one key set once; neither shortcut
-changes a byte.  Exit codes: 0 on success, 2 for any input or usage
-problem (with a one-line diagnostic on stderr), 3 when a size cap is
-exceeded, 141 (128 + SIGPIPE, no diagnostic) when the reader of stdout
-closes it early.
+joins str sequences nested to any depth one level at a time; it sorts and
+spells the keys of a list of records with one key set once, and spells each
+distinct tuple value of those records once; and it spells each distinct
+nonzero float once per report.  None of these shortcuts changes a byte.
+Exit codes: 0 on success, 2 for any input or usage problem (with a one-line
+diagnostic on stderr), 3 when a size cap is exceeded, 141 (128 + SIGPIPE,
+no diagnostic) when the reader of stdout closes it early.
+
+``main`` runs its command with the objects that existed before the call
+frozen (``gc.freeze``), unless the caller holds a freeze of its own, so the
+collections of a call scan only the objects it creates.
 
 The subcommands and their arguments are described once, in ``_COMMANDS``.
 A call with its long options spelled out in full is parsed from that table
@@ -25,6 +30,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import gc
 import io
 import itertools
 import json
@@ -57,39 +63,69 @@ def _spell(x: float) -> str:
     return float.__repr__(x)
 
 
+class _FloatText(dict):
+    """Float -> its report text, rounded to 15 digits; one per ``_dumps`` call.
+
+    Only nonzero floats are kept: ``0.0`` and ``-0.0`` are equal keys that
+    spell differently.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, x: float) -> str:
+        text = _spell(float(f"{x:.15g}"))
+        if x:
+            self[x] = text
+        return text
+
+
+# The spelling of each exact scalar type but float, whose speller is the
+# ``_FloatText`` of the ``_dumps`` call.
+_SCALARS = {
+    str: _encode_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    int: int.__repr__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def _str_seqs_text(o, nl: str) -> str | None:
-    """The text of a list or tuple of lists or tuples of strs (or empty), else None."""
+    """The text of a list or tuple of strs or of such sequences, nested to any depth, else None.
+
+    Lists and tuples may mix at every level and any of them may be empty;
+    each level is one ``str.join``.
+    """
+    if not o:
+        return "[]"
     inner = nl + "  "
-    head, sep, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+    if type(o[0]) is str:
+        try:
+            return "[" + inner + ("," + inner).join(map(_encode_str, o)) + nl + "]"
+        except TypeError:  # a non-str item: the caller goes item by item
+            return None
     texts = []
-    try:
-        for s in o:
-            kind = type(s)
-            if kind is not list and kind is not tuple or s and type(s[0]) is not str:
-                return None
-            texts.append(head + sep.join(map(_encode_str, s)) + tail if s else "[]")
-    except TypeError:  # a non-str inside: the caller goes item by item
-        return None
+    for s in o:
+        kind = type(s)
+        if kind is not list and kind is not tuple:
+            return None
+        text = _str_seqs_text(s, inner)
+        if text is None:
+            return None
+        texts.append(text)
     return "[" + inner + ("," + inner).join(texts) + nl + "]"
 
 
-def _write(o, append, nl: str) -> None:
+def _write(o, append, nl: str, scalars: dict) -> None:
     """Pass the text of ``o`` to ``append``; ``nl`` is the newline and indent of its line.
 
-    Exact types are dispatched first; subclasses (``IntEnum``, numpy floats,
-    NamedTuples, dict subclasses) reach the ``isinstance`` branches below them.
+    ``scalars`` maps each exact scalar type to its speller.  Exact types are
+    dispatched first; subclasses (``IntEnum``, numpy floats, NamedTuples,
+    dict subclasses) reach the ``isinstance`` branches below them.
     """
     t = type(o)
-    if t is str:
-        append(_encode_str(o))
-    elif o is None:
-        append("null")
-    elif t is bool:
-        append("true" if o else "false")
-    elif t is int:
-        append(int.__repr__(o))
-    elif t is float:
-        append(_spell(float(f"{o:.15g}")))
+    spell = scalars.get(t)
+    if spell is not None:
+        append(spell(o))
     elif t is list or t is tuple or t is not dict and isinstance(o, (list, tuple)):
         if not o:
             append("[]")
@@ -97,24 +133,21 @@ def _write(o, append, nl: str) -> None:
         inner = nl + "  "
         sep = "," + inner
         kind = type(o[0])
-        if kind is str:
-            try:
-                append("[" + inner + sep.join(map(_encode_str, o)) + nl + "]")
-                return
-            except TypeError:  # a non-str item: go item by item
-                pass
-        elif kind is list or kind is tuple:
+        if kind is str or kind is list or kind is tuple:
             text = _str_seqs_text(o, nl)
             if text is not None:
                 append(text)
                 return
         elif kind is dict and o[0] and all(type(r) is dict and r.keys() == o[0].keys() for r in o):
-            # Records with one key set: sort and spell the keys once.
+            # Records with one key set: sort and spell the keys once, write
+            # scalars and str sequences without a ``_write`` call, and spell
+            # each distinct tuple value once.
             keys = sorted(o[0])
             deeper = inner + "  "
             heads = [_encode_str(k) + ": " for k in keys]
             heads[1:] = ["," + deeper + h for h in heads[1:]]
             opening, closing = "{" + deeper, inner + "}"
+            tuples: dict[tuple, str | None] = {}
             append("[" + inner)
             for i, r in enumerate(o):
                 if i:
@@ -122,25 +155,37 @@ def _write(o, append, nl: str) -> None:
                 append(opening)
                 for head, value in zip(heads, map(r.__getitem__, keys)):
                     append(head)
-                    _write(value, append, deeper)
+                    t = type(value)
+                    spell = scalars.get(t)
+                    if spell is not None:
+                        append(spell(value))
+                        continue
+                    text = None
+                    if t is tuple:
+                        try:
+                            text = tuples[value]
+                        except KeyError:
+                            text = tuples[value] = _str_seqs_text(value, deeper)
+                        except TypeError:  # it holds a list
+                            text = _str_seqs_text(value, deeper)
+                    elif t is list:
+                        text = _str_seqs_text(value, deeper)
+                    if text is None:
+                        _write(value, append, deeper, scalars)
+                    else:
+                        append(text)
                 append(closing)
             append(nl + "]")
             return
         append("[" + inner)
-        # Leaf lists of exact floats join at C speed unless one is NaN or
-        # infinite.  Subclasses and mixed lists go item by item.
-        text = None
         if kind is float and set(map(type, o)) == {float}:
-            text = sep.join(map(float.__repr__, map(float, map("{:.15g}".format, o))))
-            if "n" in text:  # nan or inf: json spells them NaN and Infinity
-                text = None
-        if text is not None:
-            append(text)
+            # A leaf list of exact floats is one join.
+            append(sep.join(map(scalars[float], o)))
         else:
             for i, item in enumerate(o):
                 if i:
                     append(sep)
-                _write(item, append, inner)
+                _write(item, append, inner, scalars)
         append(nl + "]")
     elif t is dict or isinstance(o, dict):
         if not o:
@@ -153,14 +198,14 @@ def _write(o, append, nl: str) -> None:
             if i:
                 append(sep)
             append(_encode_str(key) + ": ")
-            _write(value, append, inner)
+            _write(value, append, inner, scalars)
         append(nl + "}")
     elif isinstance(o, str):
         append(_encode_str(o))
     elif isinstance(o, int):
         append(int.__repr__(o))
     elif isinstance(o, float):
-        append(_spell(float(f"{o:.15g}")))
+        append(scalars[float](o))
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -170,15 +215,18 @@ def _dumps(doc) -> str:
 
     One pass over ``doc``: no rounded copy is built, and the text is the
     one the pure-Python encoder (the only one that indents) would write.
-    Every key must be a str; any other key raises TypeError.  Two shapes
+    Every key must be a str; any other key raises TypeError.  Three shapes
     that fill most of a report take a shorter path with the same bytes: a
-    list or tuple of strs, or of lists and tuples of strs, is one
-    ``str.join``; a list of plain dicts with one key set has its keys sorted
-    and spelled once for the whole list.  A shape that breaks off (a non-str
-    item, another key set, a subclass item) is written item by item.
+    list or tuple of strs, or of such sequences nested to any depth, is one
+    ``str.join`` per level; a list of exact floats is one ``str.join``; a
+    list of plain dicts with one key set has its keys sorted and spelled
+    once for the whole list, and its scalar and str-sequence values written
+    in place.  A shape that breaks off (a non-str item, another key set, a
+    subclass item) is written item by item.  Each distinct nonzero float is
+    spelled once per call.
     """
     parts: list[str] = []
-    _write(doc, parts.append, "\n")
+    _write(doc, parts.append, "\n", {**_SCALARS, float: _FloatText().__getitem__})
     return "".join(parts)
 
 
@@ -695,8 +743,20 @@ def _parse_spelled_out(argv: list[str]) -> types.SimpleNamespace | None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
+    # The objects that exist before the call (the import's, or those a fork
+    # server handed down) sit frozen while it runs, so its collections scan
+    # only what it creates; a caller's own freeze is left alone.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _run(sys.argv[1:] if argv is None else argv)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _run(argv: list[str]) -> int:
     args = _parse_spelled_out(argv)
     if args is None:
         args = build_parser().parse_args(argv)

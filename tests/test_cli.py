@@ -9,6 +9,7 @@ stderr, and size-cap violations must exit 3.
 import ast
 import contextlib
 import enum
+import gc
 import hashlib
 import importlib
 import io
@@ -1226,6 +1227,7 @@ class _Edge(NamedTuple):
 
 
 _SHARED = {"b": [0.1 + 0.2, None], "a": {"c": 1}}
+_IDS = ("e1", "e2")
 
 EDGE_DOCUMENTS = {
     "special-floats": [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 0.1 + 0.2, 1 / 3],
@@ -1257,6 +1259,33 @@ EDGE_DOCUMENTS = {
     "str-sequences-with-dict": [["a"], {"b": "c"}],
     "str-sequences-with-int": [["a"], ["b", 2], ("c",)],
     "str-sequences-led-by-non-str": [[1, "a"], ["b"]],
+    # Str sequences nest to any depth, lists and tuples mixed, with an empty
+    # sequence at every depth.
+    "str-sequences-3-deep": [[("a", "b"), []], ((), ["c"]), [], [("d",)]],
+    "str-sequences-4-deep": ([[("a",), []], ()], [[()], [["b", "c"], ("d",)]], (), [[]], ([], [[]])),
+    "str-then-list": ["a", ["b", "c"]],
+    "list-then-str": [("a",), "b"],
+    "nested-str-then-list": [[["a"], ["b", ["c"]]], [("d",)]],
+    "nested-list-then-str": [(["a"], "b"), [["c"]]],
+    "nested-str-sequences-with-float": [[["a"], ["b"]], [["c"], [0.5]]],
+    # Records spell each distinct tuple value once: tuples that are equal
+    # but spell differently, or hold a list, must still be written right.
+    "records-sharing-a-tuple": [{"a": _IDS, "b": _IDS}, {"a": _IDS, "b": ("e1",)},
+                                {"a": ("e1", "e2"), "b": _IDS}, {"a": (), "b": _IDS}],
+    "records-at-two-depths-sharing-a-tuple": {"a": [{"t": _IDS}, {"t": _IDS}],
+                                              "b": [{"r": [{"t": _IDS}]}, {"r": []}]},
+    "records-tuple-holding-a-list": [{"t": (["a"], ["b", "c"])}, {"t": (["a"], ["b", "c"])},
+                                     {"t": ("x", [1])}, {"t": ([], ())}],
+    "records-equal-tuples": [{"t": (True,)}, {"t": (1,)}, {"t": (1.0,)}, {"t": (0.0,)},
+                             {"t": (-0.0,)}, {"t": (_Str("a"),)}, {"t": ("a",)}],
+    "records-mixed-floats": [{"x": 0.0, "y": -0.0, "z": [0.0, -0.0, 0.5]},
+                             {"x": -0.0, "y": 0.0, "z": [-0.0, 0.0, 0.5]},
+                             {"x": math.nan, "y": np.float64(0.1) + np.float64(0.2), "z": [math.nan]},
+                             {"x": math.inf, "y": -math.inf, "z": [math.inf, -math.inf, 0.0]},
+                             {"x": np.float64(-0.0), "y": 0.1 + 0.2, "z": [np.float64(0.0), -0.0]},
+                             {"x": 0.1 + 0.2, "y": np.float64(0.0), "z": []}],
+    "records-bool-next-to-int": [{"v": True}, {"v": 1}, {"v": False}, {"v": 0}, {"v": 1.0},
+                                 {"v": True}],
     # Records that share a key set spell their keys once.
     "records": [{"b": [1, 2], "a": "x", "c": None}, {"c": True, "a": "y", "b": []}],
     "records-one-differs": [{"a": 1, "b": 2}, {"a": 3, "c": 4}, {"a": 5, "b": 6}],
@@ -1331,13 +1360,22 @@ def _random_document(rng: random.Random, depth: int = 0):
             items.insert(rng.randrange(1, len(items) + 1), _random_document(rng, 4))
         return items if rng.random() < 0.5 else tuple(items)
     if kind == "str-sequences":
-        return [_random_document(rng, 3) if rng.random() < 0.1 else [rng.choice("xyz")] * rng.randrange(3)
-                for _ in range(rng.randrange(1, 5))]
+        return _str_sequence(rng, rng.randrange(2, 5))
     keys = rng.sample("abcdef", rng.randrange(1, 4))
     records = [{k: _random_document(rng, depth + 1) for k in keys} for _ in range(rng.randrange(1, 4))]
     if rng.random() < 0.3:  # one record with another key set
         records[rng.randrange(len(records))][rng.choice("uvw")] = None
     return records
+
+
+def _str_sequence(rng: random.Random, depth: int):
+    """Strs nested ``depth`` deep in lists and tuples, any of them empty, now and then with another item."""
+    if depth == 0:
+        return rng.choice(["x", "y", "é", ""])
+    items = [_str_sequence(rng, depth - 1) for _ in range(rng.randrange(4))]
+    if rng.random() < 0.1:
+        items.insert(rng.randrange(len(items) + 1), _random_document(rng, 3))
+    return items if rng.random() < 0.5 else tuple(items)
 
 
 def test_writer_matches_json_on_random_documents():
@@ -1391,12 +1429,55 @@ def test_every_report_matches_json(monkeypatch, capsys, paths):
         assert write(doc) == _oracle(doc), argv
 
 
+# -- garbage-collector scope of a call ------------------------------------------
+
+
+@pytest.mark.parametrize("caller", ["plain", "frozen", "gc-disabled"])
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["validate", "{diamond}"], 0),
+        (["validate", "{broken}"], 2),
+        (["chargraph", "{diamond}", "--cut", "e5,e6", "--k", "5000"], 3),
+    ],
+    ids=["exit-0", "exit-2", "exit-3"],
+)
+def test_main_freezes_the_heap_for_its_call_only(monkeypatch, capsys, paths, argv, code, caller):
+    # The call runs with the objects that predate it frozen, and leaves the
+    # collector as it found it; a caller's own freeze stays in place.
+    seen = []
+    load = cli._load
+    monkeypatch.setattr(cli, "_load", lambda path: seen.append(gc.get_freeze_count()) or load(path))
+    enabled = gc.isenabled()
+    if caller == "frozen":
+        gc.freeze()
+    elif caller == "gc-disabled":
+        gc.disable()
+    try:
+        before = gc.get_freeze_count(), gc.isenabled()
+        rc, _, _ = run(capsys, *(a.format(**paths) for a in argv))
+        after = gc.get_freeze_count(), gc.isenabled()
+    finally:
+        if caller == "frozen":
+            gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert rc == code
+    assert after == before
+    assert seen[0] > 0
+    if caller == "frozen":
+        assert before[0] > 0 and seen[0] == before[0]
+    else:
+        assert before[0] == 0
+
+
 # -- golden report digests ----------------------------------------------------
 
 DIGESTS = Path(__file__).resolve().parent / "data" / "report_digests.json"
 
-# Exact-valued reports only: the improved bound's floats come from a dense
-# eigensolver and may move in the last digits across BLAS builds.
+# Exact-valued reports, and the two bounds reports the benchmark and the
+# suite time: their improved-bound floats come from a dense eigensolver, so
+# a BLAS build that rounds differently may move their last digits.
 DIGEST_CALLS = [
     ["validate", "diamond.json"],
     ["classes", "diamond.json", "--i", "s1", "--j", "s2", "--aj", "0"],
@@ -1410,6 +1491,10 @@ DIGEST_CALLS = [
     # under a non-dyadic law, whose rates depend on the order of every addition.
     ["simulate", "--builtin", "diamond", "--k", "6"],
     ["simulate", "skewed_diamond.json", "--builtin", "diamond", "--k", "6"],
+    # The benchmark's diamond-bounds call, and the layered sum's bounds
+    # report (1,134 pair rows over 30 graphs).
+    ["example", "diamond", "--bounds"],
+    ["bounds", "layered_sum.json"],
 ]
 
 
