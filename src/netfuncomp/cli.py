@@ -155,20 +155,20 @@ def _write(o, append, nl: str, scalars: dict) -> None:
                 append(opening)
                 for head, value in zip(heads, map(r.__getitem__, keys)):
                     append(head)
-                    t = type(value)
-                    spell = scalars.get(t)
+                    value_type = type(value)
+                    spell = scalars.get(value_type)
                     if spell is not None:
                         append(spell(value))
                         continue
                     text = None
-                    if t is tuple:
+                    if value_type is tuple:
                         try:
                             text = tuples[value]
                         except KeyError:
                             text = tuples[value] = _str_seqs_text(value, deeper)
                         except TypeError:  # it holds a list
                             text = _str_seqs_text(value, deeper)
-                    elif t is list:
+                    elif value_type is list:
                         text = _str_seqs_text(value, deeper)
                     if text is None:
                         _write(value, append, deeper, scalars)
